@@ -114,9 +114,7 @@ def run_bench() -> dict:
     # Since round 2 the flagship has NO all-to-all exchange at all: the
     # url-dedup is the broadcast-min form (dedup_exact_broadcast) — two
     # narrow scans + a map-side filter, tie exchange never fires on crawl
-    # timestamps — so no shuffle-strategy opt-in is needed here. The query
-    # suite stays on the sort default (hash pays fresh aggregator-actor
-    # startup per query).
+    # timestamps. Every exchange runs on Ray's default sort shuffle.
 
     # warm the OS page cache so we measure compute+shuffle, not first read
     for name in os.listdir(SF_DIR):

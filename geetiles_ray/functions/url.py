@@ -101,7 +101,7 @@ def _apply_steps(s: pd.Series, steps) -> pd.Series:
 def canonicalize_urls(urls: pd.Series) -> pd.Series:
     """Vectorized canonical form of each URL (see step list above).
     Unparseable rows (no scheme://authority) pass through with only the
-    fragment stripped — never NaN."""
+    fragment stripped; null URLs stay null (SQL ``NULL || x`` semantics)."""
     s = urls.str.replace(r"#.*$", "", regex=True)
     parts = s.str.extract(_SPLIT_RE)
     rebuilt = (parts[0].str.lower() + "://"
@@ -111,7 +111,7 @@ def canonicalize_urls(urls: pd.Series) -> pd.Series:
     s = _apply_steps(s, CANON_PORT_STEPS)
     qp = s.str.extract(_QUERY_SPLIT_RE)
     base, qry = qp[0].fillna(""), qp[1].fillna("")
-    s = base + _apply_steps(qry, CANON_QUERY_STEPS)
+    s = (base + _apply_steps(qry, CANON_QUERY_STEPS)).where(s.notna())
     return _apply_steps(s, [CANON_TRAILING_SLASH])
 
 

@@ -82,7 +82,7 @@ def grouped_topn(ds: ray.data.Dataset, keys: list[str], order_col: str,
 
     from ..stages.temporal import grouped_apply
     return grouped_apply(pruned.map_batches(tag, batch_format="pyarrow"),
-                         final, nbuckets)
+                         final)
 
 
 # --------------------------------------------------------- exact quantiles
@@ -341,7 +341,7 @@ def running_total(ds: ray.data.Dataset, key: str, order_cols: list[str],
     """Per-key cumulative sum in ``order_cols`` order (SQL:
     SUM(value) OVER (PARTITION BY key ORDER BY order ROWS UNBOUNDED
     PRECEDING)). One hash exchange co-locates each key's rows
-    (stages/temporal.grouped_apply — sort or probed-hash plan), the
+    (stages/temporal.grouped_apply's groupby(bucket).map_groups), the
     kernel is one vectorized sort + groupby-cumsum per bucket. Integer
     ``value_col`` gives engine-exact results (cumulative FLOAT sums are
     order-defined and match only engines replaying the same order —
@@ -359,7 +359,7 @@ def running_total(ds: ray.data.Dataset, key: str, order_cols: list[str],
         d[out_col] = d.groupby(key, sort=False)[value_col].cumsum()
         return d.drop(columns=["__bucket"])
 
-    return grouped_apply(tagged, kernel, nbuckets)
+    return grouped_apply(tagged, kernel)
 
 
 def pack_plan(ds: ray.data.Dataset, stream_cols: list[str], order_col: str,
@@ -403,7 +403,7 @@ def pack_plan(ds: ray.data.Dataset, stream_cols: list[str], order_col: str,
         d[out_col] = excl // budget
         return d.drop(columns=["__bucket", "__stream"])
 
-    return grouped_apply(tagged, kernel, nbuckets)
+    return grouped_apply(tagged, kernel)
 
 
 def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
@@ -476,7 +476,7 @@ def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
                              "shard": (rn // shard_size).astype(np.int64),
                              "pos": (rn % shard_size).astype(np.int64)})
 
-    return grouped_apply(tagged, kernel, nranges)
+    return grouped_apply(tagged, kernel)
 
 
 def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
@@ -484,7 +484,8 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     """EXACT stratified take-k: from each stratum keep precisely
     ``k[stratum]`` rows — the first k in the deterministic hash order
     ``(key+1)·MIX mod 2⁶⁴`` (bijective ⇒ tie-free; a seeded per-stratum
-    shuffle-then-take). Strata absent from ``k`` are dropped. This is
+    shuffle-then-take). Strata absent from ``k`` are dropped, and so are
+    rows whose ``strata_col`` is null (dropped at the tag stage). This is
     the quota-apply half of a corpus mixing planner (DoReMi-style
     static mixing): rate-threshold sampling (stratified_sample) only
     hits quotas in expectation; training mixtures need them exact.
@@ -499,12 +500,15 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     Returns (key_col, strata_col, rank) — rank is the 0-based position
     in the stratum's hash order, < k[stratum] by construction (the
     audit column a resumable pipeline re-verifies quotas with)."""
+    import pyarrow.compute as pc
+
     from ..stages.temporal import grouped_apply
     if not (nranges >= 2 and (nranges & (nranges - 1)) == 0):
         raise ValueError("nranges must be a power of two >= 2")
     shift = np.uint64(64 - int(nranges).bit_length() + 1)
 
     def tag(batch: pa.Table) -> pa.Table:
+        batch = batch.filter(pc.is_valid(batch[strata_col]))
         kk = batch[key_col].to_numpy().astype(np.uint64)
         h = (kk + np.uint64(1)) * np.uint64(_MIX)
         return pa.table({key_col: batch[key_col],
@@ -559,7 +563,7 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
                                      pandas_to_arrow_normalizer)
     target = dataset_arrow_schema(slim, [key_col, strata_col]) \
         .append(pa.field("rank", pa.int64()))
-    return grouped_apply(tagged, kernel, nranges).map_batches(
+    return grouped_apply(tagged, kernel).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
 
 
@@ -692,7 +696,7 @@ def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
                                      pandas_to_arrow_normalizer)
     target = dataset_arrow_schema(t, [key_col]) \
         .append(pa.field("quota", pa.int64()))
-    return grouped_apply(tagged, kernel, nranges).map_batches(
+    return grouped_apply(tagged, kernel).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
 
 
@@ -1016,7 +1020,7 @@ def grouped_quantiles(ds: ray.data.Dataset, key: str, col: str,
                                         "value": vv[starts + ranks]}))
         return pd.concat(frames, ignore_index=True)
 
-    out = grouped_apply(tagged, kernel, nbuckets).to_pandas()
+    out = grouped_apply(tagged, kernel).to_pandas()
     return out.sort_values([key, "q"]).reset_index(drop=True)
 
 

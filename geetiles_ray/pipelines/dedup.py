@@ -2,18 +2,23 @@
 
 The reference dedups implicitly — identifiers are content hashes, re-runs
 skip existing outputs (gee.py:267-274). For web pages the equivalent
-first-class operators are:
+first-class operators are two exact dedups with one contract (keep one row
+per key, earliest by an order column):
 
-- ``dedup_exact``: keep one row per key (earliest by an order column) —
-  the pages-by-url dedup the north rule's byte-identical-text invariant
-  rides on. Partitioned hash dedup: a vectorized local pre-dedup inside
+- ``dedup_exact``: the full exchange. A vectorized local pre-dedup inside
   ``map_batches`` (kills most duplicates before the shuffle), then a
-  ``groupby(bucket)`` where each *bucket* (not each key!) is one group —
-  the per-group work stays vectorized pandas regardless of key
-  cardinality, and hot keys can't skew buckets because keys are
-  hash-distributed.
-- ``dedup_minhash_lsh`` / ``dedup_simhash`` / ``ngram_jaccard_pairs``:
-  near-duplicate detection (see functions in this module).
+  ``groupby(bucket).map_groups`` where each *bucket* (not each key!) is
+  one group — the per-group work stays vectorized pandas regardless of
+  key cardinality, and hot keys can't skew buckets because keys are
+  hash-distributed. The same ``groupby("__bucket").map_groups`` is the
+  only co-location plan in the engine (stages/temporal.grouped_apply).
+- ``dedup_exact_broadcast``: broadcast-min for low-duplicate corpora — two
+  narrow scans build per-duplicate-key minima, one map-side filter keeps
+  the minimum rows, and only tie keys ride ``dedup_exact``'s exchange.
+  The pages-by-url dedup the north rule's byte-identical-text invariant
+  rides on.
+- near-duplicate detection (MinHash-LSH, SimHash) lives in
+  pipelines/neardup.py.
 """
 
 from __future__ import annotations
@@ -22,52 +27,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-
-
-# The fast hash-shuffle dedup path relies on repartition(keys=[...]) emitting
-# exactly ONE block per hash partition, so a whole-block map_batches sees every
-# row of a key together. A future Ray may split large partitions into
-# target-size blocks, which would let same-key rows span blocks and silently
-# survive dedup. Instead of sniffing version strings, the invariant itself is
-# probed at runtime ONCE per process (a canary repartition of a few thousand
-# rows, ~100 ms): if any bucket value appears in more than one output block,
-# the fast path is disabled and dedup falls back to groupby().map_groups,
-# which is correct by contract on any version.
-_HASH_ONE_BLOCK_PROBE: bool | None = None
-
-
-def _hash_partition_is_one_block() -> bool:
-    global _HASH_ONE_BLOCK_PROBE
-    if _HASH_ONE_BLOCK_PROBE is None:
-        import uuid
-
-        import pyarrow.compute as pc
-
-        nb = 4
-        # 8 input blocks built directly (NOT via .repartition(8): under the
-        # hash strategy that would spawn its own aggregator wave) — several
-        # blocks so the keyed exchange below is real
-        canary = ray.data.from_arrow([
-            pa.table({"__bucket": pa.array(
-                np.arange(i, 4096, 8) % nb, type=pa.int64())})
-            for i in range(8)])
-
-        def tag(batch: pa.Table) -> pa.Table:
-            # batch_size=None ⇒ one call per OUTPUT BLOCK
-            tok = uuid.uuid4().hex
-            vals = pc.unique(batch["__bucket"].combine_chunks())
-            return pa.table({"tok": pa.array([tok] * len(vals)),
-                             "bucket": vals})
-
-        rows = canary.repartition(nb, keys=["__bucket"]) \
-            .map_batches(tag, batch_size=None, batch_format="pyarrow") \
-            .take_all()
-        blocks_of: dict[int, set] = {}
-        for r in rows:
-            blocks_of.setdefault(r["bucket"], set()).add(r["tok"])
-        _HASH_ONE_BLOCK_PROBE = (len(blocks_of) == nb and
-                                 all(len(s) == 1 for s in blocks_of.values()))
-    return _HASH_ONE_BLOCK_PROBE
 
 
 def dedup_exact(
@@ -86,25 +45,6 @@ def dedup_exact(
         [order_col] if isinstance(order_col, str) else list(order_col))
     sort_cols = keys + orders
 
-    # When the session opted into the streaming hash-shuffle backend, the
-    # exchange is a hash repartition on the bucket column (no global sort,
-    # no range-partition skew) followed by a whole-block vectorized dedup.
-    # Partition count is clamped to cluster cores: each partition maps to a
-    # shuffle aggregator ACTOR slot, and oversubscribing partitions versus
-    # aggregators collapses throughput (measured, 4M-row flagship at 8
-    # CPUs: 64 partitions 160 s, 8 partitions 32 s; at 32 CPUs: 32
-    # partitions 11 s). On a multi-node cluster aggregators spread across
-    # nodes and the same partitions≈cores rule holds; for very large
-    # per-partition byte sizes (>~1 GB) raise nbuckets and accept more
-    # aggregator waves instead of letting one partition exceed worker heap.
-    from ray.data.context import DataContext, ShuffleStrategy
-    use_hash = (DataContext.get_current().shuffle_strategy
-                == ShuffleStrategy.HASH_SHUFFLE) and _hash_partition_is_one_block()
-    if use_hash:
-        import ray
-        ncores = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = min(nbuckets, max(2, ncores))
-
     def local(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         df = df.sort_values(sort_cols, kind="stable").drop_duplicates(keys, keep=keep)
@@ -117,18 +57,8 @@ def dedup_exact(
         out = group.sort_values(sort_cols, kind="stable").drop_duplicates(keys, keep=keep)
         return out.drop(columns="__bucket")
 
-    pre = ds.map_batches(local, batch_format="pyarrow")
-    if use_hash:
-        def per_block(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            df = df.sort_values(sort_cols, kind="stable") \
-                .drop_duplicates(keys, keep=keep).drop(columns="__bucket")
-            return pa.Table.from_pandas(df, preserve_index=False) \
-                .replace_schema_metadata(None)
-
-        return pre.repartition(nbuckets, keys=["__bucket"]) \
-            .map_batches(per_block, batch_size=None, batch_format="pyarrow")
-    return pre.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return ds.map_batches(local, batch_format="pyarrow") \
+        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
 
 
 def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
@@ -152,8 +82,7 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
     worst-scaling leg of the flagship: 6.6 s @8 → 4.0 s @32, eff 0.41).
     The driver only concatenates the per-range duplicate lists
     (~|dup keys| total).
-    reduce="driver": the old serial fold (small inputs). reduce="shuffle":
-    Ray groupby (when even the per-range fold wouldn't fit one worker)."""
+    reduce="driver": the old serial fold (small inputs)."""
     import ray
 
     keys = [key] if isinstance(key, str) else list(key)
@@ -166,10 +95,6 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
                          "__partial": pa.array(c.astype(np.int64))})
 
     partial = ds.select_columns(keys).map_batches(local, batch_format="pyarrow")
-    if reduce == "shuffle":
-        merged = _finalize_partials(partial, ["__h"], "n", "shuffle").to_pandas()
-        dups = np.sort(merged.loc[merged.n >= 2, "__h"].to_numpy().astype(np.uint64))
-        return ray.put(dups)
     if reduce == "range":
         refs = partial.materialize().get_internal_block_refs()
         if not refs:
@@ -229,56 +154,6 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
     uniq, inv = np.unique(h, return_inverse=True)
     totals = np.bincount(inv, weights=c.astype(np.float64))
     return ray.put(uniq[totals >= 2])
-
-
-def dedup_exact_twopass(
-    ds: ray.data.Dataset,
-    key: str | list[str],
-    order_col: str | list[str] | None = None,
-    nbuckets: int = 64,
-    keep: str = "first",
-    dup_ref=None,
-) -> ray.data.Dataset:
-    """dedup_exact for low-duplicate-rate corpora: pass 1 finds the global
-    duplicate-key set (narrow column-pruned scan, see dup_key_set); pass 2
-    routes ONLY rows whose key is in that set through the hash exchange —
-    unique-key rows bypass the shuffle entirely. At a few % duplicates the
-    exchange shrinks ~25x, which is what lets the flagship scale past the
-    single-store shuffle ceiling (BENCH/BASELINE.md).
-
-    ``ds`` is executed three times (narrow pass + clean filter + dirty
-    filter), so it MUST re-scan deterministically with identical rows — a
-    materialized dataset or a file source. A non-deterministic upstream
-    (samples, unseeded shuffles, time-dependent transforms) breaks
-    CORRECTNESS here, not just speed: a key counted once in pass 1 could
-    appear twice in the clean scan and both copies would bypass the
-    exchange. Regime note: the broadcast set is O(duplicate
-    keys) — right for web crawls deduped incrementally (few % new dups);
-    for high-dup-rate corpora fall back to dedup_exact's full exchange.
-    """
-    import ray
-
-    keys = [key] if isinstance(key, str) else list(key)
-    if dup_ref is None:
-        dup_ref = dup_key_set(ds, key)
-
-    def part(want_dup: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            dups = ray.get(dup_ref)
-            h = pd.util.hash_pandas_object(
-                batch.select(keys).to_pandas(), index=False).to_numpy()
-            if len(dups):
-                idx = np.searchsorted(dups, h)
-                found = (idx < len(dups)) & (dups[np.minimum(idx, len(dups) - 1)] == h)
-            else:
-                found = np.zeros(len(h), dtype=bool)
-            return batch.filter(pa.array(found if want_dup else ~found))
-        return f
-
-    clean = ds.map_batches(part(False), batch_format="pyarrow")
-    dirty = dedup_exact(ds.map_batches(part(True), batch_format="pyarrow"),
-                        key, order_col, nbuckets, keep)
-    return clean.union(dirty)
 
 
 def _hash128(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -396,21 +271,23 @@ def dedup_exact_broadcast(
     survives iff its key is not duplicated, or it carries the key's global
     minimum ``order_col`` (and the minimum is unique). Only TIE keys (>1
     row at the minimum — usually none when order is a crawl timestamp)
-    route through the classic hash exchange, and when the tie set is empty
-    the shuffle (and its aggregator-actor startup) is skipped entirely.
+    route through ``dedup_exact``'s exchange, and when the tie set is empty
+    the exchange is skipped entirely.
 
     This removes the all-to-all leg from the dedup path: both passes scale
     like map work (~0.93 on this host) instead of the single-store
-    exchange (~0.45) — see BENCH/BASELINE.md. Same determinism contract as
-    dedup_exact_twopass: ``ds`` is scanned more than once and MUST re-scan
-    identically. keep="first" ascending only (the flagship contract);
-    richer orderings fall back to dedup_exact_twopass."""
+    exchange (~0.45) — see BENCH/BASELINE.md. ``ds`` is scanned more than
+    once, so it MUST re-scan deterministically with identical rows (a
+    materialized dataset or a file source): a non-deterministic upstream
+    (samples, unseeded shuffles, time-dependent transforms) breaks
+    correctness here, not just speed. keep="first" ascending only (the
+    flagship contract); a composite ``order_col`` needs per-key
+    lexicographic minima the broadcast stats don't carry, so it runs
+    ``dedup_exact``'s full exchange instead."""
     import ray
 
     if not isinstance(order_col, str):
-        # composite orderings need per-key lexicographic minima the
-        # broadcast stats don't carry — use the exchange-based two-pass
-        return dedup_exact_twopass(ds, key, order_col, nbuckets)
+        return dedup_exact(ds, key, order_col, nbuckets)
 
     keys = [key] if isinstance(key, str) else list(key)
     if stats_ref is None:
@@ -730,9 +607,9 @@ def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,
     unaffected rows' values.
 
     Physically just union + dedup_exact(keep="last") over (priority,
-    order) — the update side carries priority 1 — so it inherits whatever
-    exchange plan the session's dedup uses (sort groupby default, probed
-    hash-shuffle opt-in) and the same combiner-shaped local pre-dedup.
+    order) — the update side carries priority 1 — so it shares
+    dedup_exact's ``groupby(bucket).map_groups`` exchange and its
+    combiner-shaped local pre-dedup.
     Schemas must match (``updates`` may be a subset of columns ONLY if
     identical — no partial-column patches; that is a different operator)."""
     keys = [key] if isinstance(key, str) else list(key)
@@ -834,6 +711,6 @@ def upsert_patch(base: ray.data.Dataset, updates: ray.data.Dataset,
 
     from ..functions.arrowio import pandas_to_arrow_normalizer
     from ..stages.temporal import grouped_apply
-    out = grouped_apply(b_tagged.union(u_tagged), kern, nbuckets)
+    out = grouped_apply(b_tagged.union(u_tagged), kern)
     return out.map_batches(pandas_to_arrow_normalizer(target),
                            batch_format="pandas", zero_copy_batch=True)

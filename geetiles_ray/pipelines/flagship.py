@@ -127,7 +127,7 @@ def run(
                                           use_actors=use_actors)
     slim = assigned_all.drop_columns(["html", "text"])
     # the transformed-but-not-yet-deduped table is consumed three times by
-    # the two-pass dedup, so it must be pinned once. Two modes:
+    # the broadcast-min dedup, so it must be pinned once. Two modes:
     # - checkpoint_dir set: the durable cluster path — partitioned parquet
     #   with per-partition manifests (state/manifest.py); a killed run
     #   resumes here, skipping completed partitions, and the dedup re-scans

@@ -13,10 +13,10 @@ surviving segments. Two segmenters share one code path:
   substring-level training-data dedup).
 
 Physical plan (the dedup_exact_broadcast duality, see
-pipelines/dedup.py:338): pass 1 is a narrow text-column scan that counts
+pipelines/dedup.py): pass 1 is a narrow text-column scan that counts
 distinct docs per segment — segments are never materialized as strings;
 each is identified by a 128-bit positional fold of per-word 64-bit hashes
-(collision-safe removal, same argument as dedup.py:280). The banned set
+(collision-safe removal, same argument as dedup._hash128). The banned set
 (only segments with ndocs ≥ min_docs) is broadcast via ``ray.put`` and
 pass 2 is ONE map-side rewrite — no all-to-all exchange anywhere.
 
@@ -24,12 +24,12 @@ Scale regime: the fold sees |distinct segments per batch| partial rows
 (24 B each) and the broadcast is O(duplicate segments). The default
 ``fold="range"`` distributes the fold as dup_key_set-style range tasks;
 ``fold="driver"`` serial-folds on the driver (fine for small partials);
-``fold="groupby"`` routes partials through a hash aggregation when even
-one range's slice would not fit a single fold task.
+``fold="groupby"`` routes partials through a Ray ``groupby`` aggregation
+when even one range's slice would not fit a single fold task.
 
 Determinism contract: ``ds`` is scanned twice and MUST re-scan
 identically (file source or materialized) — same contract as
-dedup_exact_twopass (dedup.py:246).
+dedup_exact_broadcast.
 """
 
 from __future__ import annotations

@@ -162,32 +162,25 @@ def lsh_candidate_pairs(band_rows: ray.data.Dataset) -> pd.DataFrame:
     per-group Python overhead on ~|docs|×bands groups (measured 10 s for
     5k docs), so the fold is driver-side vectorized. Right for corpora
     whose band table fits the driver; the scale path is
-    ``lsh_candidate_pairs_ds`` (hash-partition + same kernel per block).
+    ``lsh_candidate_pairs_ds`` (bucket exchange + same kernel per bucket).
     """
     return _pairs_from_frame(band_rows.to_pandas())
 
 
 def lsh_candidate_pairs_ds(band_rows: ray.data.Dataset,
                            nbuckets: int = 64) -> ray.data.Dataset:
-    """Distributed candidate-pair generation: hash-partition band rows on
-    (band, band_hash) so every LSH bucket is co-located, run the vectorized
-    run-length kernel per partition, then globally dedup pairs (the same
-    pair can surface from several bands, which land in different
-    partitions). Nothing corpus-sized ever reaches the driver.
+    """Distributed candidate-pair generation: hash-bucket band rows on
+    (band, band_hash) and ``groupby(bucket).map_groups`` so every LSH
+    bucket is co-located, run the vectorized run-length kernel per bucket,
+    then globally dedup pairs (the same pair can surface from several
+    bands, which land in different buckets). Nothing corpus-sized ever
+    reaches the driver.
 
-    Exchange cost: bands × 16 B per doc into the hash shuffle, then a
+    Exchange cost: bands × 16 B per doc into the bucket exchange, then a
     pair table ≪ corpus (the LSH contract) into a second small dedup
-    exchange. Per-partition work is O(rows log rows) vectorized numpy.
+    exchange. Per-bucket work is O(rows log rows) vectorized numpy.
     """
     from . import dedup as dedupmod
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    use_hash = (DataContext.get_current().shuffle_strategy
-                == ShuffleStrategy.HASH_SHUFFLE) \
-        and dedupmod._hash_partition_is_one_block()
-    if use_hash:
-        ncores = int(ray.cluster_resources().get("CPU", 8))
-        nbuckets = min(nbuckets, max(2, ncores))
 
     sch = band_rows.schema()
     id_type = dict(zip(sch.names, sch.types))["doc_id"]
@@ -204,14 +197,8 @@ def lsh_candidate_pairs_ds(band_rows: ray.data.Dataset,
         return pa.table({"id_a": pa.array(got["id_a"], type=id_type),
                          "id_b": pa.array(got["id_b"], type=id_type)})
 
-    tagged = band_rows.map_batches(tag, batch_format="pyarrow")
-    if use_hash:
-        pairs = tagged.repartition(nbuckets, keys=["__bucket"]).map_batches(
-            lambda b: kernel_df(b.to_pandas()), batch_size=None,
-            batch_format="pyarrow")
-    else:
-        pairs = tagged.groupby("__bucket").map_groups(
-            kernel_df, batch_format="pandas")
+    pairs = band_rows.map_batches(tag, batch_format="pyarrow") \
+        .groupby("__bucket").map_groups(kernel_df, batch_format="pandas")
     # a pair found by band 0 and band 3 emerges from two partitions
     return dedupmod.dedup_exact(pairs, key=["id_a", "id_b"], nbuckets=nbuckets)
 

@@ -18,19 +18,9 @@ def tune(num_cpus: int | None = None) -> None:
     import ray
     import ray.data
 
-    from ray.data.context import ShuffleStrategy
-
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False
     if num_cpus is None:
         num_cpus = int(ray.cluster_resources().get("CPU", 8))
     ctx.min_parallelism = max(8, num_cpus)
-    # NB: the session keeps the sort-based shuffle default; dedup_exact's
-    # hash path (and lsh_candidate_pairs_ds's) activates only when a caller
-    # opts a session into ShuffleStrategy.HASH_SHUFFLE. Since round 2 the
-    # flagship needs no exchange at all (dedup_exact_broadcast), so no
-    # session opts in by default. Tests stay on sort: hash aggregator
-    # actors can starve actor-pool map stages on <8-CPU sessions when
-    # partitions outnumber free cores.
-    _ = ShuffleStrategy  # documented above
     logging.getLogger("ray.data").setLevel(logging.ERROR)

@@ -316,11 +316,10 @@ def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,
     l_full = l_full.select_columns(ordered_cols)
     r_full = r_full.select_columns(ordered_cols)
 
-    # exchange via grouped_apply: sort groupby by default, keyed-repartition
-    # whole-block path when the session opted into HASH_SHUFFLE (the merge
-    # kernel is per-key vectorized, so multi-bucket partitions are fine)
+    # exchange via grouped_apply's groupby(bucket).map_groups; the merge
+    # kernel is per-key vectorized within each bucket
     from .temporal import grouped_apply
-    return grouped_apply(l_full.union(r_full), merge, nbuckets)
+    return grouped_apply(l_full.union(r_full), merge)
 
 
 def semi_join_ids(ds: ray.data.Dataset, ids, col: str = "identifier",
@@ -417,7 +416,7 @@ def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
     first. The default deliberately re-reads rather than materializing —
     pinning a 100-TB left in the object store is the bigger failure mode,
     and deterministic re-reads are the norm for Parquet-rooted pipelines
-    (dedup_exact_twopass documents the same contract).
+    (dedup_exact_broadcast documents the same contract).
 
     Schema: the merged path casts right int/bool columns to pandas
     nullable twins (→ Arrow int64+null) and the bypass pads the same

@@ -82,34 +82,12 @@ def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
     return l_full.union(r_full)
 
 
-def grouped_apply(tagged: ray.data.Dataset, kernel,
-                  nbuckets: int) -> ray.data.Dataset:
+def grouped_apply(tagged: ray.data.Dataset, kernel) -> ray.data.Dataset:
     """Run ``kernel`` (pandas frame → pandas frame) once per co-located
-    bucket of ``tagged`` (which carries an int64 ``__bucket`` column).
-
-    Two physical plans, one contract (kernels must therefore tolerate a
-    frame holding SEVERAL bucket values — every key's rows still arrive
-    together, which is all the kernels rely on):
-    - sort path (default): ``groupby("__bucket").map_groups`` — correct on
-      any Ray, but the sort exchange pays per-block coordination constants
-      (measured: 4.9 s wall for 2.2 s of task time on 256 small blocks).
-    - hash path: when the session opted into HASH_SHUFFLE and the
-      one-block-per-partition invariant probes true (dedup.py's canary),
-      a keyed ``repartition`` + whole-block map — no sort, no sampling
-      round, and on a multi-node cluster the aggregators scale with nodes
-      (the flagship's measured scalable exchange)."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    from ..pipelines.dedup import _hash_partition_is_one_block
-    use_hash = (DataContext.get_current().shuffle_strategy
-                == ShuffleStrategy.HASH_SHUFFLE) \
-        and _hash_partition_is_one_block()
-    if use_hash:
-        import ray as _ray
-        nparts = min(nbuckets, max(2, int(
-            _ray.cluster_resources().get("CPU", 8))))
-        return tagged.repartition(nparts, keys=["__bucket"]) \
-            .map_batches(kernel, batch_size=None, batch_format="pandas")
+    bucket of ``tagged`` (which carries an int64 ``__bucket`` column), via
+    ``groupby("__bucket").map_groups`` — the engine's one co-location plan.
+    The kernel sees every row of a bucket, hence every row of each key,
+    together, and is never called on an empty group."""
     return tagged.groupby("__bucket").map_groups(kernel,
                                                  batch_format="pandas")
 
@@ -192,7 +170,7 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
         # NaN rows (now dropped) upcast int right columns to float64
         return m.astype({c: r_dtypes[c] for c in r_payload}, copy=False)
 
-    return grouped_apply(unioned, kernel, nbuckets)
+    return grouped_apply(unioned, kernel)
 
 
 def _pool_size() -> tuple:
@@ -325,7 +303,7 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
         m = m[(m[lo] <= m[ts]) & (m[ts] < m[hi])]
         return m[out_cols]
 
-    return grouped_apply(unioned, kernel, nbuckets)
+    return grouped_apply(unioned, kernel)
 
 
 def interval_join_broadcast(points: ray.data.Dataset,
@@ -439,7 +417,7 @@ def session_windows(ds: ray.data.Dataset, key: str, ts: str,
     exceeds ``gap`` (same units as ``ts`` — keep ``ts`` integer so the
     comparison is engine-exact). The streaming-window operator behind
     user_sessions, promoted to a first-class stage: one key-hash exchange
-    (grouped_apply — sort default, probed hash plan opt-in), then a
+    (grouped_apply's ``groupby(bucket).map_groups``), then a
     vectorized sort + diff + cumsum kernel per bucket; no per-row Python,
     no state actor (the exchange co-locates each key's whole timeline,
     which is the partitioning assumption — a key's events must fit one
@@ -473,7 +451,7 @@ def session_windows(ds: ray.data.Dataset, key: str, ts: str,
         d[out_col] = sid - np.maximum.accumulate(base)
         return d.drop(columns=["__bucket"])
 
-    return grouped_apply(tagged, kernel, nbuckets)
+    return grouped_apply(tagged, kernel)
 
 
 def lag_deltas(ds: ray.data.Dataset, key: str, ts: str,
@@ -512,7 +490,7 @@ def lag_deltas(ds: ray.data.Dataset, key: str, ts: str,
         d[out_col] = delta
         return d.drop(columns=["__bucket"])
 
-    return grouped_apply(tagged, kernel, nbuckets)
+    return grouped_apply(tagged, kernel)
 
 
 def funnel_steps(ds: ray.data.Dataset, steps: list[str],
@@ -570,7 +548,7 @@ def funnel_steps(ds: ray.data.Dataset, steps: list[str],
         out.columns = [key, "steps_reached"]
         return out.drop(columns=["__bucket"], errors="ignore")
 
-    return grouped_apply(tagged, kernel, nbuckets)
+    return grouped_apply(tagged, kernel)
 
 
 def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
@@ -629,7 +607,7 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
         return g.astype({"cohort_week": "int64", "week_offset": "int64",
                          "__n": "int64"})
 
-    partial = grouped_apply(tagged, kernel, nbuckets)
+    partial = grouped_apply(tagged, kernel)
     agg = partial.groupby(["cohort_week", "week_offset"]) \
         .aggregate(Sum("__n"))
 
@@ -683,7 +661,7 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
         g.columns = ["window_end_day", "__n"]
         return g.astype({"window_end_day": "int64", "__n": "int64"})
 
-    partial = grouped_apply(tagged, kernel, nbuckets)
+    partial = grouped_apply(tagged, kernel)
     agg = partial.groupby("window_end_day").aggregate(Sum("__n"))
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -734,7 +712,7 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
     from ..functions.arrowio import pandas_to_arrow_normalizer
     target = pa.schema([("cur_type", pa.string()),
                         ("next_type", pa.string()), ("__n", pa.int64())])
-    partial = grouped_apply(tagged, kernel, nbuckets).map_batches(
+    partial = grouped_apply(tagged, kernel).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
     agg = partial.groupby(["cur_type", "next_type"]).aggregate(Sum("__n"))
 

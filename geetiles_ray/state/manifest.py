@@ -190,13 +190,10 @@ def read_checkpointed(out_dir: str) -> ray.data.Dataset:
         for d in os.listdir(out_dir)
         if d.startswith("part=") and
         os.path.exists(os.path.join(out_dir, d, "data.parquet")))
-    ds = ray.data.read_parquet(paths)
-    # the part=NNNNN path segment is layout, not data: Ray's hive
-    # partitioning inference would otherwise append a 'part' column the
-    # writer never wrote, making the checkpoint roundtrip non-identity
-    if "part" in ds.schema().names:
-        ds = ds.drop_columns(["part"])
-    return ds
+    # the part=NNNNN path segment is layout, not data: without
+    # partitioning=None Ray's hive inference would append a 'part' column
+    # the writer never wrote (and clobber a real payload column so named)
+    return ray.data.read_parquet(paths, partitioning=None)
 
 
 def prune_work_list(work: ray.data.Dataset, out_dir: str, key_col: str,

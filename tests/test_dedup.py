@@ -1,11 +1,10 @@
-"""dedup_exact (both exchange paths) + partial combiner oracles."""
+"""dedup_exact + dedup_exact_broadcast + partial combiner oracles."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data
-from ray.data.context import DataContext, ShuffleStrategy
 
 from geetiles_ray.pipelines import dedup as dedupmod
 
@@ -34,56 +33,6 @@ class TestDedupExact:
         got = dedupmod.dedup_exact(ds, key="url", order_col="warc_ts") \
             .to_pandas().sort_values("url").reset_index(drop=True)
         pd.testing.assert_frame_equal(got[want.columns], want)
-
-    def test_hash_shuffle_path_matches_sort_path(self):
-        # the DataContext is snapshotted at dataset creation, so the strategy
-        # flip must precede _pages_with_cross_block_dups()
-        ctx = DataContext.get_current()
-        old = ctx.shuffle_strategy
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        try:
-            ds = _pages_with_cross_block_dups()
-            want = _oracle(ds.to_pandas())
-            got = dedupmod.dedup_exact(ds, key="url", order_col="warc_ts") \
-                .to_pandas().sort_values("url").reset_index(drop=True)
-        finally:
-            ctx.shuffle_strategy = old
-        pd.testing.assert_frame_equal(got[want.columns], want)
-
-    def test_one_block_probe_true_under_hash_strategy(self):
-        # under the pinned Ray + hash strategy the canary probe must pass
-        # (i.e. the fast path is actually exercised, not silently skipped)
-        ctx = DataContext.get_current()
-        old = ctx.shuffle_strategy
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        try:
-            dedupmod._HASH_ONE_BLOCK_PROBE = None  # force a fresh probe
-            assert dedupmod._hash_partition_is_one_block() is True
-        finally:
-            ctx.shuffle_strategy = old
-            dedupmod._HASH_ONE_BLOCK_PROBE = None
-
-    def test_forced_fallback_routes_to_groupby_plan(self, monkeypatch):
-        # a failing probe (future Ray splitting hash partitions) must route
-        # to the groupby path even under HASH_SHUFFLE. Asserted on the
-        # LOGICAL PLAN without executing: running a hash-strategy groupby
-        # in this 4-CPU test session starves on aggregator actors (the
-        # documented tiny-session pathology), and the fallback plan's
-        # dedup correctness is already covered by test_sort_path_matches_
-        # pandas (identical code path under the sort strategy).
-        ctx = DataContext.get_current()
-        old = ctx.shuffle_strategy
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        try:
-            ds = _pages_with_cross_block_dups()
-            monkeypatch.setattr(dedupmod, "_HASH_ONE_BLOCK_PROBE", True)
-            fast = dedupmod.dedup_exact(ds, key="url", order_col="warc_ts")
-            monkeypatch.setattr(dedupmod, "_HASH_ONE_BLOCK_PROBE", False)
-            slow = dedupmod.dedup_exact(ds, key="url", order_col="warc_ts")
-        finally:
-            ctx.shuffle_strategy = old
-        assert fast._logical_plan.dag.name == "MapBatches(per_block)"
-        assert slow._logical_plan.dag.name == "MapBatches(per_bucket)"
 
     def test_dup_key_set_range_matches_driver(self):
         # the pre-bucketed split+fold range reduce must produce the exact
@@ -139,6 +88,19 @@ class TestDedupBroadcast:
         want = _oracle(df)
         pd.testing.assert_frame_equal(got[want.columns], want)
 
+    def test_composite_order_matches_pandas(self):
+        # a list order_col has no broadcast minima: it runs dedup_exact's
+        # full exchange and must still match the pandas oracle
+        ds = _pages_with_cross_block_dups().materialize()
+        df = ds.to_pandas()
+        want = df.sort_values(["url", "warc_ts", "payload"], kind="stable") \
+            .drop_duplicates(["url"], keep="first") \
+            .sort_values("url").reset_index(drop=True)
+        got = dedupmod.dedup_exact_broadcast(
+            ds, key="url", order_col=["warc_ts", "payload"]) \
+            .to_pandas().sort_values("url").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[want.columns], want)
+
     def test_multi_key(self):
         df = pd.DataFrame({"a": [1, 1, 2, 2, 1], "b": ["x", "x", "y", "y", "z"],
                            "v": [5, 3, 9, 1, 7]})
@@ -168,33 +130,6 @@ class TestPartialCombiners:
         b = dedupmod.partial_sums(ds, ["url"], "payload", "s", reduce="shuffle") \
             .to_pandas().sort_values("url").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
-
-class TestDedupTwoPass:
-    def test_matches_single_pass(self):
-        ds = _pages_with_cross_block_dups().materialize()
-        want = _oracle(ds.to_pandas())
-        got = dedupmod.dedup_exact_twopass(ds, key="url", order_col="warc_ts") \
-            .to_pandas().sort_values("url").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got[want.columns], want)
-
-    def test_no_duplicates_bypasses_everything(self):
-        df = pd.DataFrame({"url": [f"u{i}" for i in range(100)],
-                           "warc_ts": range(100)})
-        ds = ray.data.from_pandas(df, override_num_blocks=4).materialize()
-        out = dedupmod.dedup_exact_twopass(ds, key="url", order_col="warc_ts")
-        assert out.count() == 100
-
-    def test_multi_key(self):
-        df = pd.DataFrame({"a": [1, 1, 2, 2, 1], "b": ["x", "x", "y", "y", "z"],
-                           "v": [5, 3, 9, 1, 7]})
-        ds = ray.data.from_pandas(df, override_num_blocks=3).materialize()
-        got = dedupmod.dedup_exact_twopass(ds, key=["a", "b"], order_col="v") \
-            .to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-        want = df.sort_values(["a", "b", "v"], kind="stable") \
-            .drop_duplicates(["a", "b"], keep="first") \
-            .sort_values(["a", "b"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
 
 
 class TestDedupBroadcastProperties:

@@ -33,6 +33,18 @@ class TestCheckpointedWrite:
         back = mf.read_checkpointed(out).to_pandas().sort_values("val")
         assert back.val.tolist() == list(range(500))
 
+    def test_part_payload_column_roundtrips(self, corpus, tmp_path):
+        # the part=NNNNN directory layout must not clobber a real payload
+        # column named 'part'
+        df = corpus.assign(part=[f"p{i % 7}" for i in range(len(corpus))])
+        out = str(tmp_path / "out")
+        mf.checkpointed_write(ray.data.from_pandas(df), out, "url",
+                              n_partitions=8)
+        back = mf.read_checkpointed(out).to_pandas() \
+            .sort_values("val").reset_index(drop=True)
+        assert list(back.columns) == list(df.columns)
+        pd.testing.assert_frame_equal(back, df, check_dtype=False)
+
     def test_derive_n_partitions_sizing_rule(self):
         # ≤ target bytes per partition, floored at min_parts
         assert mf.derive_n_partitions(0, 1 << 30, min_parts=4) == 4

@@ -117,33 +117,6 @@ class TestMinHashLSH:
             est = inter / (len(a) + len(b) - inter)
             assert abs(est - true_j) < 1e-12
 
-    def test_pair_kernel_hash_shuffle_matches_sort(self):
-        # lsh_candidate_pairs_ds has two co-location paths (hash-shuffle
-        # repartition vs groupby); both must give the same pair set
-        from ray.data.context import DataContext, ShuffleStrategy
-        df = _dup_corpus()
-
-        def pairs_with(strategy):
-            ctx = DataContext.get_current()
-            old = ctx.shuffle_strategy
-            ctx.shuffle_strategy = strategy
-            try:
-                ds = ray.data.from_pandas(df, override_num_blocks=3)
-                band_rows = ds.map_batches(
-                    neardup.MinHashStage,
-                    fn_constructor_kwargs=dict(id_col="doc_id",
-                                               text_col="text"),
-                    batch_format="pyarrow", concurrency=2)
-                return neardup.lsh_candidate_pairs_ds(band_rows) \
-                    .to_pandas().sort_values(["id_a", "id_b"]) \
-                    .reset_index(drop=True)
-            finally:
-                ctx.shuffle_strategy = old
-
-        a = pairs_with(ShuffleStrategy.SORT_SHUFFLE_PULL_BASED)
-        b = pairs_with(ShuffleStrategy.HASH_SHUFFLE)
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
-
     def test_minlabel_components_chain(self):
         # a 4-node path graph exercises multi-round propagation
         edges = ray.data.from_pandas(pd.DataFrame(

@@ -81,26 +81,6 @@ class TestAsofJoin:
         pd.testing.assert_frame_equal(out[want.columns], want,
                                       check_dtype=False)
 
-    def test_hash_exchange_parity(self, sides):
-        # grouped_apply's keyed-repartition fast path (HASH_SHUFFLE +
-        # one-block-per-partition probe) must give the same join as the
-        # sort groupby; kernels must tolerate multi-bucket partitions
-        from ray.data.context import DataContext, ShuffleStrategy
-        L, R = sides
-        want = tmp.asof_join(_ds(L), _ds(R), key="k", on="ts",
-                             right_on="rts", tiebreak="rid").to_pandas() \
-            .sort_values("lid").reset_index(drop=True)
-        ctx = DataContext.get_current()
-        old = ctx.shuffle_strategy
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        try:
-            got = tmp.asof_join(_ds(L), _ds(R), key="k", on="ts",
-                                right_on="rts", tiebreak="rid").to_pandas() \
-                .sort_values("lid").reset_index(drop=True)
-        finally:
-            ctx.shuffle_strategy = old
-        pd.testing.assert_frame_equal(got, want)
-
     def test_column_clash_rejected(self, sides):
         L, R = sides
         with pytest.raises(ValueError, match="collide"):
@@ -778,6 +758,14 @@ class TestStratifiedTake:
                                  "lang", {"en": 10}, nranges=4).to_pandas()
         assert len(out) == 10 and set(out.lang) == {"en"}
         assert out["rank"].max() == 9
+
+    def test_null_stratum_dropped(self):
+        df = pd.DataFrame({"doc_id": np.arange(100, dtype=np.int64),
+                           "lang": ["en"] * 60 + [None] * 40})
+        out = an.stratified_take(ray.data.from_pandas(df), "doc_id",
+                                 "lang", {"en": 100}, nranges=4).to_pandas()
+        assert len(out) == 60 and set(out.lang) == {"en"}
+        assert sorted(out.doc_id) == list(range(60))
 
 
 class TestChunkTexts:

@@ -83,6 +83,12 @@ class TestCanonicalize:
         assert self.c("http://h.example:8080/p") == "http://h.example:8080/p"
         assert self.c("https://h.example:80/p") == "https://h.example:80/p"
 
+    def test_null_stays_null(self):
+        got = urlmod.canonicalize_urls(
+            pd.Series([None, "HTTP://A.example/x/", None]))
+        assert got.isna().tolist() == [True, False, True]
+        assert got[1] == "http://a.example/x"
+
     def test_trailing_slash_and_root(self):
         assert self.c("http://h.example/a/") == "http://h.example/a"
         # root slash: preceding char is the host's last letter → stripped

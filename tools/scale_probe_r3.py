@@ -59,18 +59,6 @@ def main():
     ray.init(address="local", num_cpus=NCPU, include_dashboard=False,
              logging_level="ERROR")
     ray.data.DataContext.get_current().enable_progress_bars = False
-    # PROBE_HASH=1: time the exchange-bound ops on grouped_apply's
-    # keyed-repartition fast path. The strategy snapshot propagates through
-    # dataset lineage, so it must flip BEFORE any dataset is created —
-    # hence a separate process per strategy rather than a second in-process
-    # pass.
-    if os.environ.get("PROBE_HASH"):
-        from ray.data.context import DataContext, ShuffleStrategy
-        DataContext.get_current().shuffle_strategy = \
-            ShuffleStrategy.HASH_SHUFFLE
-        out_suffix = "_hash"
-    else:
-        out_suffix = ""
     from bench import host_probe
     from geetiles_ray.pipelines import analytics as an
     from geetiles_ray.ray_tuning import tune
@@ -81,7 +69,6 @@ def main():
     out = {"rows": N, "num_cpus": NCPU, **host_probe()}
 
     def timed(name, fn):
-        name += out_suffix
         t0 = time.time()
         r = fn()
         dt = time.time() - t0
