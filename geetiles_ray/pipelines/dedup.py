@@ -2,21 +2,28 @@
 
 The reference dedups implicitly — identifiers are content hashes, re-runs
 skip existing outputs (gee.py:267-274). For web pages the equivalent
-first-class operators are two exact dedups with one contract (keep one row
-per key, earliest by an order column):
+first-class operators share one contract (keep one row per key, earliest
+by an order column) and one kernel:
 
-- ``dedup_exact``: the full exchange. A vectorized local pre-dedup inside
+- ``dedup_table``: the in-memory Arrow kernel — one row per exact key
+  value, ties at the minimum broken on the remaining columns, so the
+  kept row never depends on arrival order. Every dedup below runs it;
+  on its own it dedups any table whose keys are already co-located, such
+  as one url-hash partition of the flagship's checkpoint
+  (state/manifest.map_checkpointed).
+- ``dedup_exact``: the full exchange. ``dedup_table`` per block inside
   ``map_batches`` (kills most duplicates before the shuffle), then a
   ``groupby(bucket).map_groups`` where each *bucket* (not each key!) is
-  one group — the per-group work stays vectorized pandas regardless of
-  key cardinality, and hot keys can't skew buckets because keys are
+  one group and runs ``dedup_table`` again — vectorized regardless of key
+  cardinality, and hot keys can't skew buckets because keys are
   hash-distributed. The same ``groupby("__bucket").map_groups`` is the
   only co-location plan in the engine (stages/temporal.grouped_apply).
-- ``dedup_exact_broadcast``: broadcast-min for low-duplicate corpora — two
-  narrow scans build per-duplicate-key minima, one map-side filter keeps
-  the minimum rows, and only tie keys ride ``dedup_exact``'s exchange.
-  The pages-by-url dedup the north rule's byte-identical-text invariant
-  rides on.
+- ``dedup_exact_broadcast``: broadcast-min for low-duplicate corpora held
+  in memory — two narrow scans build per-duplicate-key minima, one
+  map-side filter keeps the minimum rows, and only tie keys ride
+  ``dedup_exact``'s exchange. The flagship's url dedup when it has no
+  checkpoint. Its per-key statistics are gathered on the driver, so the
+  driver's heap grows with the number of duplicated keys.
 - near-duplicate detection (MinHash-LSH, SimHash) lives in
   pipelines/neardup.py.
 """
@@ -26,7 +33,40 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
+
+
+def dedup_table(table: pa.Table, keys: list[str], orders: list[str] = (),
+               keep: str = "first") -> pa.Table:
+    """One row per distinct ``keys`` value of ``table``: the first by
+    ``orders`` ascending (``keep="last"``: the last). Rows tied on
+    ``orders`` are ranked by the remaining columns (ascending, nested
+    columns excepted), so the row kept depends only on the rows, never on
+    the order they arrive in — applying this per block and again per
+    bucket gives the same row as applying it once. Keys compare by value:
+    exact strings, not hashes; nulls form one key."""
+    if table.num_rows < 2:
+        return table
+    keys, orders = list(keys), list(orders)
+    view = {}
+    for c in table.column_names:
+        col = table[c]
+        if pa.types.is_dictionary(col.type):    # Arrow cannot sort these
+            col = col.cast(col.type.value_type)
+        if c in keys or c in orders or not pa.types.is_nested(col.type):
+            view[c] = col
+    by = pa.table(view)
+    rest = [c for c in by.column_names if c not in keys and c not in orders]
+    order = pc.sort_indices(by, sort_keys=[(c, "ascending")
+                                           for c in orders + rest]) \
+        if orders + rest else pa.array(np.arange(table.num_rows))
+    ranked = by.select(keys).take(order).append_column(
+        "__rank", pa.array(np.arange(table.num_rows)))
+    agg = "min" if keep == "first" else "max"
+    picks = ranked.group_by(keys, use_threads=False) \
+        .aggregate([("__rank", agg)])[f"__rank_{agg}"]
+    return table.take(order.take(picks))
 
 
 def dedup_exact(
@@ -37,28 +77,26 @@ def dedup_exact(
     keep: str = "first",
 ) -> ray.data.Dataset:
     """One row per ``key`` (column or list of columns); among duplicates keep
-    the first by ``order_col`` ascending (ties: stable). Two-stage:
-    vectorized local dedup per batch → hash-bucket shuffle → vectorized
-    dedup per bucket."""
+    the first by ``order_col`` ascending (ties: see ``dedup_table``).
+    Two-stage: ``dedup_table`` per batch → hash-bucket shuffle →
+    ``dedup_table`` per bucket."""
     keys = [key] if isinstance(key, str) else list(key)
     orders = [] if order_col is None else (
         [order_col] if isinstance(order_col, str) else list(order_col))
-    sort_cols = keys + orders
 
     def local(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(sort_cols, kind="stable").drop_duplicates(keys, keep=keep)
-        h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-        df["__bucket"] = (h % np.uint64(nbuckets)).astype(np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False) \
-            .replace_schema_metadata(None)  # pandas metadata breaks schema hashing
+        batch = dedup_table(batch, keys, orders, keep)
+        h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(),
+                                       index=False).to_numpy()
+        # pandas metadata (parquet written from pandas) breaks schema hashing
+        return batch.replace_schema_metadata(None).append_column(
+            "__bucket", pa.array((h % np.uint64(nbuckets)).astype(np.int64)))
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        out = group.sort_values(sort_cols, kind="stable").drop_duplicates(keys, keep=keep)
-        return out.drop(columns="__bucket")
+    def per_bucket(group: pa.Table) -> pa.Table:
+        return dedup_table(group.drop_columns(["__bucket"]), keys, orders, keep)
 
     return ds.map_batches(local, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+        .groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
 
 
 def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
@@ -110,6 +148,11 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
         # are separate return objects, so fold task r pulls ONLY range r
         @ray.remote(num_cpus=0.5)
         def split_partial(t):
+            if not t.num_rows:
+                # Ray skips `local` on an empty block, which then still
+                # holds the upstream columns, not __h/__partial
+                t = pa.table({"__h": pa.array([], pa.uint64()),
+                              "__partial": pa.array([], pa.int64())})
             h = t["__h"].to_numpy()
             c = t["__partial"].to_numpy()
             # np.unique output is sorted per `local` call, but one block ==

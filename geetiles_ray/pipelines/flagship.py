@@ -10,10 +10,20 @@ of label proportions partitions.py:447-468) are aggregated with a
 partial-count combiner before the shuffle.
 
 Everything streams: generate → map_batches chain → small aggregates. The
-only materialized object is the tileset (the small side, broadcast once).
+url dedup runs where the pre-dedup rows already sit:
+
+- with a ``checkpoint_dir`` (cluster mode, or single mode when one is
+  given) the slim rows are written hash-partitioned by url
+  (state/manifest.checkpointed_write), so every row of a url is in one
+  ``part=NNNNN`` file; one task per partition reads its file and keeps the
+  earliest row per url (dedup.dedup_table) — no exchange, no driver state;
+- without one, the slim rows are materialized in the object store and
+  deduped by broadcast-min (dedup.dedup_exact_broadcast).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -81,7 +91,8 @@ def run(
     """pages(url, warc_ts, html, text, lang) → (assignments, tile_lang_counts).
 
     ``mode="single"`` (default): in-memory materialize between the map
-    chain and the dedup — the fastest single-node/bench path.
+    chain and the broadcast-min dedup — the fastest single-node/bench path
+    (with a ``checkpoint_dir`` it takes the checkpointed path below).
     ``mode="cluster"``: THE deployment mode for multi-node runs —
     checkpointed partitioned parquet (durable, kill-and-resume via
     per-partition manifests) instead of pinning the full slim table in
@@ -90,19 +101,32 @@ def run(
     in cluster mode (it must be shared storage all nodes can reach — a
     default under /tmp would silently be node-local).
 
+    With a ``checkpoint_dir`` the url dedup runs inside the checkpoint's
+    ``dedup_buckets`` partitions, one task per partition, on the cold run
+    and on every resume alike. It is exact because ``partition_of_key``
+    sends every row of a url to one partition: no partition needs another
+    one's rows. The task keeps each url's earliest ``warc_ts`` row,
+    comparing url strings (not hashes), and breaks ties at the minimum on
+    the other columns, so the result does not depend on block order.
+    Memory: each task holds one partition, which the sizing rule keeps
+    ≤ 1 GiB (the writer's own heap contract); the driver holds one object
+    ref per partition and no per-url statistics. Only the partitions this
+    run wrote or confirmed are read, so stale ``part=`` directories of an
+    earlier layout cannot leak rows in.
+
     assignments: one row per unique url with lon/lat/tile_id/cell_id/
     text_extracted. tile_lang_counts: (tile_id, lang, n_pages) via the
     partial-count combiner.
 
-    Stage order is chosen for the ONE exchange in this pipeline: extraction,
+    Stage order is chosen for the ONE co-location step in this pipeline
+    (the partitioned write, or the broadcast-min scans): extraction,
     geocoding and tile assignment are pure per-row functions, so they run
-    BEFORE the url-dedup shuffle and the raw payload (``html`` + source
-    ``text``) is dropped at the map stage — the exchange then moves only the
-    narrow derived columns (~40% less data; dedup-then-transform and
-    transform-then-dedup are equivalent here, and the ~2% duplicate rows
-    that get transformed twice cost far less than shipping html through the
-    shuffle). ``text_extracted`` carries the byte-identical-text invariant
-    through the exchange."""
+    BEFORE the url dedup and the raw payload (``html`` + source ``text``)
+    is dropped at the map stage — only the narrow derived columns move
+    (~40% less data; dedup-then-transform and transform-then-dedup are
+    equivalent here, and the duplicate rows that get transformed twice
+    cost far less than shipping html). ``text_extracted`` carries the
+    byte-identical-text invariant through the dedup."""
     if mode not in ("single", "cluster"):
         raise ValueError(f"mode must be 'single' or 'cluster', got {mode!r}")
     if mode == "cluster":
@@ -126,30 +150,25 @@ def run(
                                           batch_size=batch_size,
                                           use_actors=use_actors)
     slim = assigned_all.drop_columns(["html", "text"])
-    # the transformed-but-not-yet-deduped table is consumed three times by
-    # the broadcast-min dedup, so it must be pinned once. Two modes:
-    # - checkpoint_dir set: the durable cluster path — partitioned parquet
-    #   with per-partition manifests (state/manifest.py); a killed run
-    #   resumes here, skipping completed partitions, and the dedup re-scans
-    #   from disk instead of the object store
-    # - default: in-memory materialize (fastest single-run path; bench mode)
     if checkpoint_dir is not None:
         from ..state import manifest as manifestmod
 
-        run.last_checkpoint_report = manifestmod.checkpointed_write(
+        report = manifestmod.checkpointed_write(
             slim, checkpoint_dir, key_col="url", n_partitions=dedup_buckets)
-        slim_mat = manifestmod.read_checkpointed(checkpoint_dir)
+        run.last_checkpoint_report = report
+        # the writer hash-partitioned by url, so each partition dedups
+        # alone: one task per partition, no exchange, nothing on the driver
+        earliest = functools.partial(dedupmod.dedup_table, keys=["url"],
+                                     orders=["warc_ts"])
+        assigned = manifestmod.map_checkpointed(
+            checkpoint_dir, report["written"] + report["skipped"], earliest)
     else:
-        slim_mat = slim.materialize()
-    # broadcast-min dedup: the one all-to-all leg of this pipeline becomes
-    # a second map-side filter pass (the tie exchange never fires on crawl
-    # timestamps) — the 8→32 exchange leg scaled at ~0.45 vs ~0.93 for map
-    # work (BENCH/BASELINE.md)
-    deduped = dedupmod.dedup_exact_broadcast(slim_mat, key="url",
-                                             order_col="warc_ts",
-                                             nbuckets=dedup_buckets)
-    # second materialize so the eager driver-reduce combiner below doesn't
-    # re-execute the dedup when the caller also consumes `assigned`
-    assigned = deduped.materialize()
+        # broadcast-min dedup scans its input three times, so the slim
+        # table is pinned once; the second materialize keeps the eager
+        # driver-reduce combiner below from re-running the dedup when the
+        # caller also consumes `assigned`
+        assigned = dedupmod.dedup_exact_broadcast(
+            slim.materialize(), key="url", order_col="warc_ts",
+            nbuckets=dedup_buckets).materialize()
     counts = dedupmod.partial_counts(assigned, ["tile_id", "lang"], "n_pages")
     return assigned, counts

@@ -4332,8 +4332,10 @@ def q_shipping_priority(sf_dir: str):
     (dimension semi-join), date-pruned scans on both fact tables,
     lineitem pre-aggregated to one row per order BEFORE the
     large-large hash join (the shuffle moves |orders| rows), per-block
-    top-k combiner → tiny driver merge. Ties pinned by
-    (revenue desc, o_orderdate, l_orderkey) in both engines."""
+    top-k combiner → tiny driver merge. Revenue is summed in integer
+    cents per line (order-independent folds, as q_returned_revenue).
+    Ties pinned by (rev_cents desc, o_orderdate, l_orderkey) in both
+    engines."""
     import pyarrow.compute as pc
 
     cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
@@ -4367,28 +4369,28 @@ def q_shipping_priority(sf_dir: str):
         batch = batch.filter(
             pc.greater(batch["l_shipdate"], pa.scalar(cutoff)))
         r = pc.multiply(batch["l_extendedprice"],
-                        pc.subtract(pa.scalar(1.0), batch["l_discount"]))
-        return pa.table({"l_orderkey": batch["l_orderkey"], "rev": r})
+                        pc.subtract(pa.scalar(1.0),
+                                    batch["l_discount"])).to_numpy()
+        c = np.floor(r * 100.0 + 0.5).astype(np.int64)
+        return pa.table({"l_orderkey": batch["l_orderkey"],
+                         "rev_cents": pa.array(c)})
 
     li_rev = dedupmod.partial_sums(
         li.map_batches(rev, batch_format="pyarrow"),
-        ["l_orderkey"], "rev", "rev")
+        ["l_orderkey"], "rev_cents", "rev_cents")
     joined = li_rev.join(orders, join_type="inner", num_partitions=8,
                          on=("l_orderkey",), right_on=("o_orderkey",))
+    by = ["rev_cents", "o_orderdate", "l_orderkey"]
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.copy()
-        d["revenue"] = d["rev"].round(2)
-        return d.sort_values(["revenue", "o_orderdate", "l_orderkey"],
-                             ascending=[False, True, True]).head(10)
+        return df.sort_values(by, ascending=[False, True, True]).head(10)
 
     out = joined.map_batches(local_topk, batch_format="pandas") \
         .to_pandas() \
-        .sort_values(["revenue", "o_orderdate", "l_orderkey"],
-                     ascending=[False, True, True]).head(10) \
+        .sort_values(by, ascending=[False, True, True]).head(10) \
         .reset_index(drop=True)
-    return out[["l_orderkey", "revenue", "o_orderdate"]] \
-        .astype({"l_orderkey": "int64"})
+    return out[["l_orderkey", "rev_cents", "o_orderdate"]] \
+        .astype({"l_orderkey": "int64", "rev_cents": "int64"})
 
 
 def q_late_orders(sf_dir: str):
@@ -4630,7 +4632,9 @@ ORDER BY rev_cents DESC, c_custkey LIMIT 20
 
 SQL_SHIPPING_PRIORITY = """
 SELECT l_orderkey,
-       ROUND(SUM(l_extendedprice * (1.0 - l_discount)), 2) AS revenue,
+       CAST(SUM(CAST(FLOOR(l_extendedprice * (1.0 - l_discount)
+                           * 100.0 + 0.5) AS BIGINT)) AS BIGINT)
+         AS rev_cents,
        o_orderdate
 FROM customer
 JOIN orders ON c_custkey = o_custkey
@@ -4639,7 +4643,7 @@ WHERE c_mktsegment = 'BUILDING'
   AND o_orderdate < TIMESTAMP '1996-06-30'
   AND l_shipdate > TIMESTAMP '1996-06-30'
 GROUP BY l_orderkey, o_orderdate
-ORDER BY revenue DESC, o_orderdate, l_orderkey LIMIT 10
+ORDER BY rev_cents DESC, o_orderdate, l_orderkey LIMIT 10
 """
 
 

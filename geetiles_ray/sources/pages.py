@@ -150,9 +150,15 @@ def _decode_entities(s: str) -> str:
         return s
     for k, v in _NAMED_ENTITIES.items():
         s = s.replace(k, v)
-    return _NUM_ENT_RE.sub(
-        lambda m: chr(int(m.group(1)[1:], 16) if m.group(1)[0] in "xX"
-                      else int(m.group(1))), s)
+    return _NUM_ENT_RE.sub(_num_entity, s)
+
+
+def _num_entity(m) -> str:
+    """``&#N;`` / ``&#xH;`` → its character; a code point past U+10FFFF
+    or a surrogate (unencodable as UTF-8) → U+FFFD, as HTML5 decodes it."""
+    g = m.group(1)
+    cp = int(g[1:], 16) if g[0] in "xX" else int(g)
+    return "\ufffd" if cp > 0x10FFFF or 0xD800 <= cp <= 0xDFFF else chr(cp)
 
 
 def extract_text(h: bytes) -> str:

@@ -117,7 +117,7 @@ class RenderTiles:
                 out["dtype"].append(dt)
                 out["nodata"].append(True)
                 self.metrics.inc("nodata")
-        self.metrics.flush()
+        self.metrics.flush(wait=True)
         return pa.table({
             "identifier": pa.array(out["identifier"], type=pa.string()),
             "band_names": pa.array(out["band_names"], type=pa.list_(pa.string())),

@@ -167,6 +167,9 @@ def checkpointed_write(
     res = ds.map_batches(add_pid, batch_format="pyarrow") \
         .groupby("__pid").map_groups(write_partition, batch_format="pandas") \
         .to_pandas()
+    if res.empty:   # no rows in: no group ran, so nothing was written
+        return {"written": [], "skipped": [], "total_rows": 0,
+                "n_partitions": n_partitions, "max_partition_bytes": 0}
     fat = res[res.bytes > 2 * target_partition_bytes]
     if len(fat):
         warnings.warn(
@@ -180,20 +183,44 @@ def checkpointed_write(
         "skipped": sorted(res[res.skipped].partition.tolist()),
         "total_rows": int(res.rows.sum()),
         "n_partitions": n_partitions,
-        "max_partition_bytes": int(res.bytes.max()) if len(res) else 0,
+        "max_partition_bytes": int(res.bytes.max()),
     }
 
 
+def _partition_paths(out_dir: str, pids=None) -> list[str]:
+    """The ``part=NNNNN/data.parquet`` files of ``out_dir`` (only those of
+    ``pids`` when given), in partition order."""
+    dirs = sorted(d for d in os.listdir(out_dir) if d.startswith("part=")) \
+        if pids is None else [f"part={pid:05d}" for pid in sorted(pids)]
+    paths = (os.path.join(out_dir, d, "data.parquet") for d in dirs)
+    return [p for p in paths if os.path.exists(p)]
+
+
 def read_checkpointed(out_dir: str) -> ray.data.Dataset:
-    paths = sorted(
-        os.path.join(out_dir, d, "data.parquet")
-        for d in os.listdir(out_dir)
-        if d.startswith("part=") and
-        os.path.exists(os.path.join(out_dir, d, "data.parquet")))
     # the part=NNNNN path segment is layout, not data: without
     # partitioning=None Ray's hive inference would append a 'part' column
     # the writer never wrote (and clobber a real payload column so named)
-    return ray.data.read_parquet(paths, partitioning=None)
+    return ray.data.read_parquet(_partition_paths(out_dir), partitioning=None)
+
+
+@ray.remote
+def _map_partition(path: str, fn) -> pa.Table:
+    return fn(pq.read_table(path, partitioning=None))
+
+
+def map_checkpointed(out_dir: str, pids, fn) -> ray.data.Dataset:
+    """``fn(table)`` on each checkpointed partition of ``pids``, whole:
+    one task per ``part=NNNNN/data.parquet``, the results as a
+    materialized Dataset with one block per partition.
+
+    Every row of a key sits in ONE partition (``partition_of_key``), so a
+    per-key ``fn`` — a dedup, a per-key aggregate — needs no exchange and
+    no state on the driver: the driver holds one object ref per
+    partition. Each task holds one partition in heap, the same ≤
+    ``TARGET_PARTITION_BYTES`` contract as the writer. No partitions →
+    an empty Dataset without a schema."""
+    return ray.data.from_arrow_refs(
+        [_map_partition.remote(p, fn) for p in _partition_paths(out_dir, pids)])
 
 
 def prune_work_list(work: ray.data.Dataset, out_dir: str, key_col: str,

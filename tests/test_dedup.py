@@ -58,6 +58,35 @@ class TestDedupExact:
         pd.testing.assert_frame_equal(got, want)
 
 
+    def test_ties_broken_on_other_columns(self):
+        # rows tied on (key, order) that differ elsewhere: the kept row is
+        # the least by the remaining columns, whatever the block layout
+        rng = np.random.default_rng(11)
+        df = pd.DataFrame({"url": [f"u{k}" for k in rng.integers(0, 40, 600)],
+                           "warc_ts": rng.integers(0, 3, 600),
+                           "payload": rng.permutation(600)})
+        want = df.sort_values(["url", "warc_ts", "payload"]) \
+            .drop_duplicates(["url"]).reset_index(drop=True)
+        for blocks, rows in ((2, df), (9, df.iloc[::-1])):
+            got = dedupmod.dedup_exact(
+                ray.data.from_pandas(rows, override_num_blocks=blocks),
+                key="url", order_col="warc_ts") \
+                .to_pandas().sort_values("url").reset_index(drop=True)
+            pd.testing.assert_frame_equal(got[want.columns], want)
+
+    def test_table_kernel_null_keys_and_keep_last(self):
+        t = pa.table({"k": ["a", None, "a", None, "b"],
+                      "o": [2, 1, 2, 3, 1], "v": [9, 8, 7, 6, 5]})
+        first = dedupmod.dedup_table(t, ["k"], ["o"]).to_pandas() \
+            .sort_values("v").reset_index(drop=True)
+        assert first.to_dict("list") == {"k": ["b", "a", None],
+                                         "o": [1, 2, 1], "v": [5, 7, 8]}
+        last = dedupmod.dedup_table(t, ["k"], ["o"], keep="last") \
+            .to_pandas().sort_values("v").reset_index(drop=True)
+        assert last.to_dict("list") == {"k": ["b", None, "a"],
+                                        "o": [1, 3, 2], "v": [5, 6, 9]}
+
+
 class TestDedupBroadcast:
     def test_matches_single_pass(self):
         ds = _pages_with_cross_block_dups().materialize()

@@ -299,3 +299,16 @@ class TestExtractor:
         from geetiles_ray.sources.pages import extract_text
         h = b"<body><script>x</script>keep<script>y</script>also</body>"
         assert extract_text(h) == "keep also"
+
+    def test_out_of_range_code_point_is_replacement_char(self):
+        from geetiles_ray.sources.pages import extract_text
+        assert extract_text(b"<body>a &#9999999; b</body>") == "a � b"
+
+    def test_surrogate_code_point_is_replacement_char(self):
+        import pyarrow as pa
+
+        from geetiles_ray.sources.pages import extract_text_batch
+        batch = pa.table({"html": pa.array(
+            [b"<body>x &#xD800; &#55296; y</body>", b"<p>caf&#233;</p>"])})
+        out = extract_text_batch(batch)["text_extracted"].to_pylist()
+        assert out == ["x � � y", "café"]

@@ -230,6 +230,142 @@ class TestFlagshipClusterMode:
         assert flagship.derive_dedup_buckets(small) == ncpu
 
 
+def _recrawl_pages(n_unique=700, seed=3) -> pd.DataFrame:
+    """30% Zipf-skewed re-crawls; a fifth of them land on the url's first
+    timestamp with a different text and lang, so rows tied at the minimum
+    differ outside the key."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    n_re = round(n_unique * 0.30 / 0.70)
+    src = rng.permutation(n_unique)[
+        np.minimum(rng.zipf(1.2, n_re), n_unique) - 1]
+    first = rng.integers(0, 1000, n_unique) * 3_600_000_000
+    tie = rng.random(n_re) < 0.2
+    rows = np.concatenate([np.arange(n_unique), src])
+    ts = np.concatenate([first, first[src] + np.where(
+        tie, 0, rng.integers(1, 500, n_re) * 3_600_000_000)])
+    langs = np.array(["en", "zh", "es", "de", "fr"], dtype=object)
+    lang = np.concatenate([langs[np.arange(n_unique) % 5],
+                           langs[rng.integers(0, 5, n_re)]])
+    text = [f"page {r} crawl {k}" for k, r in enumerate(rows)]
+    order = rng.permutation(len(rows))
+    return pd.DataFrame({
+        "url": [f"https://{langs[rows[i] % 5]}.site{rows[i] % 97}"
+                f".example/p/{rows[i]}" for i in order],
+        "warc_ts": (pd.Timestamp("2024-01-01")
+                    + pd.to_timedelta(ts[order], unit="us")
+                    ).astype("datetime64[us]"),
+        "html": [f"<html><body>{text[i]}</body></html>".encode()
+                 for i in order],
+        "text": [text[i] for i in order],
+        "lang": lang[order],
+    })
+
+
+def _by_url(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values("url").reset_index(drop=True)
+
+
+class TestFlagshipPartitionLocalDedup:
+    """Cluster mode dedups inside the url-hash partitions it checkpointed:
+    keep the earliest warc_ts per url, ties broken on the other columns."""
+
+    @pytest.fixture(scope="class")
+    def tiles(self):
+        from geetiles_ray.pipelines import flagship
+        return flagship.build_fixture_tileset(5000.0)
+
+    @staticmethod
+    def _cluster(pages, tiles, ckpt, blocks):
+        from geetiles_ray.pipelines import flagship
+        out, counts = flagship.run(
+            ray.data.from_pandas(pages, override_num_blocks=blocks),
+            tiles=tiles, mode="cluster", checkpoint_dir=ckpt,
+            dedup_buckets=8)
+        return _by_url(out.to_pandas()), counts.to_pandas()
+
+    def test_matches_pandas_oracle_and_single_mode(self, tiles, tmp_path):
+        from geetiles_ray.pipelines import flagship
+
+        pages = _recrawl_pages()
+        ckpt = str(tmp_path / "ckpt")
+        got, counts = self._cluster(pages, tiles, ckpt, blocks=5)
+        assert len(flagship.run.last_checkpoint_report["written"]) == 8
+        # the oracle runs over the pre-dedup rows the checkpoint holds
+        slim = pd.concat(pd.read_parquet(os.path.join(ckpt, d))
+                         for d in sorted(os.listdir(ckpt))
+                         if d.startswith("part="))
+        assert slim.url.duplicated().sum() == len(pages) - 700
+        rest = [c for c in slim.columns if c not in ("url", "warc_ts")]
+        want = _by_url(slim.sort_values(["url", "warc_ts"] + rest)
+                       .drop_duplicates("url"))
+        pd.testing.assert_frame_equal(got, want)
+        assert int(counts.n_pages.sum()) == 700
+
+        single, _ = flagship.run(
+            ray.data.from_pandas(pages, override_num_blocks=5), tiles=tiles)
+        pd.testing.assert_frame_equal(_by_url(single.to_pandas()), got)
+
+    def test_ties_independent_of_block_layout(self, tiles, tmp_path):
+        pages = _recrawl_pages(seed=4)
+        first = pages.groupby("url").warc_ts.transform("min")
+        at_min = pages[pages.warc_ts == first]
+        tied = at_min[at_min.url.duplicated(keep=False)]
+        assert tied.groupby("url").text.nunique().gt(1).any()
+        a, ca = self._cluster(pages, tiles, str(tmp_path / "a"), blocks=2)
+        b, cb = self._cluster(pages.iloc[::-1], tiles, str(tmp_path / "b"),
+                              blocks=9)
+        pd.testing.assert_frame_equal(a, b)
+        key = ["tile_id", "lang"]
+        pd.testing.assert_frame_equal(
+            ca.sort_values(key).reset_index(drop=True),
+            cb.sort_values(key).reset_index(drop=True))
+
+    def test_resumes_a_checkpoint_written_outside_run(self, tiles, tmp_path):
+        """A checkpoint from a bare checkpointed_write of the slim table
+        (how a traced, layer-by-layer pass writes it) resumes with every
+        partition skipped and the same output."""
+        from geetiles_ray.pipelines import flagship
+        from geetiles_ray.sources import pages as pagesmod
+        from geetiles_ray.stages import assign as assignmod
+
+        pages = _recrawl_pages(seed=5)
+        want, _ = self._cluster(pages, tiles, str(tmp_path / "ref"), blocks=4)
+        ds = ray.data.from_pandas(pages, override_num_blocks=4)
+        slim = assignmod.assign_pages(
+            ds.map_batches(pagesmod.extract_text_batch,
+                           batch_format="pyarrow"),
+            tiles, concurrency=8, batch_size=8192, use_actors=False) \
+            .drop_columns(["html", "text"]).materialize()
+        ckpt = str(tmp_path / "ckpt")
+        mf.checkpointed_write(slim, ckpt, key_col="url", n_partitions=8)
+        got, _ = self._cluster(pages, tiles, ckpt, blocks=4)
+        rep = flagship.run.last_checkpoint_report
+        assert rep["written"] == [] and len(rep["skipped"]) == 8
+        pd.testing.assert_frame_equal(got, want)
+
+
+class TestFlagshipEmptyInput:
+    @pytest.mark.parametrize("mode", ["single", "cluster"])
+    def test_zero_pages(self, mode, tmp_path):
+        from geetiles_ray.pipelines import flagship
+        from geetiles_ray.sources import pages as pagesmod
+
+        empty = pagesmod.generate_pages(10).filter(
+            lambda r: False).materialize()
+        kw = {"checkpoint_dir": str(tmp_path / "ckpt")} \
+            if mode == "cluster" else {}
+        out, counts = flagship.run(
+            empty, tiles=flagship.build_fixture_tileset(5000.0),
+            mode=mode, **kw)
+        assert out.count() == 0
+        assert len(counts.to_pandas()) == 0
+        if mode == "cluster":
+            rep = flagship.run.last_checkpoint_report
+            assert rep["written"] == [] and rep["total_rows"] == 0
+
+
 class TestMetrics:
     def test_stage_counters_flow_to_actor(self):
         import ray
@@ -244,15 +380,10 @@ class TestMetrics:
         n = tiles.count()
         raster.render_tiles(tiles, "worldcoverlike", pixels_hw=(20, 20),
                             concurrency=1).materialize()
-        # fire-and-forget flushes: give the actor time to drain (generous —
-        # this host throttles episodically and actor RPCs lag with it)
-        import time
-        for _ in range(300):
-            snap = mf2.snapshot()
-            if snap.get("render.worldcoverlike.rows", 0) >= n:
-                break
-            time.sleep(0.1)
-        assert snap["render.worldcoverlike.rows"] == n
+        # each batch's last flush waits for delivery, so the counts are in
+        # before materialize returns — no polling
+        snap = mf2.snapshot()
+        assert snap.get("render.worldcoverlike.rows", 0) == n
         assert snap.get("render.worldcoverlike.nodata", 0) == 0
 
 
