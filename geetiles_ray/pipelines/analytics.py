@@ -14,7 +14,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .dedup import _finalize_partials
+from .dedup import fold_partials
 
 _MIX = 0x9E3779B97F4A7C15  # odd 64-bit multiplier (splitmix64's golden gamma)
 _MIX2 = 0xC2B2AE3D27D4EB4F  # murmur3 fmix c2 — seeds the CMS row family
@@ -152,7 +152,8 @@ def _quantiles_in_range(s: ray.data.Dataset, col: str, ranks: dict,
                          "__partial": pa.array(c[nz], type=pa.int64())})
 
     partial = s.map_batches(hist, batch_format="pyarrow")
-    counts = _finalize_partials(partial, ["bin"], "n", "driver").to_pandas()
+    counts = fold_partials(partial, ["bin"], [("__partial", "sum")],
+                           out_names=["bin", "n"]).to_pandas()
     full = np.zeros(nbins, dtype=np.int64)
     full[counts.bin.to_numpy()] = counts.n.to_numpy()
     cum = np.cumsum(full)
@@ -195,21 +196,19 @@ def _quantiles_in_range(s: ray.data.Dataset, col: str, ranks: dict,
 from .text import TOKEN_STRIP, tokenize  # noqa: E402 — the LangId tokenizer
 
 
-def top_tokens(ds: ray.data.Dataset, text_col: str = "text", k: int = 50,
-               reduce: str = "auto") -> pd.DataFrame:
+def top_tokens(ds: ray.data.Dataset, text_col: str = "text",
+               k: int = 50) -> pd.DataFrame:
     """Exact top-``k`` most frequent tokens corpus-wide (tokens = lowercase
     whitespace-split words with edge punctuation stripped — the LangId
     tokenizer, so the SQL twin is shared). Deterministic order:
     (count desc, token asc), 1-based rank.
 
     Plan: per-block value_counts (combiner — ≤ block-vocab rows leave each
-    block) → per-token fold (default reduce="auto": size-dispatched —
-    driver fold below AUTO_DRIVER_PARTIAL_ROWS materialized partial rows,
-    distributed hash-range fold above, where the vocabulary never lands
-    on the driver; reduce="driver"/"range"/"shuffle" force a plan)
-    → per-block exact local top-k (each token lives in ONE block
-    post-fold, so local top-k is globally safe) → driver merges ≤
-    blocks·k rows. The corpus never moves; the vocabulary does,
+    block) → per-token ``fold_partials`` (on the driver for small
+    vocabularies, in hash-range tasks above, where the vocabulary never
+    lands on the driver) → per-block exact local top-k (each token lives
+    in ONE block post-fold, so local top-k is globally safe) → driver
+    merges ≤ blocks·k rows. The corpus never moves; the vocabulary does,
     pre-aggregated and partitioned."""
     def local(df: pd.DataFrame) -> pd.DataFrame:
         vc = tokenize(df[text_col]).value_counts()
@@ -218,7 +217,8 @@ def top_tokens(ds: ray.data.Dataset, text_col: str = "text", k: int = 50,
 
     partial = ds.select_columns([text_col]).map_batches(
         local, batch_format="pandas")
-    counts = _finalize_partials(partial, ["token"], "n", reduce)
+    counts = fold_partials(partial, ["token"], [("__partial", "sum")],
+                           out_names=["token", "n"])
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(["n", "token"], ascending=[False, True],
@@ -280,18 +280,19 @@ def stratified_sample(ds: ray.data.Dataset, key_col: str, strata_col: str,
 # ------------------------------------------------------ hierarchical rollup
 
 def rollup(ds: ray.data.Dataset, hierarchy: list[str], value_col: str,
-           all_label: str = "ALL", reduce: str = "driver") -> pd.DataFrame:
+           all_label: str = "ALL") -> pd.DataFrame:
     """GROUP BY ROLLUP(hierarchy): per-level subtotals with coarser levels
     filling their dropped keys with ``all_label`` (SQL's NULL marker, made
     an explicit string so schemas stay non-null).
 
     Scale shape mirrors pipelines/pyramid.py: ONE corpus scan emits
-    combiner partials per full key tuple (count + sum), one fold produces
-    the finest level, and every coarser subtotal cascades over the
-    previous level's aggregate — subtotal cost is dimension-sized,
-    independent of corpus size. The cascade itself runs on the driver
-    because a rollup result is a report (|distinct tuples| rows); a
-    corpus-keyed hierarchy (per-url!) is not a rollup use case.
+    combiner partials per full key tuple (count + sum), one
+    ``fold_partials`` produces the finest level (null keys kept as a
+    group), and every coarser subtotal cascades over the previous level's
+    aggregate — subtotal cost is dimension-sized, independent of corpus
+    size. The cascade itself runs on the driver because a rollup result
+    is a report (|distinct tuples| rows); a corpus-keyed hierarchy
+    (per-url!) is not a rollup use case.
     ``value_col`` should be integer (e.g. currency cents) when the SQL
     twin must value-hash-match: cascaded integer sums are
     order-independent, float sums are not."""
@@ -303,16 +304,10 @@ def rollup(ds: ray.data.Dataset, hierarchy: list[str], value_col: str,
 
     partial = ds.select_columns(hierarchy + [value_col]) \
         .map_batches(local, batch_format="pyarrow")
-    if reduce == "shuffle":
-        base = partial.groupby(hierarchy).sum(["__sum", "__n"]).to_pandas() \
-            .rename(columns={"sum(__sum)": "__sum", "sum(__n)": "__n"})
-    else:
-        frames = [b for b in partial.iter_batches(batch_size=1 << 20,
-                                                  batch_format="pandas")]
-        allp = pd.concat(frames, ignore_index=True) if frames \
-            else pd.DataFrame(columns=hierarchy + ["__sum", "__n"])
-        base = allp.groupby(hierarchy, sort=False, dropna=False) \
-            .agg(__sum=("__sum", "sum"), __n=("__n", "sum")).reset_index()
+    # reindex: Ray's to_pandas drops every column of a 0-row dataset
+    base = fold_partials(partial, hierarchy,
+                         [("__sum", "sum"), ("__n", "sum")]).to_pandas() \
+        .reindex(columns=hierarchy + ["__sum", "__n"])
 
     levels = [base]
     lvl = base
@@ -586,19 +581,18 @@ def _string_byte_layout(arr):
 
 def oov_rate(ds: ray.data.Dataset, id_col: str = "doc_id",
              text_col: str = "text", vocab_size: int = 100,
-             reduce: str = "auto",
              concurrency: int = 4) -> ray.data.Dataset:
     """Tokenizer-vocabulary coverage diagnostics: per document, how many
     tokens fall outside the corpus's own top-``vocab_size`` vocabulary —
     the OOV-rate report run before fixing a tokenizer vocab or spotting
     out-of-domain/garbage shards. Vocab = :func:`top_tokens` (exact,
     deterministic (count desc, token asc) tie-break at the size
-    boundary, size-dispatched fold), broadcast ONCE PER ACTOR via
+    boundary, one ``fold_partials``), broadcast ONCE PER ACTOR via
     ``ray.get`` in ``__init__`` (the ImportanceScore pattern — never
     per batch), then ONE map pass. Output (id, n_tokens, n_oov)."""
     import ray as _ray
 
-    top = top_tokens(ds, text_col, k=vocab_size, reduce=reduce)
+    top = top_tokens(ds, text_col, k=vocab_size)
     ref = _ray.put(frozenset(top["token"].tolist()))
 
     class Oov:
@@ -839,8 +833,7 @@ def chunk_texts(ds: ray.data.Dataset, id_col: str = "doc_id",
 # ------------------------------------------------------- inverted index
 
 def token_postings(ds: ray.data.Dataset, id_col: str = "doc_id",
-                   text_col: str = "text",
-                   reduce: str = "auto") -> ray.data.Dataset:
+                   text_col: str = "text") -> ray.data.Dataset:
     """Inverted-index statistics: per token → document frequency (distinct
     docs), term frequency (total occurrences) and the posting head (min
     doc id). Tokens are the LangId/top_tokens tokenizer (lowercase,
@@ -849,14 +842,14 @@ def token_postings(ds: ray.data.Dataset, id_col: str = "doc_id",
 
     Combiner shape: each block ships ≤ |block vocab| rows — (token, tf,
     df, min_doc) partials with within-doc repeats already collapsed for
-    df — into ONE hash aggregation keyed by token. Zipf guarantees the
+    df — into ONE ``fold_partials`` keyed by token (on the driver for
+    small vocabularies, in hash-range tasks above, so the vocabulary is
+    never concatenated anywhere at scale). Zipf guarantees the
     partials compress hard (the head of the vocabulary dominates every
     block); the full postings-list materialization (doc-id arrays per
     token) is deliberately NOT built here — that is a write-side layout
     (sort by (token, doc_id) and write partitioned Parquet), not an
     aggregate."""
-    from ray.data.aggregate import Min, Sum
-
     def local(df: pd.DataFrame) -> pd.DataFrame:
         toks = tokenize(df[text_col])
         docs = df[id_col].reindex(toks.index)
@@ -872,47 +865,13 @@ def token_postings(ds: ray.data.Dataset, id_col: str = "doc_id",
 
     partial = ds.select_columns([id_col, text_col]) \
         .map_batches(local, batch_format="pandas")
-    if reduce == "shuffle":
-        return partial.groupby("token").aggregate(
-            Sum("__df", alias_name="df"), Sum("__tf", alias_name="tf"),
-            Min("__min", alias_name="first_doc"))
-    if reduce == "auto":
-        # size-dispatched default (round-4 judge item): materialize the
-        # combiner-shrunk partials, count, and pick the regime — the
-        # range fold's task-startup tax loses below a few ×10⁵ partial
-        # rows and wins by 6× at 1M-doc vocabularies
-        from .dedup import AUTO_DRIVER_PARTIAL_ROWS
-        partial = partial.materialize()
-        reduce = ("driver" if partial.count() <= AUTO_DRIVER_PARTIAL_ROWS
-                  else "range")
-    if reduce == "range":
-        # scale path: distributed hash-range fold — the vocabulary
-        # is partitioned across fold tasks, never concatenated anywhere
-        # (final names set INSIDE the fold: a chained rename_columns would
-        # skip empty ranges and split the schema)
-        from .dedup import range_fold_partials
-        return range_fold_partials(
-            partial, ["token"],
-            [("__df", "sum"), ("__tf", "sum"), ("__min", "min")],
-            out_names=["token", "df", "tf", "first_doc"],
-            fallback_schema=pa.schema([
-                ("token", pa.string()), ("__df", pa.int64()),
-                ("__tf", pa.int64()), ("__min", pa.int64())]))
-    # driver fold: the data moved is |block vocab| rows per block (Zipf-
-    # compressed), and it skips the aggregator-actor startup tax — same
-    # regime call as _finalize_partials (dedup.py:474); only for vocabs
-    # known to fit one process
-    frames = [b for b in partial.iter_batches(batch_size=1 << 20,
-                                              batch_format="pandas")]
-    if not frames:
-        return ray.data.from_pandas(pd.DataFrame(
-            {"token": [], "df": [], "tf": [], "first_doc": []}))
-    allp = pd.concat(frames, ignore_index=True)
-    agg = allp.groupby("token", sort=False).agg(
-        df=("__df", "sum"), tf=("__tf", "sum"),
-        first_doc=("__min", "min")).reset_index()
-    return ray.data.from_pandas(agg.astype(
-        {"df": "int64", "tf": "int64", "first_doc": "int64"}))
+    return fold_partials(
+        partial, ["token"],
+        [("__df", "sum"), ("__tf", "sum"), ("__min", "min")],
+        out_names=["token", "df", "tf", "first_doc"],
+        fallback_schema=pa.schema([
+            ("token", pa.string()), ("__df", pa.int64()),
+            ("__tf", pa.int64()), ("__min", pa.int64())]))
 
 
 # ------------------------------------------------------------------ TF-IDF
@@ -1171,20 +1130,19 @@ def pmi_pairs(ds: ray.data.Dataset, id_col: str = "doc_id",
     (both engines re-index identically).
 
     Combiner shape: each block ships its (tok1, tok2) pair counts (vocab²
-    bounded, Zipf-compressed) into a distributed hash-range fold
-    (range_fold_partials — the bigram table is partitioned across fold
-    tasks, NEVER concatenated on the driver; at crawl scale it is
-    billions of rows). Each surviving range block then yields a local
+    bounded, Zipf-compressed) into ``fold_partials`` (above
+    AUTO_DRIVER_PARTIAL_ROWS the bigram table is partitioned across
+    hash-range fold tasks, NEVER concatenated on the driver; at crawl
+    scale it is billions of rows). Each folded block then yields a local
     min_count-filtered top-k — globally safe, every pair lives in exactly
-    one range — and only ≤ ranges·k candidate rows plus the ≤ 2k unigram
+    one block — and only ≤ blocks·k candidate rows plus the ≤ 2k unigram
     counts they need ever reach the driver."""
-    from .dedup import range_fold_partials
 
     partial = ds.select_columns([id_col, text_col]) \
         .map_batches(_pair_counts_local(text_col, window=1),
                      batch_format="pandas")
-    folded = range_fold_partials(partial, ["tok1", "tok2"],
-                                 [("__n", "sum")]).materialize()
+    folded = fold_partials(partial, ["tok1", "tok2"],
+                           [("__n", "sum")]).materialize()
     n_bi = folded.sum("__n") or 0
     if not n_bi:
         return pd.DataFrame({"tok1": [], "tok2": [], "n_pair": [],
@@ -1252,18 +1210,16 @@ def skipgram_pairs(ds: ray.data.Dataset, window: int = 2,
     (re-indexed after empty-token drops, like pmi_pairs).
 
     Same physical plan as pmi_pairs: per-block pair-count combiner →
-    distributed hash-range fold (pair space is vocab²-bounded and NEVER
-    lands on the driver) → per-range min_count filter + local top-k
-    (globally safe: each pair lives in one range) → ≤ ranges·k rows to
-    the driver."""
-    from .dedup import range_fold_partials
+    ``fold_partials`` (hash-range tasks above AUTO_DRIVER_PARTIAL_ROWS, so
+    the vocab²-bounded pair space never lands on the driver at scale) →
+    per-block min_count filter + local top-k (globally safe: each pair
+    lives in one block) → ≤ blocks·k rows to the driver."""
 
     partial = ds.select_columns([id_col, text_col]) \
         .map_batches(_pair_counts_local(text_col, window),
                      batch_format="pandas")
-    folded = range_fold_partials(partial, ["tok1", "tok2"],
-                                 [("__n", "sum")],
-                                 out_names=["tok1", "tok2", "n"])
+    folded = fold_partials(partial, ["tok1", "tok2"], [("__n", "sum")],
+                           out_names=["tok1", "tok2", "n"])
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["n"] >= min_count]

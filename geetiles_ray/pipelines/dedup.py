@@ -26,6 +26,12 @@ by an order column) and one kernel:
   driver's heap grows with the number of duplicated keys.
 - near-duplicate detection (MinHash-LSH, SimHash) lives in
   pipelines/neardup.py.
+
+Every aggregate in the engine (key censuses, counts, sums, vocabularies,
+rollups) has one shape: per-block combiner partials, then
+``fold_partials``. Its placement follows one size rule: at or below
+``AUTO_DRIVER_PARTIAL_ROWS`` materialized partial rows the fold runs once
+on the driver; above, once per hash range in its own task.
 """
 
 from __future__ import annotations
@@ -99,28 +105,14 @@ def dedup_exact(
         .groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
 
 
-def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
-                reduce: str = "range") -> "object":
+def dup_key_set(ds: ray.data.Dataset, key: str | list[str]) -> "object":
     """Sorted uint64 hashes of key values whose GLOBAL count ≥ 2, as a
     broadcast ``ray.put`` ref. The scan is column-pruned (only the key
     column leaves each block) and pre-aggregated per block, so the data
-    moved is |distinct keys per block| × 16 B. Hash collisions only ever
-    route extra rows through the exchange (false positive = harmless),
-    never lose a duplicate (same key ⇒ same hash).
-
-    reduce="range" (default): two-stage task shuffle — each per-block
-    partial is emitted SORTED (np.unique), a split wave pre-buckets every
-    partial by hash range (one task per partial block, searchsorted slice,
-    ``num_returns=nranges`` so each range slice is its OWN object), and
-    one fold task per range fetches only its range's slices and folds them
-    independently. Network bytes are O(total partial bytes) — each slice
-    crosses the wire once — not O(nranges × partials) as a fold where
-    every range task pulls every whole partial would be. No aggregator
-    actors, no single-threaded driver fold (the driver fold was the
-    worst-scaling leg of the flagship: 6.6 s @8 → 4.0 s @32, eff 0.41).
-    The driver only concatenates the per-range duplicate lists
-    (~|dup keys| total).
-    reduce="driver": the old serial fold (small inputs)."""
+    moved is |distinct keys per block| × 16 B; ``fold_partials`` sums the
+    partials and only the duplicated hashes reach the driver. Hash
+    collisions only ever route extra rows through the exchange (false
+    positive = harmless), never lose a duplicate (same key ⇒ same hash)."""
     import ray
 
     keys = [key] if isinstance(key, str) else list(key)
@@ -133,70 +125,11 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str],
                          "__partial": pa.array(c.astype(np.int64))})
 
     partial = ds.select_columns(keys).map_batches(local, batch_format="pyarrow")
-    if reduce == "range":
-        refs = partial.materialize().get_internal_block_refs()
-        if not refs:
-            return ray.put(np.empty(0, dtype=np.uint64))
-        ncores = int(ray.cluster_resources().get("CPU", 8))
-        nranges = max(4, min(64, ncores))
-        step = (1 << 64) // nranges
-        cuts = np.array([(i + 1) * step for i in range(nranges - 1)],
-                        dtype=np.uint64)
-
-        # split wave: one cheap task per partial block, co-located with it
-        # (the block ref is the arg, so Ray schedules on its node); slices
-        # are separate return objects, so fold task r pulls ONLY range r
-        @ray.remote(num_cpus=0.5)
-        def split_partial(t):
-            if not t.num_rows:
-                # Ray skips `local` on an empty block, which then still
-                # holds the upstream columns, not __h/__partial
-                t = pa.table({"__h": pa.array([], pa.uint64()),
-                              "__partial": pa.array([], pa.int64())})
-            h = t["__h"].to_numpy()
-            c = t["__partial"].to_numpy()
-            # np.unique output is sorted per `local` call, but one block ==
-            # one map output is a Ray-internal invariant; re-sort
-            # defensively so block bundling can't mis-route hashes.
-            if len(h) and np.any(h[1:] < h[:-1]):
-                order = np.argsort(h, kind="stable")
-                h, c = h[order], c[order]
-            idx = np.searchsorted(h, cuts)
-            # .copy(): ship the slice, not a view pinning the whole block
-            return tuple((hs.copy(), cs.copy())
-                         for hs, cs in zip(np.split(h, idx), np.split(c, idx)))
-
-        srefs = [split_partial.options(num_returns=nranges).remote(r)
-                 for r in refs]
-
-        @ray.remote(num_cpus=1)
-        def fold_range(*slices):
-            h = np.concatenate([s[0] for s in slices])
-            if not len(h):
-                return np.empty(0, dtype=np.uint64)
-            c = np.concatenate([s[1] for s in slices])
-            uniq, inv = np.unique(h, return_inverse=True)
-            totals = np.bincount(inv, weights=c.astype(np.float64))
-            return uniq[totals >= 2]
-
-        outs = ray.get([
-            fold_range.remote(*[srefs[b][r] for b in range(len(refs))])
-            for r in range(nranges)])
-        return ray.put(np.concatenate(outs))
-    # driver fold on raw uint64 arrays (np.unique + bincount) — ~6x faster
-    # than a pandas groupby at millions of keys; the driver only ever holds
-    # (distinct keys per block) hashes, not rows
-    hs, cs = [], []
-    for b in partial.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
-        hs.append(b["__h"].to_numpy())
-        cs.append(b["__partial"].to_numpy())
-    if not hs:
-        return ray.put(np.empty(0, dtype=np.uint64))
-    h = np.concatenate(hs)
-    c = np.concatenate(cs)
-    uniq, inv = np.unique(h, return_inverse=True)
-    totals = np.bincount(inv, weights=c.astype(np.float64))
-    return ray.put(uniq[totals >= 2])
+    folded = fold_partials(partial, ["__h"], [("__partial", "sum")],
+                           fallback_schema=pa.schema([
+                               ("__h", pa.uint64()), ("__partial", pa.int64())]))
+    (h,) = frequent_keys(folded, ["__h"], "__partial", 2)
+    return ray.put(np.sort(h))
 
 
 def _hash128(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -397,237 +330,173 @@ def dedup_exact_broadcast(
     return kept.union(dedup_exact(tied, key, order_col, nbuckets))
 
 
-def range_fold_partials(partial: ray.data.Dataset, group_cols: list[str],
-                        aggs: list[tuple[str, str]],
-                        nranges: int | None = None,
-                        range_by: list[str] | None = None,
-                        out_names: list[str] | None = None,
-                        fallback_schema: pa.Schema | None = None
-                        ) -> ray.data.Dataset:
-    """Distributed fold of per-block partial aggregates WITHOUT an
-    all-to-all exchange or a driver concat: hash-range split each partial
-    block (one cheap task per block, co-located with it), fold each range
-    in its own task, return the folded ranges as a Dataset of Arrow refs.
+# Partial-row count at or below which the fold runs once on the driver: the
+# range fold's task startup + split overhead (~2-4 s of task latency) dwarfs
+# a sub-second fold over a few hundred thousand rows. Measured round-4:
+# token_postings at sf0.1 (~10⁵ partial rows) was 4.7× slower under the
+# range fold, while a 1M-doc corpus (~10⁷ partial rows) was 6× FASTER —
+# the crossover sits comfortably inside this band.
+AUTO_DRIVER_PARTIAL_ROWS = 400_000
 
-    The driver never materializes the key space; each fold task holds
-    ~1/nranges of the DISTINCT keys (not rows). This is the vocabulary- /
-    bigram-scale answer between reduce='driver' (key space must fit one
-    process) and reduce='shuffle' (full groupby exchange) — the same shape
-    as ``dup_key_set(reduce='range')`` generalized to arbitrary key
-    columns and multiple aggregates.
+# integer and boolean columns hash as pandas nullable dtypes, so a key hashes
+# the same in a block with nulls (numpy would make it float64 / object) and
+# in one without: the range a key routes to must not depend on its block
+_NULLABLE = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
+    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
+    pa.bool_(): pd.BooleanDtype()}
 
-    ``aggs``: list of (value_col, op), op ∈ {'sum','min','max'}. Output
-    columns are ``group_cols + [value_col...]`` (names preserved). Rows
-    with the same key always hash to the same range, so every key lives in
-    exactly ONE output block — per-block top-k / filters downstream are
-    globally safe.
 
-    ``range_by``: optional subset of ``group_cols`` used for range
-    routing (aggregation still keys on the full ``group_cols``). With
-    e.g. group_cols=[tile, token], range_by=[tile], ALL of a tile's
-    tokens land in one range, so a per-range per-tile top-k is the final
-    answer, not a candidate set. Pick a high-cardinality prefix — a
-    skewed range_by key skews the fold tasks.
+def _as_arrow(block) -> pa.Table:
+    return pa.Table.from_pandas(block, preserve_index=False) \
+        if isinstance(block, pd.DataFrame) else block
 
-    ``out_names``: optional FINAL column names (positional, for
-    ``group_cols + vcols``), applied inside each fold task. Do NOT chain
-    ``Dataset.rename_columns`` after this function: Ray's rename skips
-    zero-row bundles, so empty ranges would keep the old names and split
-    the dataset's schema (round-4 review).
 
-    ``fallback_schema``: explicit Arrow types for ``group_cols + vcols``,
-    used only when the input is all-empty AND its blocks don't carry the
-    partial columns (Ray skips map fns on empty blocks, so the blocks can
-    still hold the UPSTREAM schema). Pass it when an empty input is a
-    legal corpus (e.g. a filtered-to-nothing target subset)."""
+def _partial_schema(mat: ray.data.Dataset, refs: list, cols: list[str],
+                    fallback: pa.Schema | None) -> pa.Schema:
+    """Arrow types of ``cols``: from the dataset's schema; when Ray reports
+    none (every block empty), from the first block that has the columns —
+    blocks keep their dtypes at 0 rows, but Ray skips map fns on empty
+    blocks, so one may still hold the UPSTREAM columns — then
+    ``fallback``, then null types."""
     import ray
 
     from ..functions.arrowio import dataset_arrow_schema
 
-    vcols = [c for c, _ in aggs]
-    out_cols = list(group_cols) + vcols
-    route_cols = list(range_by) if range_by else list(group_cols)
-    final_names = list(out_names) if out_names else out_cols
+    sch = mat.schema()
+    if sch is not None and set(cols) <= set(sch.names):
+        return dataset_arrow_schema(mat, cols)
+    for ref in refs:
+        t = _as_arrow(ray.get(ref))
+        if set(cols) <= set(t.column_names):
+            return t.select(cols).schema
+    return fallback or pa.schema([(c, pa.null()) for c in cols])
+
+
+def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
+                  aggs: list[tuple[str, str]],
+                  range_by: list[str] | None = None,
+                  out_names: list[str] | None = None,
+                  fallback_schema: pa.Schema | None = None
+                  ) -> ray.data.Dataset:
+    """The engine's one fold of per-block partial aggregates (the
+    reference's combiner shape, partitions.py:447-468): sum, min or max
+    each ``aggs`` (value_col, op) by ``group_cols``. One Arrow
+    ``group_by`` kernel; null keys form a group (SQL ``GROUP BY``).
+    Output columns are ``group_cols + [value_col...]``, renamed
+    positionally to ``out_names``; every key lives in exactly ONE output
+    block, so per-block top-k / filters downstream are globally safe.
+
+    Placement is picked by measured size, never by the caller: the
+    partials are materialized and counted. At or below
+    ``AUTO_DRIVER_PARTIAL_ROWS`` rows the kernel runs once on the driver
+    (one output block). Above, each partial block is split by a hash of
+    its key into one slice per range (one task per block, co-located with
+    it, each slice its own object), and the kernel runs once per range in
+    its own task — the reduce-input split of FP-Hadoop: no task, and not
+    the driver, ever holds the whole key space.
+
+    ``range_by``: a subset of ``group_cols`` to route ranges by, so e.g.
+    all of a tile's tokens share a range (range_by=[tile]) and a per-block
+    per-tile top-k is the final answer. A skewed ``range_by`` key skews
+    the fold tasks.
+
+    ``fallback_schema``: Arrow types for ``group_cols + value_cols``,
+    used only when every block is empty and none carries the partial
+    columns (see ``_partial_schema``)."""
+    import ray
+
+    group_cols = list(group_cols)
+    cols = group_cols + [c for c, _ in aggs]
+    names = list(out_names) if out_names else cols
+    route = list(range_by) if range_by else group_cols
     mat = partial.materialize()
     refs = mat.get_internal_block_refs()
-    if not refs or mat.schema() is None:
-        # zero blocks, or an all-empty input for which Ray reports no
-        # dataset schema: emit a correctly-named-and-typed empty table
-        # directly (Dataset.rename on an empty dataset is the
-        # skip-empty-bundles trap again). The BLOCKS still carry dtypes
-        # even at 0 rows — read the first one rather than re-executing
-        # the plan or falling back to null types.
-        import ray as _ray
-        sch = None
-        if refs:
-            blk = _ray.get(refs[0])
-            try:
-                if isinstance(blk, pd.DataFrame):
-                    sch = pa.Schema.from_pandas(blk[out_cols],
-                                                preserve_index=False)
-                else:
-                    sch = blk.select(out_cols).schema
-            except KeyError:
-                # Ray skips running the map fn on empty blocks, so an
-                # all-empty-input partial can still carry the UPSTREAM
-                # schema (e.g. (doc_id, text), no partial columns at all)
-                sch = None
-        if sch is None:
-            sch = fallback_schema or pa.schema(
-                [(n, pa.null()) for n in out_cols])  # last resort
-        empty = pa.table({fn: pa.nulls(0, f.type)
-                          for fn, f in zip(final_names, sch)})
-        return ray.data.from_arrow_refs([_ray.put(empty)])
-    # ONE explicit Arrow schema for every slice and fold output: an empty
-    # hash range's pandas slice would otherwise infer null-typed columns
-    # and break schema unification downstream (round-4 review finding —
-    # guaranteed to happen when |distinct keys| < nranges, e.g. a small
-    # vocabulary on a many-core host)
-    target = dataset_arrow_schema(mat, out_cols)
-    if nranges is None:
-        ncores = int(ray.cluster_resources().get("CPU", 8))
-        nranges = max(4, min(64, ncores))
-    step = (1 << 64) // nranges
-    cuts = np.array([(i + 1) * step for i in range(nranges - 1)],
-                    dtype=np.uint64)
-    agg_spec = {c: op for c, op in aggs}
+    target = _partial_schema(mat, refs, cols, fallback_schema)
+
+    def conform(block) -> pa.Table:
+        # one explicit schema for every block and range: an empty or
+        # all-null pandas block would otherwise infer null types and split
+        # the fold's schema
+        t = _as_arrow(block)
+        if not t.num_rows:
+            return target.empty_table()
+        return t.select(cols).cast(target)
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(group_cols, use_threads=False).aggregate(list(aggs))
+        return g.select(group_cols + [f"{c}_{op}" for c, op in aggs]) \
+            .rename_columns(names)
+
+    n = mat.count()
+    if not n:
+        return ray.data.from_arrow(target.empty_table().rename_columns(names))
+    if n <= AUTO_DRIVER_PARTIAL_ROWS:
+        return ray.data.from_arrow(fold(pa.concat_tables(
+            [conform(b) for b in ray.get(refs)])))
+    nranges = max(4, min(64, int(ray.cluster_resources().get("CPU", 8))))
+    cuts = np.array([(i + 1) * ((1 << 64) // nranges)
+                     for i in range(nranges - 1)], dtype=np.uint64)
 
     @ray.remote(num_cpus=0.5)
-    def split_block(t):
-        df = t if isinstance(t, pd.DataFrame) else t.to_pandas()
-        if not len(df) and not set(out_cols) <= set(df.columns):
-            # an all-empty pandas block can arrive with NO columns at all
-            # (Ray's 0-row column loss); emit typed empty slices
-            e = pa.table({f.name: pa.nulls(0, f.type) for f in target})
-            return tuple(e for _ in range(nranges))
-        df = df[out_cols]
-        h = pd.util.hash_pandas_object(df[route_cols],
-                                       index=False).to_numpy()
+    def split_block(block):
+        t = conform(block)
+        h = pd.util.hash_pandas_object(
+            t.select(route).to_pandas(types_mapper=_NULLABLE.get),
+            index=False).to_numpy()
         order = np.argsort(h, kind="stable")
-        df = df.iloc[order]
-        idx = np.searchsorted(h[order], cuts)
-        bounds = np.concatenate([[0], idx, [len(df)]])
-        # .slice-free copies: ship each slice as its own object so fold
-        # task r pulls ONLY range r, never the whole block
-        return tuple(pa.Table.from_pandas(
-            df.iloc[bounds[i]:bounds[i + 1]], schema=target,
-            preserve_index=False)
-            for i in range(nranges))
-
-    srefs = [split_block.options(num_returns=nranges).remote(r)
-             for r in refs]
+        bounds = np.concatenate([[0], np.searchsorted(h[order], cuts),
+                                 [len(h)]])
+        # take, not slice: each range ships its own rows, never a view
+        # pinning the whole block
+        return tuple(t.take(order[lo:hi])
+                     for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     @ray.remote(num_cpus=1)
     def fold_range(*slices):
-        dfs = [s.to_pandas() for s in slices if s.num_rows]
-        if not dfs:
-            return slices[0].select(out_cols).rename_columns(final_names)
-        df = pd.concat(dfs, ignore_index=True)
-        # dropna=False: SQL GROUP BY folds NULL keys into a group, and the
-        # shuffle reduce path keeps them — the default pandas drop would
-        # silently lose those partial rows (round-4 advisor finding).
-        # split_block already routes null keys deterministically
-        # (hash_pandas_object hashes NaN/None to a fixed value).
-        g = df.groupby(group_cols, as_index=False, sort=False,
-                       dropna=False).agg(agg_spec)
-        return pa.Table.from_pandas(g[out_cols], schema=target,
-                                    preserve_index=False) \
-            .replace_schema_metadata(None).rename_columns(final_names)
+        return fold(pa.concat_tables(slices))
 
-    outs = [fold_range.remote(*[srefs[b][r] for b in range(len(refs))])
-            for r in range(nranges)]
-    return ray.data.from_arrow_refs(outs)
+    srefs = [split_block.options(num_returns=nranges).remote(r) for r in refs]
+    return ray.data.from_arrow_refs(
+        [fold_range.remote(*[s[r] for s in srefs]) for r in range(nranges)])
 
 
-# Partial-row count below which a driver fold beats the distributed range
-# fold: the fold tasks' startup + split overhead (~2-4 s of task latency)
-# dwarfs a sub-second pandas groupby over a few hundred thousand rows.
-# Measured round-4: token_postings at sf0.1 (~10⁵ partial rows) was 4.7×
-# slower under the range fold, while a 1M-doc corpus (~10⁷ partial rows)
-# was 6× FASTER — the crossover sits comfortably inside this band.
-AUTO_DRIVER_PARTIAL_ROWS = 400_000
+def frequent_keys(folded: ray.data.Dataset, key_cols: list[str],
+                  count_col: str, min_count: int) -> list[np.ndarray]:
+    """``key_cols`` of the ``fold_partials`` rows whose ``count_col`` is
+    ≥ ``min_count``, as numpy arrays. The filter runs where the folded
+    rows are, so only the kept keys reach the driver."""
+    def keep(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t[count_col], min_count)) \
+            .select(key_cols)
+
+    kept = list(folded.map_batches(keep, batch_format="pyarrow")
+                .iter_batches(batch_format="pyarrow", batch_size=None))
+    return [np.concatenate([b[c].to_numpy() for b in kept]
+                           or [np.empty(0, np.uint64)]) for c in key_cols]
 
 
-def _finalize_partials(
-    partial: ray.data.Dataset, group_cols: list[str], alias: str, reduce: str
-) -> ray.data.Dataset:
-    """Merge per-batch partial rows into final per-key rows.
-
-    reduce="driver": stream the (already tiny) partials to the driver and
-    fold them with a bounded-memory pandas groupby — no all-to-all shuffle
-    at all. Right whenever |keys| is small relative to |rows| (tile×lang,
-    per-lang stats, …): the data moved is |keys| rows per input block.
-
-    reduce="shuffle": a Ray Data groupby over the partials — right when the
-    key space itself is big (per-url, per-user) and the fold wouldn't fit
-    one node.
-
-    reduce="range": range_fold_partials — distributed like "shuffle" but
-    without the groupby exchange machinery (one split task per partial
-    block + one fold task per hash range); the scale-safe choice for
-    vocabulary-sized key spaces.
-
-    reduce="auto": measure, don't guess — materialize the (combiner-
-    shrunk) partials, count rows, and dispatch: driver fold at or below
-    AUTO_DRIVER_PARTIAL_ROWS, range fold above (round-4 judge item: the
-    unconditional range default cost 4.7× on small inputs while winning
-    6× at 1M docs).
-    """
-    from ray.data.aggregate import Sum
-
-    if reduce == "auto":
-        partial = partial.materialize()
-        reduce = ("driver" if partial.count() <= AUTO_DRIVER_PARTIAL_ROWS
-                  else "range")
-    if reduce == "shuffle":
-        return partial.groupby(group_cols).aggregate(Sum("__partial", alias_name=alias))
-    if reduce == "range":
-        return range_fold_partials(partial, group_cols,
-                                   [("__partial", "sum")],
-                                   out_names=group_cols + [alias])
-
-    acc: list[pd.DataFrame] = []
-    merged = None
-    for b in partial.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        acc.append(b.to_pandas())
-        if len(acc) >= 64:
-            frames = ([merged] if merged is not None else []) + acc
-            merged = pd.concat(frames).groupby(group_cols, as_index=False)["__partial"].sum()
-            acc = []
-    frames = ([merged] if merged is not None else []) + acc
-    if not frames:
-        return partial.rename_columns({"__partial": alias})
-    out = pd.concat(frames).groupby(group_cols, as_index=False)["__partial"].sum() \
-        .rename(columns={"__partial": alias})
-    return ray.data.from_arrow(
-        pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None))
-
-
-def partial_counts(
-    ds: ray.data.Dataset, group_cols: list[str], count_alias: str = "n",
-    reduce: str = "driver",
-) -> ray.data.Dataset:
+def partial_counts(ds: ray.data.Dataset, group_cols: list[str],
+                   count_alias: str = "n") -> ray.data.Dataset:
     """Pre-aggregated count-by-key: each batch emits one row per key present
-    (vectorized Arrow group_by), then the partials are merged (see
-    _finalize_partials). This is the combiner pattern — only |keys| rows per
-    block leave the map stage (SURVEY.md §4 skew note)."""
+    (vectorized Arrow group_by), then ``fold_partials`` merges them. This
+    is the combiner pattern — only |keys| rows per block leave the map
+    stage (SURVEY.md §4 skew note). Null keys count as a group."""
 
     def local(batch: pa.Table) -> pa.Table:
-        # select by NAME before the positional rename: pyarrow has changed
-        # the key/aggregate column ordering of TableGroupBy.aggregate across
-        # versions, but the aggregate column is deterministically named.
         t = batch.group_by(group_cols).aggregate([([], "count_all")])
         return t.select(group_cols + ["count_all"]) \
             .rename_columns(group_cols + ["__partial"])
 
     partial = ds.select_columns(group_cols).map_batches(local, batch_format="pyarrow")
-    return _finalize_partials(partial, group_cols, count_alias, reduce)
+    return fold_partials(partial, group_cols, [("__partial", "sum")],
+                         out_names=group_cols + [count_alias])
 
 
-def partial_sums(
-    ds: ray.data.Dataset, group_cols: list[str], value_col: str, sum_alias: str,
-    reduce: str = "driver",
-) -> ray.data.Dataset:
+def partial_sums(ds: ray.data.Dataset, group_cols: list[str], value_col: str,
+                 sum_alias: str) -> ray.data.Dataset:
     """Pre-aggregated sum-by-key (same combiner pattern as partial_counts)."""
 
     def local(batch: pa.Table) -> pa.Table:
@@ -637,7 +506,8 @@ def partial_sums(
 
     partial = ds.select_columns(group_cols + [value_col]) \
         .map_batches(local, batch_format="pyarrow")
-    return _finalize_partials(partial, group_cols, sum_alias, reduce)
+    return fold_partials(partial, group_cols, [("__partial", "sum")],
+                         out_names=group_cols + [sum_alias])
 
 
 def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,

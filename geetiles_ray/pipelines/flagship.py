@@ -165,8 +165,8 @@ def run(
     else:
         # broadcast-min dedup scans its input three times, so the slim
         # table is pinned once; the second materialize keeps the eager
-        # driver-reduce combiner below from re-running the dedup when the
-        # caller also consumes `assigned`
+        # partial_counts below (its fold materializes the partials) from
+        # re-running the dedup when the caller also consumes `assigned`
         assigned = dedupmod.dedup_exact_broadcast(
             slim.materialize(), key="url", order_col="warc_ts",
             nbuckets=dedup_buckets).materialize()

@@ -21,11 +21,9 @@ each is identified by a 128-bit positional fold of per-word 64-bit hashes
 pass 2 is ONE map-side rewrite — no all-to-all exchange anywhere.
 
 Scale regime: the fold sees |distinct segments per batch| partial rows
-(24 B each) and the broadcast is O(duplicate segments). The default
-``fold="range"`` distributes the fold as dup_key_set-style range tasks;
-``fold="driver"`` serial-folds on the driver (fine for small partials);
-``fold="groupby"`` routes partials through a Ray ``groupby`` aggregation
-when even one range's slice would not fit a single fold task.
+(24 B each) and the broadcast is O(duplicate segments). The fold is
+``dedup.fold_partials``, placed by the partials' measured size (driver
+or hash-range tasks, see pipelines/dedup.py).
 
 Determinism contract: ``ds`` is scanned twice and MUST re-scan
 identically (file source or materialized) — same contract as
@@ -38,6 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+
+from .dedup import fold_partials, frequent_keys
 
 _POW_BASE = np.uint64(1000003)  # odd → invertible mod 2^64 (prefix-safe)
 _H2_KEY = "4c1f9d2ab37e6805"
@@ -122,21 +122,13 @@ def _member128(h1d: np.ndarray, h2d: np.ndarray,
 
 def banned_segments(ds: ray.data.Dataset, text_col: str = "text",
                     mode: str = "words", width: int = 3, min_docs: int = 2,
-                    fold: str = "range", kind: str = "aligned"):
+                    kind: str = "aligned"):
     """Pass 1: ray.put ref of the (h1,h2)-lexsorted banned-segment hash
     arrays. Narrow scan — only ``text_col`` leaves storage; per-batch
     partials carry one row per distinct segment (within-doc repeats
-    deduped BEFORE counting, so ndocs counts documents, not occurrences).
-
-    fold="range" (default): the dup_key_set two-stage task fold
-    (dedup.py:134) — partials are emitted (h1,h2)-sorted, a split wave
-    pre-buckets each by h1 range (`num_returns` per-range objects), one
-    fold task per range sums and filters independently; the driver only
-    concatenates the per-range BANNED lists. The serial driver fold was
-    measured 13× slower than the map passes on a duplicate-heavy 1M-doc
-    probe (13M partial rows single-threaded). fold="driver": that serial
-    fold (fine for small partials). fold="groupby": hash aggregation,
-    for when even one range's fold wouldn't fit a worker.
+    deduped BEFORE counting, so ndocs counts documents, not occurrences),
+    summed by ``dedup.fold_partials``; only the banned hashes reach the
+    driver.
 
     kind="aligned" (default): _segment_hashes' disjoint width-word
     chunks (the CCNet rewrite grain). kind="sliding": every unaligned
@@ -174,96 +166,11 @@ def banned_segments(ds: ray.data.Dataset, text_col: str = "text",
 
     partial = ds.select_columns([text_col]) \
         .map_batches(local, batch_format="pyarrow")
-
-    if fold == "range":
-        refs = partial.materialize().get_internal_block_refs()
-        e = np.empty(0, dtype=np.uint64)
-        if not refs:
-            return ray.put((e, e))
-        ncores = int(ray.cluster_resources().get("CPU", 8))
-        nranges = max(4, min(64, ncores))
-        step = (1 << 64) // nranges
-        cuts = np.array([(i + 1) * step for i in range(nranges - 1)],
-                        dtype=np.uint64)
-
-        @ray.remote(num_cpus=0.5)
-        def split_partial(t):
-            h1 = t["__h1"].to_numpy()
-            h2 = t["__h2"].to_numpy()
-            c = t["__n"].to_numpy()
-            # Each `local` output is h1-primary sorted, but "one block ==
-            # one map output" is a Ray-internal invariant (block bundling
-            # or dynamic splitting could concatenate several runs), so
-            # re-sort defensively rather than silently mis-route hashes
-            # across ranges — O(n log n) on a tiny partial.
-            if len(h1) and np.any(h1[1:] < h1[:-1]):
-                order = np.lexsort((h2, h1))
-                h1, h2, c = h1[order], h2[order], c[order]
-            idx = np.searchsorted(h1, cuts)
-            return tuple(
-                (a.copy(), b.copy(), d.copy())
-                for a, b, d in zip(np.split(h1, idx), np.split(h2, idx),
-                                   np.split(c, idx)))
-
-        srefs = [split_partial.options(num_returns=nranges).remote(r)
-                 for r in refs]
-
-        @ray.remote(num_cpus=1)
-        def fold_range(*slices):
-            h1 = np.concatenate([s[0] for s in slices])
-            if not len(h1):
-                return np.empty(0, np.uint64), np.empty(0, np.uint64)
-            h2 = np.concatenate([s[1] for s in slices])
-            c = np.concatenate([s[2] for s in slices])
-            order = np.lexsort((h2, h1))
-            h1, h2, c = h1[order], h2[order], c[order]
-            new = np.empty(len(h1), dtype=bool)
-            new[0] = True
-            new[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
-            starts = np.nonzero(new)[0]
-            tot = np.add.reduceat(c, starts)
-            keep = tot >= min_docs
-            return h1[starts][keep], h2[starts][keep]
-
-        outs = ray.get([
-            fold_range.remote(*[srefs[b][r] for b in range(len(refs))])
-            for r in range(nranges)])
-        h1 = np.concatenate([o[0] for o in outs])
-        h2 = np.concatenate([o[1] for o in outs])
-        # ranges are h1-disjoint and internally sorted → already lexsorted
-        return ray.put((h1, h2))
-    if fold == "groupby":
-        # corpus-scale fold: hash aggregation over the partials; only the
-        # post-filter banned rows (ndocs ≥ min_docs) reach the driver
-        agg = partial.groupby(["__h1", "__h2"]).sum("__n").map_batches(
-            lambda b: b.filter(pa.compute.greater_equal(b["sum(__n)"],
-                                                        min_docs)),
-            batch_format="pyarrow")
-        t = agg.to_pandas()
-        h1 = t["__h1"].to_numpy(dtype=np.uint64)
-        h2 = t["__h2"].to_numpy(dtype=np.uint64)
-    else:
-        hs1, hs2, cs = [], [], []
-        for b in partial.iter_batches(batch_size=1 << 20,
-                                      batch_format="pyarrow"):
-            hs1.append(b["__h1"].to_numpy())
-            hs2.append(b["__h2"].to_numpy())
-            cs.append(b["__n"].to_numpy())
-        if not hs1:
-            e = np.empty(0, dtype=np.uint64)
-            return ray.put((e, e))
-        h1 = np.concatenate(hs1)
-        h2 = np.concatenate(hs2)
-        c = np.concatenate(cs)
-        order = np.lexsort((h2, h1))
-        h1, h2, c = h1[order], h2[order], c[order]
-        new = np.empty(len(h1), dtype=bool)
-        new[0] = True
-        new[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
-        starts = np.nonzero(new)[0]
-        tot = np.add.reduceat(c, starts)
-        keep = tot >= min_docs
-        h1, h2 = h1[starts][keep], h2[starts][keep]
+    folded = fold_partials(partial, ["__h1", "__h2"], [("__n", "sum")],
+                           fallback_schema=pa.schema([
+                               ("__h1", pa.uint64()), ("__h2", pa.uint64()),
+                               ("__n", pa.int64())]))
+    h1, h2 = frequent_keys(folded, ["__h1", "__h2"], "__n", min_docs)
     order = np.lexsort((h2, h1))
     return ray.put((h1[order], h2[order]))
 
@@ -470,8 +377,8 @@ def dup_ngram_stats(ds: ray.data.Dataset, id_col: str = "doc_id",
 
     Same two-pass shape as segment_dedup, at the sliding grain:
     pass 1 builds the duplicated-n-gram hash census with
-    :func:`banned_segments` (kind="sliding" — range-task fold, only the
-    dup set reaches the driver); pass 2 is ONE exchange-free map pass
+    :func:`banned_segments` (kind="sliding" — only the dup set reaches
+    the driver); pass 2 is ONE exchange-free map pass
     probing the broadcast set (zero-copy numpy arrays out of the object
     store — no per-batch deserialization). Output rows:
     (id, n_ngrams, n_dup)."""

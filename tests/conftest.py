@@ -35,3 +35,14 @@ def box_aoi():
     """The pages-fixture AOI bbox (functions/geocode.py AOI_*) as a ring."""
     from geetiles_ray.functions import geom, geocode
     return geom.box_ring(geocode.AOI_W, geocode.AOI_S, geocode.AOI_E, geocode.AOI_N)
+
+
+@pytest.fixture(params=["driver", "range"])
+def fold_placement(request, monkeypatch):
+    """Runs a test at both placements of ``dedup.fold_partials``: as is
+    (small test inputs fold on the driver) and with the size threshold at
+    0, so every non-empty fold runs in hash-range tasks."""
+    if request.param == "range":
+        from geetiles_ray.pipelines import dedup
+        monkeypatch.setattr(dedup, "AUTO_DRIVER_PARTIAL_ROWS", 0)
+    return request.param

@@ -34,17 +34,18 @@ class TestDedupExact:
             .to_pandas().sort_values("url").reset_index(drop=True)
         pd.testing.assert_frame_equal(got[want.columns], want)
 
-    def test_dup_key_set_range_matches_driver(self):
-        # the pre-bucketed split+fold range reduce must produce the exact
-        # same (sorted) broadcast duplicate-hash set as the serial driver
-        # fold, on a corpus whose dups straddle blocks
+    def test_dup_key_set_matches_pandas(self, fold_placement):
+        # sorted hashes of exactly the urls seen ≥ 2 times, on a corpus
+        # whose dups straddle blocks
         ds = _pages_with_cross_block_dups()
-        a = ray.get(dedupmod.dup_key_set(ds, "url", reduce="range"))
-        b = ray.get(dedupmod.dup_key_set(ds, "url", reduce="driver"))
-        assert a.dtype == np.uint64 and b.dtype == np.uint64
-        assert len(a) > 0
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, np.sort(a))
+        url = ds.to_pandas()[["url"]]
+        h = pd.util.hash_pandas_object(url, index=False)
+        counts = h.groupby(url["url"].to_numpy()).agg(["first", "size"])
+        want = np.sort(counts["first"][counts["size"] >= 2]
+                       .to_numpy(dtype=np.uint64))
+        got = ray.get(dedupmod.dup_key_set(ds, "url"))
+        assert got.dtype == np.uint64 and len(want) > 0
+        np.testing.assert_array_equal(got, want)
 
     def test_multi_key(self):
         df = pd.DataFrame({"a": [1, 1, 2, 2, 1], "b": ["x", "x", "y", "y", "z"],
@@ -152,13 +153,38 @@ class TestPartialCombiners:
             .rename(columns={"size": "n"}).sort_values("url").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    def test_sums_shuffle_reduce_matches_driver_reduce(self):
+    def test_sums_match_pandas(self, fold_placement):
         ds = _pages_with_cross_block_dups()
-        a = dedupmod.partial_sums(ds, ["url"], "payload", "s", reduce="driver") \
+        want = ds.to_pandas().groupby("url", as_index=False) \
+            .agg(s=("payload", "sum"))
+        got = dedupmod.partial_sums(ds, ["url"], "payload", "s") \
             .to_pandas().sort_values("url").reset_index(drop=True)
-        b = dedupmod.partial_sums(ds, ["url"], "payload", "s", reduce="shuffle") \
-            .to_pandas().sort_values("url").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_null_group_keys_kept(self, fold_placement):
+        # SQL GROUP BY: a null key is a group of its own; no row is lost.
+        # Key (3, "en") sits in a block with a null tile_id and in one
+        # without, so it must route to one range either way.
+        df = pd.DataFrame({
+            "tile_id": pd.array([3, None, 3, 5, None, 5], dtype="Int64"),
+            "lang": ["en", "de", "en", None, None, "en"],
+            "v": np.arange(1, 7, dtype="int64")})
+        ds = ray.data.from_pandas(df, override_num_blocks=3)
+        key = ["tile_id", "lang"]
+        want = df.groupby(key, dropna=False, as_index=False) \
+            .agg(n=("v", "size"), s=("v", "sum"))
+        n = dedupmod.partial_counts(ds, key, "n").to_pandas()
+        s = dedupmod.partial_sums(ds, key, "v", "s").to_pandas()
+        assert n["n"].sum() == 6 and s["s"].sum() == 21
+        assert (n["tile_id"].isna() & n["lang"].isna()).sum() == 1
+
+        def canon(d):
+            return d.astype({"tile_id": "Int64"}) \
+                .assign(lang=d.lang.astype(object).where(d.lang.notna(), None)) \
+                .sort_values(key, na_position="first").reset_index(drop=True)
+        got = canon(n.merge(s, on=key, how="outer"))
+        pd.testing.assert_frame_equal(got, canon(want[key + ["n", "s"]]),
+                                      check_dtype=False)
 
 
 class TestDedupBroadcastProperties:
@@ -281,9 +307,9 @@ class TestUpsertPatch:
 
 
 class TestRangeFoldEmptyRanges:
-    def test_more_ranges_than_keys(self):
-        # Round-4 review: with |distinct keys| < nranges some ranges are
-        # empty; empty slices must carry the explicit target schema (not
+    def test_more_ranges_than_keys(self, fold_placement):
+        # with |distinct keys| < ranges (4 on the test session) some ranges
+        # are empty; empty slices must carry the explicit target schema (not
         # inferred null types) and out_names must apply inside the fold
         # (Dataset.rename_columns skips zero-row bundles).
         df = pd.DataFrame({"k": ["a", "b", "c"] * 10,
@@ -295,10 +321,9 @@ class TestRangeFoldEmptyRanges:
             return g.astype({"__n": "int64"})
 
         partial = ds.map_batches(local, batch_format="pandas")
-        out = dedupmod.range_fold_partials(
-            partial, ["k"], [("__n", "sum")], nranges=16,
-            out_names=["k", "n"])
-        # every block (including the 13+ empty ranges) must share the
+        out = dedupmod.fold_partials(partial, ["k"], [("__n", "sum")],
+                                     out_names=["k", "n"])
+        # every block (including the empty ranges) must share the
         # renamed, correctly-typed schema
         types = set()
         for b in out.iter_batches(batch_format="pyarrow", batch_size=None):
@@ -315,7 +340,7 @@ class TestRangeFoldEmptyRanges:
         df = pd.DataFrame({"doc_id": np.arange(20, dtype="int64"),
                            "text": ["alpha beta"] * 20})
         ds = ray.data.from_pandas(df).repartition(3)
-        # 2-token vocab; default nranges on a many-core host >> 2
+        # 2-token vocab: fewer keys than fold ranges
         post = an.token_postings(ds)
         got = post.to_pandas().sort_values("token").reset_index(drop=True)
         assert list(got.columns) == ["token", "df", "tf", "first_doc"]
@@ -370,13 +395,12 @@ class TestUpsertPatchProperties:
 
 
 class TestRangeFoldProperties:
-    def test_matches_pandas_groupby(self):
+    def test_matches_pandas_groupby(self, fold_placement):
         from hypothesis import given, settings, strategies as st
 
         @settings(max_examples=15, deadline=None)
-        @given(st.integers(0, 10**6), st.integers(2, 40),
-               st.booleans())
-        def prop(seed, nranges, route_subset):
+        @given(st.integers(0, 10**6), st.booleans())
+        def prop(seed, route_subset):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 200))
             df = pd.DataFrame({
@@ -393,9 +417,8 @@ class TestRangeFoldProperties:
                 return g.astype({"__s": "int64", "__m": "int64"})
 
             partial = ds.map_batches(local, batch_format="pandas")
-            got = dedupmod.range_fold_partials(
+            got = dedupmod.fold_partials(
                 partial, ["a", "b"], [("__s", "sum"), ("__m", "min")],
-                nranges=nranges,
                 range_by=["a"] if route_subset else None,
                 out_names=["a", "b", "s", "m"]).to_pandas() \
                 .sort_values(["a", "b"]).reset_index(drop=True)

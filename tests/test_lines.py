@@ -1,5 +1,7 @@
 """Corpus-level duplicate-segment removal (pipelines/lines.py)."""
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pandas as pd
 import ray
@@ -26,7 +28,6 @@ def _line_corpus():
 
 
 def _brute_line_dedup(df, min_docs=2):
-    from collections import Counter
     c = Counter()
     for t in df.text:
         for ln in set(t.split("\n")):
@@ -79,19 +80,20 @@ class TestSegmentDedup:
         assert list(got2.n_removed) == [1, 1]  # the "d e" tail is shared
         assert got2.text_clean[0] == "a b c"
 
-    def test_groupby_fold_parity(self):
+    def test_banned_segments_match_brute_force(self, fold_placement):
+        # the banned set is the hash pair of every line found in ≥ 2 docs,
+        # (h1, h2)-lexsorted
         df = _line_corpus()
-        ds = ray.data.from_pandas(df)
-        r1 = ray.get(lines.banned_segments(ds, "text", mode="lines",
-                                           fold="driver"))
-        r2 = ray.get(lines.banned_segments(ds, "text", mode="lines",
-                                           fold="groupby"))
-        r3 = ray.get(lines.banned_segments(ds, "text", mode="lines",
-                                           fold="range"))
-        np.testing.assert_array_equal(r1[0], r2[0])
-        np.testing.assert_array_equal(r1[1], r2[1])
-        np.testing.assert_array_equal(r1[0], r3[0])
-        np.testing.assert_array_equal(r1[1], r3[1])
+        c = Counter(ln for t in df.text for ln in set(t.split("\n")))
+        banned = pd.Series(sorted(ln for ln, n in c.items() if n >= 2))
+        h1, h2 = lines._segment_hashes(banned, "lines", 1)[:2]
+        order = np.lexsort((h2, h1))
+        got = ray.get(lines.banned_segments(
+            ray.data.from_pandas(df, override_num_blocks=3), "text",
+            mode="lines"))
+        assert len(banned) == 2     # the shared header and footer
+        np.testing.assert_array_equal(got[0], h1[order])
+        np.testing.assert_array_equal(got[1], h2[order])
 
     def test_no_duplicates_is_identity(self):
         df = pd.DataFrame({"doc_id": [0, 1],
@@ -297,21 +299,21 @@ class TestDecontaminateProperties:
         prop()
 
 
-class TestDupNgramStats:
-    def _brute(self, texts, width, min_docs):
-        from collections import defaultdict
-        docs_of = defaultdict(set)
-        grams = []
-        for i, t in enumerate(texts):
-            ws = t.lower().split(" ")
-            g = [tuple(ws[j:j + width])
-                 for j in range(max(len(ws) - width + 1, 0))]
-            grams.append(g)
-            for gr in g:
-                docs_of[gr].add(i)
-        dup = {g for g, d in docs_of.items() if len(d) >= min_docs}
-        return [(len(g), sum(gr in dup for gr in g)) for g in grams]
+def _brute_dup_ngrams(texts, width, min_docs):
+    docs_of = defaultdict(set)
+    grams = []
+    for i, t in enumerate(texts):
+        ws = t.lower().split(" ")
+        g = [tuple(ws[j:j + width])
+             for j in range(max(len(ws) - width + 1, 0))]
+        grams.append(g)
+        for gr in g:
+            docs_of[gr].add(i)
+    dup = {g for g, d in docs_of.items() if len(d) >= min_docs}
+    return [(len(g), sum(gr in dup for gr in g)) for g in grams]
 
+
+class TestDupNgramStats:
     def test_matches_brute(self):
         rng = np.random.default_rng(5)
         vocab = [f"w{i}" for i in range(30)]
@@ -325,7 +327,7 @@ class TestDupNgramStats:
         out = lines.dup_ngram_stats(ray.data.from_pandas(df), width=5,
                                     min_docs=2).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
-        want = self._brute(texts, 5, 2)
+        want = _brute_dup_ngrams(texts, 5, 2)
         assert out["n_ngrams"].tolist() == [w[0] for w in want]
         assert out["n_dup"].tolist() == [w[1] for w in want]
         # the planted 11-word tail has 7 fully-internal 5-gram windows,
@@ -345,3 +347,43 @@ class TestDupNgramStats:
         out3 = lines.dup_ngram_stats(ray.data.from_pandas(df), width=5,
                                      min_docs=3).to_pandas()
         assert out3["n_dup"].sum() == 0
+
+
+class TestEmptyBlocks:
+    """Ray skips map fns on empty blocks, so an empty block reaches the
+    census fold still holding the upstream columns."""
+
+    LAYOUTS = [lambda r: r["doc_id"] < 2,          # last two blocks empty
+               lambda r: r["doc_id"] >= 4,         # first two blocks empty
+               lambda r: r["doc_id"] % 5 == 0,     # middle block empty
+               lambda r: False]                    # every block empty
+
+    def _layouts(self):
+        df = _line_corpus()
+        blocks = ray.data.from_pandas(df, override_num_blocks=3)
+        for keep in self.LAYOUTS:
+            yield df[[bool(keep({"doc_id": i})) for i in df.doc_id]] \
+                .reset_index(drop=True), blocks.filter(keep)
+
+    def test_segment_dedup(self, fold_placement):
+        for want_df, ds in self._layouts():
+            got = lines.segment_dedup(ds, "text", mode="lines").to_pandas()
+            assert len(got) == len(want_df)
+            if not len(got):
+                continue
+            got = got.sort_values("doc_id").reset_index(drop=True)
+            want = _brute_line_dedup(want_df)
+            assert list(got.n_segments) == [w[0] for w in want]
+            assert list(got.n_removed) == [w[1] for w in want]
+            assert list(got.text_clean) == [w[2] for w in want]
+
+    def test_dup_ngram_stats(self, fold_placement):
+        for want_df, ds in self._layouts():
+            got = lines.dup_ngram_stats(ds, width=3, min_docs=2).to_pandas()
+            assert len(got) == len(want_df)
+            if not len(got):
+                continue
+            got = got.sort_values("doc_id").reset_index(drop=True)
+            want = _brute_dup_ngrams(list(want_df.text), 3, 2)
+            assert list(got.n_ngrams) == [w[0] for w in want]
+            assert list(got.n_dup) == [w[1] for w in want]

@@ -306,18 +306,28 @@ class TestRollup:
                 {"__sum": "int64", "__n": "int64"}),
             exp.astype({"__sum": "int64", "__n": "int64"}))
 
-    def test_shuffle_reduce_parity(self):
+    def test_null_keys_match_pandas(self, fold_placement):
+        # a null region or nation is a group of its own at every level
         df = self._frame()
-        ds = ray.data.from_pandas(df)
-        a = an.rollup(ds, ["region", "nation"], "cents",
-                             reduce="driver")
-        b = an.rollup(ds, ["region", "nation"], "cents",
-                             reduce="shuffle")
+        df.loc[df.index % 7 == 0, "region"] = None
+        df.loc[df.index % 5 == 0, "nation"] = None
+        got = an.rollup(_ds(df), ["region", "nation"], "cents")
+        lv = ["region", "nation"]
+        fine = df.groupby(lv, dropna=False, as_index=False).agg(
+            __sum=("cents", "sum"), __n=("cents", "size"))
+        mid = df.groupby("region", dropna=False, as_index=False).agg(
+            __sum=("cents", "sum"), __n=("cents", "size"))
+        mid["nation"] = "ALL"
+        top = pd.DataFrame({"region": ["ALL"], "nation": ["ALL"],
+                            "__sum": [df.cents.sum()], "__n": [len(df)]})
+
+        def canon(d):
+            return d[lv + ["__sum", "__n"]].astype(
+                {"__sum": "int64", "__n": "int64"}) \
+                .sort_values(lv, na_position="first").reset_index(drop=True)
+        assert got["__n"].sum() == 3 * len(df)
         pd.testing.assert_frame_equal(
-            a.reset_index(drop=True).astype({"__sum": "int64",
-                                             "__n": "int64"}),
-            b[a.columns].reset_index(drop=True).astype({"__sum": "int64",
-                                                        "__n": "int64"}))
+            canon(got), canon(pd.concat([fine, mid, top])))
 
 
 class TestRunningTotal:
@@ -411,21 +421,21 @@ class TestGroupedQuantiles:
         assert list(got.value) == [5, 7]
 
 
-class TestTokenPostingsReduce:
-    def test_driver_shuffle_parity(self):
+class TestTokenPostingsFold:
+    def test_matches_pandas(self, fold_placement):
         df = pd.DataFrame({"doc_id": np.arange(50, dtype="int64"),
-                           "text": [f"tok{i % 7} tok{i % 3} common"
+                           "text": [f"tok{i % 7} tok{i % 3} common tok{i % 7}"
                                     for i in range(50)]})
-        ds = _ds(df)
-        a = an.token_postings(ds, reduce="driver").to_pandas() \
+        got = an.token_postings(_ds(df)).to_pandas() \
             .sort_values("token").reset_index(drop=True)
-        b = an.token_postings(ds, reduce="shuffle").to_pandas() \
-            .sort_values("token").reset_index(drop=True)
+        toks = df.assign(token=df.text.str.split(" ")).explode("token")
+        want = toks.groupby("token", as_index=False).agg(
+            df=("doc_id", "nunique"), tf=("doc_id", "size"),
+            first_doc=("doc_id", "min"))
         pd.testing.assert_frame_equal(
-            a[["token", "df", "tf", "first_doc"]].astype(
+            got[["token", "df", "tf", "first_doc"]].astype(
                 {"df": "int64", "tf": "int64", "first_doc": "int64"}),
-            b[["token", "df", "tf", "first_doc"]].astype(
-                {"df": "int64", "tf": "int64", "first_doc": "int64"}))
+            want.astype({"df": "int64", "tf": "int64", "first_doc": "int64"}))
 
 
 class TestHLL:

@@ -1,13 +1,15 @@
-"""Round-4 scale probe: the three round-3 'weak' text aggregations
-(pmi_pairs, tile_top_tokens's fold, token_postings/top_tokens defaults)
-were rewritten onto the distributed range fold (dedup.range_fold_partials).
-This probe runs them on a ~1M-doc synthetic corpus whose bigram space is
-MILLIONS of distinct keys and records driver peak-RSS growth — the
-round-3 failure mode was a driver pd.concat of the whole key space.
+"""Scale probe for the partial fold (dedup.fold_partials) behind
+pmi_pairs, tile_top_tokens and token_postings. It runs them on a
+synthetic corpus whose bigram space is MILLIONS of distinct keys at 1M
+docs (~700k bigram partial rows at 100k docs, above
+AUTO_DRIVER_PARTIAL_ROWS, so the hash-range placement is taken) and
+records driver peak-RSS growth — the failure mode it guards against is a
+driver concat of the whole key space.
 
 Usage: python tools/scale_probe_r4.py [n_docs]
 Writes one JSON line; pass criterion = driver RSS growth stays far below
-the key-space size (previously ~O(bigrams) ≈ GBs at this shape).
+the key-space size (~O(bigrams) ≈ GBs at 1M docs). The corpus is cached
+as a parquet file in the system temp directory ($TMPDIR).
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ def main():
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    path = f"/tmp/scale_probe_docs_{n_docs}.parquet"
     import os
+    import tempfile
+    path = os.path.join(tempfile.gettempdir(),
+                        f"scale_probe_docs_{n_docs}.parquet")
     if not os.path.exists(path):
         # 8 tokens/doc over a 50k vocab, id-derived → ~7 distinct bigrams
         # per doc, ~5-7M distinct bigrams at 1M docs
@@ -51,9 +55,10 @@ def main():
     ray.data.DataContext.get_current().enable_progress_bars = False
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     from geetiles_ray.pipelines import analytics as anmod
-    from geetiles_ray.pipelines.dedup import range_fold_partials
+    from geetiles_ray.pipelines.dedup import fold_partials
 
     results = {"n_docs": n_docs}
 
@@ -66,7 +71,7 @@ def main():
     results["rss_after_pmi_mb"] = round(rss_mb(), 1)
 
     t0 = time.time()
-    post = anmod.token_postings(ds)  # default reduce="range"
+    post = anmod.token_postings(ds)
     results["postings_vocab"] = post.count()
     results["token_postings_sec"] = round(time.time() - t0, 2)
     results["rss_after_postings_mb"] = round(rss_mb(), 1)
@@ -86,7 +91,7 @@ def main():
 
     tds = ray.data.read_parquet(path, columns=["tile_key", "text"])
     t0 = time.time()
-    folded = range_fold_partials(
+    folded = fold_partials(
         tds.map_batches(local, batch_format="pandas"),
         ["tile_key", "token"], [("__n", "sum")], range_by=["tile_key"])
 
