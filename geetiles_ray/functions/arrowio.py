@@ -1,6 +1,6 @@
 """Arrow/pandas block-schema utilities shared by the exchange kernels.
 
-Two recurring needs, one home (round-4 review: the idiom was growing
+Three recurring needs, one home (round-4 review: the idiom was growing
 copies in joins.py and dedup.py):
 
 - ``pa_type``: normalize whatever ``Dataset.schema().types`` yields
@@ -11,12 +11,46 @@ copies in joins.py and dedup.py):
   empty or all-null batch infers ``null``-typed columns and the blocks
   of a union/fold diverge (observed crashing schema unification on
   multi-core hosts where some hash ranges are empty).
+- ``key_hash``: the engine's one routing hash — every exchange, hash
+  range and Bloom probe places a row by it, so a key lands in one place
+  whatever block, null mask or integer width it arrives with.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+# integer and boolean columns convert to pandas nullable dtypes, so a column
+# keeps its dtype in a block with nulls (numpy would make it float64 /
+# object) and in one without
+_NULLABLE = {
+    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
+    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
+    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
+    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
+    pa.bool_(): pd.BooleanDtype()}
+
+
+def key_hash(table: pa.Table, keys: list[str]) -> np.ndarray:
+    """Deterministic uint64 hash per row of ``table[keys]`` (one or more
+    columns, nulls included). Keys hash by value: integers are widened to
+    64 bits and converted as nullable dtypes first, so 5 hashes alike in
+    an int32 block, an int64 block and a block where the column also
+    holds a null."""
+    cols = {}
+    for k in keys:
+        c = table[k]
+        if pa.types.is_signed_integer(c.type):
+            c = pc.cast(c, pa.int64())
+        elif pa.types.is_unsigned_integer(c.type):
+            c = pc.cast(c, pa.uint64())
+        cols[k] = c
+    return pd.util.hash_pandas_object(
+        pa.table(cols).to_pandas(types_mapper=_NULLABLE.get),
+        index=False).to_numpy()
 
 
 def pa_type(t) -> pa.DataType:

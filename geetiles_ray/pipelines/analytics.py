@@ -51,37 +51,28 @@ def _topn_kernel(df: pd.DataFrame, keys: list[str], order_col: str, n: int,
 
 
 def grouped_topn(ds: ray.data.Dataset, keys: list[str], order_col: str,
-                 n: int, ascending: bool = False, tiebreak: str | None = None,
-                 nbuckets: int = 32) -> ray.data.Dataset:
+                 n: int, ascending: bool = False, tiebreak: str | None = None
+                 ) -> ray.data.Dataset:
     """Top-``n`` rows per key group ordered by ``order_col`` (desc by
     default), with a 1-based ``rank`` column. The SQL twin is
     ``row_number() OVER (PARTITION BY keys ORDER BY ...) <= n``.
 
     Plan: map-side prune (each block keeps ≤ n rows per key it holds — the
     combiner; a key spread over B blocks contributes ≤ n·B rows to the
-    exchange, not its full group) → co-locate by key-hash bucket → final
-    prune + rank per bucket. No global sort, no window shuffle."""
+    exchange, not its full group) → co-locate by key hash
+    (``stages/temporal.grouped_apply``) → final prune + rank per bucket.
+    No global sort, no window shuffle."""
+    from ..stages.temporal import grouped_apply
+
     def prune(df: pd.DataFrame) -> pd.DataFrame:
         return _topn_kernel(df, keys, order_col, n, ascending, tiebreak,
                             with_rank=False)
 
-    pruned = ds.map_batches(prune, batch_format="pandas")
-
-    def tag(batch: pa.Table) -> pa.Table:
-        from ..stages.temporal import _key_hash
-        h = np.zeros(len(batch), dtype=np.uint64)
-        for k in keys:
-            h ^= _key_hash(batch[k]) * np.uint64(_MIX)
-        b = (h % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
     def final(df: pd.DataFrame) -> pd.DataFrame:
-        out = _topn_kernel(df, keys, order_col, n, ascending, tiebreak,
-                           with_rank=True)
-        return out.drop(columns="__bucket")
+        return _topn_kernel(df, keys, order_col, n, ascending, tiebreak,
+                            with_rank=True)
 
-    from ..stages.temporal import grouped_apply
-    return grouped_apply(pruned.map_batches(tag, batch_format="pyarrow"),
+    return grouped_apply(ds.map_batches(prune, batch_format="pandas"), keys,
                          final)
 
 
@@ -331,35 +322,29 @@ def rollup(ds: ray.data.Dataset, hierarchy: list[str], value_col: str,
 # ------------------------------------------------- running (cumulative) agg
 
 def running_total(ds: ray.data.Dataset, key: str, order_cols: list[str],
-                  value_col: str, out_col: str = "running_sum",
-                  nbuckets: int = 32) -> ray.data.Dataset:
+                  value_col: str, out_col: str = "running_sum"
+                  ) -> ray.data.Dataset:
     """Per-key cumulative sum in ``order_cols`` order (SQL:
     SUM(value) OVER (PARTITION BY key ORDER BY order ROWS UNBOUNDED
-    PRECEDING)). One hash exchange co-locates each key's rows
-    (stages/temporal.grouped_apply's groupby(bucket).map_groups), the
-    kernel is one vectorized sort + groupby-cumsum per bucket. Integer
-    ``value_col`` gives engine-exact results (cumulative FLOAT sums are
-    order-defined and match only engines replaying the same order —
-    which the kernel does, but keep ints where the oracle must hash)."""
-    from ..stages.temporal import _key_hash, grouped_apply
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    PRECEDING)). One key-hash exchange co-locates each key's rows
+    (stages/temporal.grouped_apply), the kernel is one vectorized sort +
+    groupby-cumsum per bucket. Integer ``value_col`` gives engine-exact
+    results (cumulative FLOAT sums are order-defined and match only
+    engines replaying the same order — which the kernel does, but keep
+    ints where the oracle must hash)."""
+    from ..stages.temporal import grouped_apply
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values([key] + order_cols, kind="mergesort")
         d[out_col] = d.groupby(key, sort=False)[value_col].cumsum()
-        return d.drop(columns=["__bucket"])
+        return d
 
-    return grouped_apply(tagged, kernel)
+    return grouped_apply(ds, key, kernel)
 
 
 def pack_plan(ds: ray.data.Dataset, stream_cols: list[str], order_col: str,
-              tokens_col: str, budget: int, out_col: str = "bin",
-              nbuckets: int = 32) -> ray.data.Dataset:
+              tokens_col: str, budget: int, out_col: str = "bin"
+              ) -> ray.data.Dataset:
     """Sequence-packing planner (concat-and-chunk): within each stream
     (the ``stream_cols`` tuple), documents are laid end-to-end in
     ``order_col`` order and chunked into training sequences of ``budget``
@@ -375,30 +360,16 @@ def pack_plan(ds: ray.data.Dataset, stream_cols: list[str], order_col: str,
     stream would serialize the whole corpus through one task). One
     key-hash exchange co-locates each stream; everything else is
     map-side."""
-    from ..stages.temporal import _key_hash, grouped_apply
-
-    def tag(batch: pa.Table) -> pa.Table:
-        parts = [batch[c].cast(pa.string()).to_pandas() for c in stream_cols]
-        stream = parts[0]
-        for p in parts[1:]:
-            stream = stream + ":" + p
-        b = (_key_hash(pa.array(stream)) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__stream", pa.array(stream.to_numpy(),
-                                                        type=pa.string())) \
-            .append_column("__bucket", pa.array(b))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
+    from ..stages.temporal import grouped_apply
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.drop(columns=["__bucket", "__stream"], errors="ignore")
-        d = df.sort_values(["__stream", order_col], kind="mergesort")
-        cum = d.groupby("__stream", sort=False)[tokens_col].cumsum()
-        excl = cum.to_numpy() - d[tokens_col].to_numpy()
-        d[out_col] = excl // budget
-        return d.drop(columns=["__bucket", "__stream"])
+        d = df.sort_values(stream_cols + [order_col], kind="mergesort")
+        cum = d.groupby(stream_cols, sort=False, dropna=False)[tokens_col] \
+            .cumsum()
+        d[out_col] = (cum.to_numpy() - d[tokens_col].to_numpy()) // budget
+        return d
 
-    return grouped_apply(tagged, kernel)
+    return grouped_apply(ds, stream_cols, kernel)
 
 
 def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
@@ -414,17 +385,18 @@ def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
     The exact global rn is computed WITHOUT a global sort or driver
     materialization, with the classic two-pass range plan:
 
-    1. bucket every row by the hash's high bits (``nranges`` ordered
-       ranges — high bits ⇒ bucket order IS hash order), count rows per
-       bucket with a map-side combiner + tiny groupby (≤ nranges rows);
+    1. tag every row with a range by the hash's high bits (``nranges``
+       ordered ranges — high bits ⇒ range order IS hash order), count
+       rows per range with a map-side combiner + tiny groupby
+       (≤ nranges rows);
     2. prefix-sum those counts on the driver (nranges ints), broadcast
        the offsets in the kernel closure, and assign
-       ``rn = offset[bucket] + rank_within_bucket`` after one co-bucket
-       exchange (stages/temporal.grouped_apply), sorting each bucket
-       locally by ``h``.
+       ``rn = offset[range] + rank_within_range`` after one exchange
+       co-locating each range (stages/temporal.grouped_apply keyed on
+       ``__range``), sorting each range locally by ``h``.
 
     Scales as: one exchange of the slim (key, h) table + an nranges-row
-    aggregate; no stage ever sees more than one bucket's rows. ``ds``
+    aggregate; no task ever sees more than one hash bucket's ranges. ``ds``
     is scanned twice — pass a column-pruned or materialized slim table
     when the upstream is expensive. ``key_col`` must be integer-valued
     and unique (doc ids); hash strings to int upstream
@@ -441,22 +413,22 @@ def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
         h = (k + np.uint64(1)) * np.uint64(_MIX)
         return pa.table({key_col: batch[key_col],
                          "__h": pa.array(h, type=pa.uint64()),
-                         "__bucket": pa.array(
+                         "__range": pa.array(
                              (h >> shift).astype(np.int64))})
 
     slim = ds.select_columns([key_col])
     tagged = slim.map_batches(tag, batch_format="pyarrow")
 
     def count(batch: pa.Table) -> pa.Table:
-        b, n = np.unique(batch["__bucket"].to_numpy(), return_counts=True)
-        return pa.table({"__bucket": pa.array(b),
+        b, n = np.unique(batch["__range"].to_numpy(), return_counts=True)
+        return pa.table({"__range": pa.array(b),
                          "n": pa.array(n.astype(np.int64))})
 
     counts = tagged.map_batches(count, batch_format="pyarrow") \
-        .groupby("__bucket").aggregate(Sum("n")).to_pandas() \
-        .sort_values("__bucket")
+        .groupby("__range").aggregate(Sum("n")).to_pandas() \
+        .sort_values("__range")
     cum = counts["sum(n)"].to_numpy().cumsum()
-    offsets = dict(zip(counts["__bucket"].to_numpy(),
+    offsets = dict(zip(counts["__range"].to_numpy(),
                        np.concatenate(([0], cum[:-1])).astype(np.int64)))
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
@@ -464,14 +436,14 @@ def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
             return pd.DataFrame({key_col: pd.Series([], dtype="int64"),
                                  "shard": pd.Series([], dtype="int64"),
                                  "pos": pd.Series([], dtype="int64")})
-        d = df.sort_values(["__bucket", "__h"], kind="mergesort")
-        rank = d.groupby("__bucket", sort=False).cumcount().to_numpy()
-        rn = d["__bucket"].map(offsets).to_numpy() + rank
+        d = df.sort_values(["__range", "__h"], kind="mergesort")
+        rank = d.groupby("__range", sort=False).cumcount().to_numpy()
+        rn = d["__range"].map(offsets).to_numpy() + rank
         return pd.DataFrame({key_col: d[key_col].to_numpy(),
                              "shard": (rn // shard_size).astype(np.int64),
                              "pos": (rn % shard_size).astype(np.int64)})
 
-    return grouped_apply(tagged, kernel)
+    return grouped_apply(tagged, "__range", kernel)
 
 
 def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
@@ -486,10 +458,10 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     hits quotas in expectation; training mixtures need them exact.
 
     Same two-pass range plan as shard_plan, partitioned by stratum:
-    per-(stratum, high-bit bucket) counts (≤ nstrata × nranges rows —
+    per-(stratum, high-bit range) counts (≤ nstrata × nranges rows —
     catalog-sized) → driver prefix per stratum → broadcast offsets →
-    one co-bucket exchange where each row gets its exact within-stratum
-    hash rank and quotas filter map-side. SQL twin:
+    one exchange co-locating each range, where each row gets its exact
+    within-stratum hash rank and quotas filter map-side. SQL twin:
     ``QUALIFY ROW_NUMBER() OVER (PARTITION BY stratum ORDER BY h)``.
 
     Returns (key_col, strata_col, rank) — rank is the 0-based position
@@ -509,7 +481,7 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
         return pa.table({key_col: batch[key_col],
                          strata_col: batch[strata_col],
                          "__h": pa.array(h, type=pa.uint64()),
-                         "__bucket": pa.array(
+                         "__range": pa.array(
                              (h >> shift).astype(np.int64))})
 
     slim = ds.select_columns([key_col, strata_col])
@@ -517,33 +489,33 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
 
     def count(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({strata_col: batch[strata_col].to_pandas(),
-                           "__bucket": batch["__bucket"].to_numpy()})
-        g = df.groupby([strata_col, "__bucket"], sort=False,
+                           "__range": batch["__range"].to_numpy()})
+        g = df.groupby([strata_col, "__range"], sort=False,
                        dropna=False).size().reset_index(name="n")
         return pa.table({strata_col: pa.array(
                              g[strata_col],
                              type=batch.schema.field(strata_col).type),
-                         "__bucket": pa.array(g["__bucket"].to_numpy()),
+                         "__range": pa.array(g["__range"].to_numpy()),
                          "n": pa.array(g["n"].to_numpy()
                                        .astype(np.int64))})
 
     from ray.data.aggregate import Sum
     cnt = tagged.map_batches(count, batch_format="pyarrow") \
-        .groupby([strata_col, "__bucket"]).aggregate(Sum("n")) \
-        .to_pandas().sort_values([strata_col, "__bucket"])
+        .groupby([strata_col, "__range"]).aggregate(Sum("n")) \
+        .to_pandas().sort_values([strata_col, "__range"])
     cnt["off"] = cnt.groupby(strata_col)["sum(n)"].cumsum() - cnt["sum(n)"]
     offsets = {(s, b): int(o) for s, b, o in
-               zip(cnt[strata_col], cnt["__bucket"], cnt["off"])}
+               zip(cnt[strata_col], cnt["__range"], cnt["off"])}
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({key_col: [], strata_col: [], "rank": []})
-        d = df.sort_values([strata_col, "__bucket", "__h"],
+        d = df.sort_values([strata_col, "__range", "__h"],
                            kind="mergesort")
-        pos = d.groupby([strata_col, "__bucket"], sort=False).cumcount() \
+        pos = d.groupby([strata_col, "__range"], sort=False).cumcount() \
             .to_numpy()
         off = np.array([offsets[(s, b)] for s, b in
-                        zip(d[strata_col], d["__bucket"])],
+                        zip(d[strata_col], d["__range"])],
                        dtype=np.int64)
         rank = off + pos
         quota = d[strata_col].map(k).fillna(0).astype(np.int64).to_numpy()
@@ -558,7 +530,7 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
                                      pandas_to_arrow_normalizer)
     target = dataset_arrow_schema(slim, [key_col, strata_col]) \
         .append(pa.field("rank", pa.int64()))
-    return grouped_apply(tagged, kernel).map_batches(
+    return grouped_apply(tagged, "__range", kernel).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
 
 
@@ -634,7 +606,7 @@ def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
 
     Distributed: the weight table never lands on the driver — remainders
     are ranked with the same two-pass range plan as shard_plan, ordered
-    by (remainder desc, key asc) via the order-preserving bucket map
+    by (remainder desc, key asc) via the order-preserving range map
     ``(W−1−rem)·nranges // W``; only the nranges-row count table and two
     scalar aggregates reach the driver. SQL twin:
     ``ROW_NUMBER() OVER (ORDER BY rem DESC, key)``."""
@@ -657,31 +629,31 @@ def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
         bucket = (W - 1 - rem) * np.int64(nranges) // W
         return pa.table({key_col: batch[key_col],
                          "base": pa.array(base), "rem": pa.array(rem),
-                         "__bucket": pa.array(bucket)})
+                         "__range": pa.array(bucket)})
 
     tagged = t.map_batches(tag, batch_format="pyarrow").materialize()
     R = B - int(tagged.aggregate(Sum("base"))["sum(base)"] or 0)
 
     def count(batch: pa.Table) -> pa.Table:
-        b, n = np.unique(batch["__bucket"].to_numpy(), return_counts=True)
-        return pa.table({"__bucket": pa.array(b),
+        b, n = np.unique(batch["__range"].to_numpy(), return_counts=True)
+        return pa.table({"__range": pa.array(b),
                          "n": pa.array(n.astype(np.int64))})
 
     cnt = tagged.map_batches(count, batch_format="pyarrow") \
-        .groupby("__bucket").aggregate(Sum("n")).to_pandas() \
-        .sort_values("__bucket")
+        .groupby("__range").aggregate(Sum("n")).to_pandas() \
+        .sort_values("__range")
     cum = cnt["sum(n)"].to_numpy().cumsum()
-    offsets = dict(zip(cnt["__bucket"].to_numpy(),
+    offsets = dict(zip(cnt["__range"].to_numpy(),
                        np.concatenate(([0], cum[:-1])).astype(np.int64)))
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
         if not len(df):
             return pd.DataFrame({key_col: [], "quota": []})
-        d = df.sort_values(["__bucket", "rem", key_col],
+        d = df.sort_values(["__range", "rem", key_col],
                            ascending=[True, False, True],
                            kind="mergesort")
-        pos = d.groupby("__bucket", sort=False).cumcount().to_numpy()
-        rank = d["__bucket"].map(offsets).to_numpy() + pos
+        pos = d.groupby("__range", sort=False).cumcount().to_numpy()
+        rank = d["__range"].map(offsets).to_numpy() + pos
         quota = d["base"].to_numpy() + (rank < R)
         return pd.DataFrame({key_col: d[key_col].to_numpy(),
                              "quota": quota.astype(np.int64)})
@@ -690,7 +662,7 @@ def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
                                      pandas_to_arrow_normalizer)
     target = dataset_arrow_schema(t, [key_col]) \
         .append(pa.field("quota", pa.int64()))
-    return grouped_apply(tagged, kernel).map_batches(
+    return grouped_apply(tagged, "__range", kernel).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
 
 
@@ -944,25 +916,16 @@ def tfidf_topk(ds: ray.data.Dataset, id_col: str = "doc_id",
 # ------------------------------------------------------- grouped quantiles
 
 def grouped_quantiles(ds: ray.data.Dataset, key: str, col: str,
-                      qs: list[float], nbuckets: int = 32) -> pd.DataFrame:
+                      qs: list[float]) -> pd.DataFrame:
     """Per-key exact discrete quantiles (rank ceil(q·n)−1 per group —
     quantile_disc semantics, same as the global ``quantiles_exact``).
     One key-hash exchange co-locates each group; the kernel is one sort +
     vectorized rank gather per bucket (no per-group Python). Output is
     long format: (key, q, value), |keys|·|qs| rows — group-count-sized,
     so the driver collect is a report, not a corpus."""
-    from ..stages.temporal import _key_hash, grouped_apply
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.select_columns([key, col]) \
-        .map_batches(tag, batch_format="pyarrow")
+    from ..stages.temporal import grouped_apply
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({key: df[key], "q": [], "value": []})
         d = df.sort_values([key, col], kind="mergesort")
         kk = d[key].to_numpy()
         vv = d[col].to_numpy()
@@ -979,7 +942,7 @@ def grouped_quantiles(ds: ray.data.Dataset, key: str, col: str,
                                         "value": vv[starts + ranks]}))
         return pd.concat(frames, ignore_index=True)
 
-    out = grouped_apply(tagged, kernel).to_pandas()
+    out = grouped_apply(ds.select_columns([key, col]), key, kernel).to_pandas()
     return out.sort_values([key, "q"]).reset_index(drop=True)
 
 

@@ -12,12 +12,11 @@ by an order column) and one kernel:
   as one url-hash partition of the flagship's checkpoint
   (state/manifest.map_checkpointed).
 - ``dedup_exact``: the full exchange. ``dedup_table`` per block inside
-  ``map_batches`` (kills most duplicates before the shuffle), then a
-  ``groupby(bucket).map_groups`` where each *bucket* (not each key!) is
-  one group and runs ``dedup_table`` again — vectorized regardless of key
-  cardinality, and hot keys can't skew buckets because keys are
-  hash-distributed. The same ``groupby("__bucket").map_groups`` is the
-  only co-location plan in the engine (stages/temporal.grouped_apply).
+  ``map_batches`` (kills most duplicates before the shuffle), then the
+  engine's one co-location step, ``stages/temporal.grouped_apply``: each
+  key-hash *bucket* (not each key!) is one group and runs
+  ``dedup_table`` again — vectorized regardless of key cardinality, with
+  the bucket count derived from the cluster, never set by the caller.
 - ``dedup_exact_broadcast``: broadcast-min for low-duplicate corpora held
   in memory — two narrow scans build per-duplicate-key minima, one
   map-side filter keeps the minimum rows, and only tie keys ride
@@ -41,6 +40,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from ..functions.arrowio import key_hash
 
 
 def dedup_table(table: pa.Table, keys: list[str], orders: list[str] = (),
@@ -79,30 +80,23 @@ def dedup_exact(
     ds: ray.data.Dataset,
     key: str | list[str],
     order_col: str | list[str] | None = None,
-    nbuckets: int = 64,
     keep: str = "first",
 ) -> ray.data.Dataset:
     """One row per ``key`` (column or list of columns); among duplicates keep
     the first by ``order_col`` ascending (ties: see ``dedup_table``).
-    Two-stage: ``dedup_table`` per batch → hash-bucket shuffle →
-    ``dedup_table`` per bucket."""
+    Two-stage: ``dedup_table`` per batch → key-hash exchange
+    (``grouped_apply``) → ``dedup_table`` per bucket."""
+    from ..stages.temporal import grouped_apply
+
     keys = [key] if isinstance(key, str) else list(key)
     orders = [] if order_col is None else (
         [order_col] if isinstance(order_col, str) else list(order_col))
 
-    def local(batch: pa.Table) -> pa.Table:
-        batch = dedup_table(batch, keys, orders, keep)
-        h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(),
-                                       index=False).to_numpy()
-        # pandas metadata (parquet written from pandas) breaks schema hashing
-        return batch.replace_schema_metadata(None).append_column(
-            "__bucket", pa.array((h % np.uint64(nbuckets)).astype(np.int64)))
+    def local(table: pa.Table) -> pa.Table:
+        return dedup_table(table, keys, orders, keep)
 
-    def per_bucket(group: pa.Table) -> pa.Table:
-        return dedup_table(group.drop_columns(["__bucket"]), keys, orders, keep)
-
-    return ds.map_batches(local, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pyarrow")
+    return grouped_apply(ds.map_batches(local, batch_format="pyarrow"),
+                         keys, local, batch_format="pyarrow")
 
 
 def dup_key_set(ds: ray.data.Dataset, key: str | list[str]) -> "object":
@@ -143,6 +137,35 @@ def _hash128(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
+def sorted_member(sorted_h: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Membership of each ``h`` in the sorted uint64 array ``sorted_h``
+    (one ``searchsorted`` probe)."""
+    if not len(sorted_h):
+        return np.zeros(len(h), dtype=bool)
+    i = np.searchsorted(sorted_h, h)
+    return (i < len(sorted_h)) \
+        & (sorted_h[np.minimum(i, len(sorted_h) - 1)] == h)
+
+
+def probe128(h1d: np.ndarray, h2d: np.ndarray, b1: np.ndarray,
+             b2: np.ndarray) -> np.ndarray:
+    """Index of each (b1, b2) pair in the (h1, h2)-lexsorted arrays
+    ``h1d``/``h2d``, −1 on a miss: locate the h1 run with
+    ``searchsorted``, then probe each slot for the h2 match (runs are
+    length 1 except 64-bit h1 collisions)."""
+    idx = np.full(len(b1), -1, dtype=np.int64)
+    if not len(h1d) or not len(b1):
+        return idx
+    left = np.searchsorted(h1d, b1, side="left")
+    right = np.searchsorted(h1d, b1, side="right")
+    for off in range(int((right - left).max())):
+        in_run = off < (right - left)
+        j = np.minimum(left + off, len(h1d) - 1)
+        hit = in_run & (idx < 0) & (h1d[j] == b1) & (h2d[j] == b2)
+        idx = np.where(hit, j, idx)
+    return idx
+
+
 def dup_key_minima(ds: ray.data.Dataset, key: str | list[str],
                    order_col: str, dup_ref=None):
     """Per-duplicate-key global minimum statistics, broadcast as a
@@ -168,15 +191,8 @@ def dup_key_minima(ds: ray.data.Dataset, key: str | list[str],
     def local(batch: pa.Table) -> pa.Table:
         df = batch.select(keys + [order_col]).to_pandas()
         if len(df):
-            dups = ray.get(dup_ref)
             h64 = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-            if len(dups):
-                idx = np.searchsorted(dups, h64)
-                member = (idx < len(dups)) \
-                    & (dups[np.minimum(idx, len(dups) - 1)] == h64)
-            else:
-                member = np.zeros(len(df), dtype=bool)
-            df = df[member]
+            df = df[sorted_member(ray.get(dup_ref), h64)]
         if len(df) == 0:
             ts0 = df[order_col].to_numpy()
             e = np.empty(0, dtype=np.uint64)
@@ -239,7 +255,7 @@ def dedup_exact_broadcast(
     ds: ray.data.Dataset,
     key: str | list[str],
     order_col: str,
-    nbuckets: int = 64,
+    nbuckets: int | None = None,
     stats_ref=None,
 ) -> ray.data.Dataset:
     """Exchange-free exact dedup for low-duplicate corpora: pass 1 is the
@@ -259,11 +275,14 @@ def dedup_exact_broadcast(
     correctness here, not just speed. keep="first" ascending only (the
     flagship contract); a composite ``order_col`` needs per-key
     lexicographic minima the broadcast stats don't carry, so it runs
-    ``dedup_exact``'s full exchange instead."""
+    ``dedup_exact``'s full exchange instead.
+
+    ``nbuckets`` is ignored (the exchange derives its width); it stays
+    only because ``perfbench/layers.py`` passes it."""
     import ray
 
     if not isinstance(order_col, str):
-        return dedup_exact(ds, key, order_col, nbuckets)
+        return dedup_exact(ds, key, order_col)
 
     keys = [key] if isinstance(key, str) else list(key)
     if stats_ref is None:
@@ -281,37 +300,16 @@ def dedup_exact_broadcast(
         # cheap 64-bit membership prefilter: only the few-% rows of
         # possibly-duplicated keys pay the 128-bit hash + stats lookup
         if dup_ref is not None and len(h1d):
-            dups = ray.get(dup_ref)
             h64 = pd.util.hash_pandas_object(df, index=False).to_numpy()
-            if len(dups):
-                i64 = np.searchsorted(dups, h64)
-                member = (i64 < len(dups)) \
-                    & (dups[np.minimum(i64, len(dups) - 1)] == h64)
-            else:
-                member = np.zeros(n, dtype=bool)
+            member = sorted_member(ray.get(dup_ref), h64)
         else:
-            member = np.ones(n, dtype=bool) if len(h1d) \
-                else np.zeros(n, dtype=bool)
-        found = np.zeros(n, dtype=bool)
-        idx_c = np.zeros(n, dtype=np.int64)
+            member = np.full(n, bool(len(h1d)))
+        idx = np.full(n, -1, dtype=np.int64)
         sub = np.nonzero(member)[0]
         if len(h1d) and len(sub):
-            b1, b2 = _hash128(df.iloc[sub])
-            # (h1, h2) lexsorted: locate the h1 run, then probe each slot
-            # for the h2 match (runs are length 1 except h1 collisions)
-            left = np.searchsorted(h1d, b1, side="left")
-            right = np.searchsorted(h1d, b1, side="right")
-            sfound = np.zeros(len(sub), dtype=bool)
-            sidx = np.zeros(len(sub), dtype=np.int64)
-            for off in range(int((right - left).max())):
-                in_run = off < (right - left)
-                j = np.minimum(left + off, len(h1d) - 1)
-                hit = in_run & (h1d[j] == b1) & (h2d[j] == b2)
-                upd = hit & ~sfound
-                sidx = np.where(upd, j, sidx)
-                sfound |= hit
-            found[sub] = sfound
-            idx_c[sub] = sidx
+            idx[sub] = probe128(h1d, h2d, *_hash128(df.iloc[sub]))
+        found = idx >= 0
+        idx_c = np.maximum(idx, 0)
         if want == "keep":
             m = ~found
             if len(h1d):
@@ -327,7 +325,7 @@ def dedup_exact_broadcast(
         return kept
     tied = ds.map_batches(lambda b: classify(b, "tie"),
                           batch_format="pyarrow")
-    return kept.union(dedup_exact(tied, key, order_col, nbuckets))
+    return kept.union(dedup_exact(tied, key, order_col))
 
 
 # Partial-row count at or below which the fold runs once on the driver: the
@@ -337,17 +335,6 @@ def dedup_exact_broadcast(
 # range fold, while a 1M-doc corpus (~10⁷ partial rows) was 6× FASTER —
 # the crossover sits comfortably inside this band.
 AUTO_DRIVER_PARTIAL_ROWS = 400_000
-
-# integer and boolean columns hash as pandas nullable dtypes, so a key hashes
-# the same in a block with nulls (numpy would make it float64 / object) and
-# in one without: the range a key routes to must not depend on its block
-_NULLABLE = {
-    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
-    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
-    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
-    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
-    pa.bool_(): pd.BooleanDtype()}
-
 
 def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False) \
@@ -443,9 +430,7 @@ def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
     @ray.remote(num_cpus=0.5)
     def split_block(block):
         t = conform(block)
-        h = pd.util.hash_pandas_object(
-            t.select(route).to_pandas(types_mapper=_NULLABLE.get),
-            index=False).to_numpy()
+        h = key_hash(t, route)
         order = np.argsort(h, kind="stable")
         bounds = np.concatenate([[0], np.searchsorted(h[order], cuts),
                                  [len(h)]])
@@ -511,8 +496,8 @@ def partial_sums(ds: ray.data.Dataset, group_cols: list[str], value_col: str,
 
 
 def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,
-           key: str | list[str], order_col: str | list[str] | None = None,
-           nbuckets: int = 64) -> ray.data.Dataset:
+           key: str | list[str], order_col: str | list[str] | None = None
+           ) -> ray.data.Dataset:
     """Incremental-ingest merge (latest-wins upsert): rows in ``updates``
     replace same-key rows in ``base``; new keys are appended; within each
     side, the greatest ``order_col`` wins. The crawl-refresh operation —
@@ -521,8 +506,8 @@ def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,
 
     Physically just union + dedup_exact(keep="last") over (priority,
     order) — the update side carries priority 1 — so it shares
-    dedup_exact's ``groupby(bucket).map_groups`` exchange and its
-    combiner-shaped local pre-dedup.
+    dedup_exact's key-hash exchange and its combiner-shaped local
+    pre-dedup.
     Schemas must match (``updates`` may be a subset of columns ONLY if
     identical — no partial-column patches; that is a different operator)."""
     keys = [key] if isinstance(key, str) else list(key)
@@ -539,15 +524,14 @@ def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,
     u = base.map_batches(tag(0), batch_format="pyarrow").union(
         updates.select_columns(cols).map_batches(tag(1),
                                                  batch_format="pyarrow"))
-    merged = dedup_exact(u, keys, order_col=["__pri"] + orders,
-                         nbuckets=nbuckets, keep="last")
+    merged = dedup_exact(u, keys, order_col=["__pri"] + orders, keep="last")
     return merged.drop_columns(["__pri"])
 
 
 def upsert_patch(base: ray.data.Dataset, updates: ray.data.Dataset,
                  key: str | list[str],
-                 order_col: str | list[str] | None = None,
-                 nbuckets: int = 64) -> ray.data.Dataset:
+                 order_col: str | list[str] | None = None
+                 ) -> ray.data.Dataset:
     """Partial-column patch merge — the operator :func:`upsert` documents
     as out of its scope: ``updates`` carries the key plus a SUBSET of
     columns; matched base rows take each patch column's value WHERE IT IS
@@ -562,8 +546,9 @@ def upsert_patch(base: ray.data.Dataset, updates: ray.data.Dataset,
     that is unique per key (the usual version/timestamp contract,
     identical to SQL's nondeterministic pick under ROW_NUMBER ties).
 
-    Physical plan: both sides are hash-bucketed on the key and co-located
-    by ONE grouped_apply exchange; the per-bucket kernel is a vectorized
+    Physical plan: both sides co-locate by key hash in ONE exchange
+    (``temporal.grouped_apply`` on the pair; update rows with a null key
+    patch nothing and are dropped); the per-bucket kernel is a vectorized
     pandas latest-per-key + left-merge + combine_first. Output blocks are
     normalized to one explicit Arrow schema (int/bool columns nullable)
     so patched and pass-through blocks never diverge."""
@@ -585,34 +570,11 @@ def upsert_patch(base: ray.data.Dataset, updates: ray.data.Dataset,
     target = pa.schema([(n, base_types.get(n) or upd_types[n])
                         for n in out_names])
 
-    def tag(side: int, carry: list[str]):
-        def f(batch: pa.Table) -> pa.Table:
-            df = batch.select(carry).to_pandas()
-            h = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-            out = {c: batch[c] for c in carry}
-            # pad to the union schema with typed nulls
-            for c in out_names + orders:
-                if c not in carry:
-                    t = base_types.get(c) or upd_types.get(c)
-                    out[c] = pa.nulls(len(batch), t)
-            out["__bucket"] = pa.array(
-                (h % np.uint64(nbuckets)).astype(np.int64))
-            out["__side"] = pa.array(
-                np.full(len(batch), side, dtype=np.int8))
-            return pa.table({c: out[c] for c in out_names + orders
-                             + ["__bucket", "__side"]})
-        return f
-
-    b_tagged = base.map_batches(tag(0, base_names), batch_format="pyarrow")
-    u_tagged = updates.map_batches(tag(1, upd_names),
-                                   batch_format="pyarrow")
-
     def kern(g: pd.DataFrame) -> pd.DataFrame:
-        b = g[g["__side"] == 0][out_names]
-        if not len(b):
-            return pd.DataFrame(columns=out_names)
-        u = g[g["__side"] == 1][keys + orders + patch_cols]
-        if not len(u):
+        side = g["__side"].to_numpy()
+        b = g[side == 0][out_names]
+        u = g[side == 1][keys + orders + patch_cols]
+        if not len(b) or not len(u):
             return b
         if orders:
             u = u.sort_values(keys + orders, kind="mergesort")
@@ -624,6 +586,6 @@ def upsert_patch(base: ray.data.Dataset, updates: ray.data.Dataset,
 
     from ..functions.arrowio import pandas_to_arrow_normalizer
     from ..stages.temporal import grouped_apply
-    out = grouped_apply(b_tagged.union(u_tagged), kern)
+    out = grouped_apply((base, updates), keys, kern)
     return out.map_batches(pandas_to_arrow_normalizer(target),
                            batch_format="pandas", zero_copy_batch=True)

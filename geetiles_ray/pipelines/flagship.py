@@ -101,6 +101,9 @@ def run(
     in cluster mode (it must be shared storage all nodes can reach — a
     default under /tmp would silently be node-local).
 
+    ``dedup_buckets`` is the checkpoint's partition count (default 64 in
+    single mode); without a ``checkpoint_dir`` it has no effect.
+
     With a ``checkpoint_dir`` the url dedup runs inside the checkpoint's
     ``dedup_buckets`` partitions, one task per partition, on the cold run
     and on every resume alike. It is exact because ``partition_of_key``
@@ -168,7 +171,6 @@ def run(
         # partial_counts below (its fold materializes the partials) from
         # re-running the dedup when the caller also consumes `assigned`
         assigned = dedupmod.dedup_exact_broadcast(
-            slim.materialize(), key="url", order_col="warc_ts",
-            nbuckets=dedup_buckets).materialize()
+            slim.materialize(), key="url", order_col="warc_ts").materialize()
     counts = dedupmod.partial_counts(assigned, ["tile_id", "lang"], "n_pages")
     return assigned, counts

@@ -37,7 +37,7 @@ SCALE = 10 ** 12
 
 def pagerank(edges: ray.data.Dataset, n_nodes: int, iters: int = 3,
              src: str = "src", dst: str = "dst",
-             scale: int = SCALE, nbuckets: int = 32,
+             scale: int = SCALE,
              broadcast_limit: int = 8_000_000,
              materialize_edges: bool = True) -> ray.data.Dataset:
     """Integer PageRank over a dense node-id space 0..n_nodes−1.
@@ -125,8 +125,7 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int, iters: int = 3,
                                          "__deg": b["count()"]}),
                      batch_format="pyarrow")
     edges_deg = join_on_identifier(edges, deg, key=src,
-                                   right_cols=["__deg"],
-                                   nbuckets=nbuckets).materialize()
+                                   right_cols=["__deg"]).materialize()
 
     # rank table over the DENSE id space (contract of the signature): all
     # nodes present whether or not they appear in edges
@@ -142,7 +141,7 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int, iters: int = 3,
                 lambda b: pa.table({"node": b[src], "dst": b[dst],
                                     "__deg": b["__deg"]}),
                 batch_format="pyarrow"),
-            ranks, key="node", right_cols=["r"], nbuckets=nbuckets)
+            ranks, key="node", right_cols=["r"])
 
         def contrib(b: pa.Table) -> pa.Table:
             r = b["r"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -37,7 +37,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from .dedup import fold_partials, frequent_keys
+from .dedup import fold_partials, frequent_keys, probe128
 
 _POW_BASE = np.uint64(1000003)  # odd → invertible mod 2^64 (prefix-safe)
 _H2_KEY = "4c1f9d2ab37e6805"
@@ -104,20 +104,8 @@ def _segment_hashes(texts: pd.Series, mode: str, width: int):
 def _member128(h1d: np.ndarray, h2d: np.ndarray,
                b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Membership of (b1,b2) pairs in the (h1,h2)-lexsorted banned arrays:
-    locate the h1 run via searchsorted, probe each slot for the h2 match
-    (runs are length 1 except 64-bit h1 collisions) — the dedup
-    classify-kernel probe (dedup.py:441)."""
-    n = len(b1)
-    found = np.zeros(n, dtype=bool)
-    if not len(h1d) or not n:
-        return found
-    left = np.searchsorted(h1d, b1, side="left")
-    right = np.searchsorted(h1d, b1, side="right")
-    for off in range(int((right - left).max(initial=0))):
-        in_run = off < (right - left)
-        j = np.minimum(left + off, len(h1d) - 1)
-        found |= in_run & (h1d[j] == b1) & (h2d[j] == b2)
-    return found
+    the dedup classify-kernel probe (``dedup.probe128``)."""
+    return probe128(h1d, h2d, b1, b2) >= 0
 
 
 def banned_segments(ds: ray.data.Dataset, text_col: str = "text",

@@ -162,16 +162,15 @@ def lsh_candidate_pairs(band_rows: ray.data.Dataset) -> pd.DataFrame:
     per-group Python overhead on ~|docs|×bands groups (measured 10 s for
     5k docs), so the fold is driver-side vectorized. Right for corpora
     whose band table fits the driver; the scale path is
-    ``lsh_candidate_pairs_ds`` (bucket exchange + same kernel per bucket).
+    ``lsh_candidate_pairs_ds`` (key-hash exchange + same kernel per bucket).
     """
     return _pairs_from_frame(band_rows.to_pandas())
 
 
-def lsh_candidate_pairs_ds(band_rows: ray.data.Dataset,
-                           nbuckets: int = 64) -> ray.data.Dataset:
-    """Distributed candidate-pair generation: hash-bucket band rows on
-    (band, band_hash) and ``groupby(bucket).map_groups`` so every LSH
-    bucket is co-located, run the vectorized run-length kernel per bucket,
+def lsh_candidate_pairs_ds(band_rows: ray.data.Dataset) -> ray.data.Dataset:
+    """Distributed candidate-pair generation: co-locate band rows by the
+    hash of (band, band_hash) (``stages/temporal.grouped_apply``) so every
+    LSH bucket is in one group, run the vectorized run-length kernel per group,
     then globally dedup pairs (the same pair can surface from several
     bands, which land in different buckets). Nothing corpus-sized ever
     reaches the driver.
@@ -181,26 +180,19 @@ def lsh_candidate_pairs_ds(band_rows: ray.data.Dataset,
     exchange. Per-bucket work is O(rows log rows) vectorized numpy.
     """
     from . import dedup as dedupmod
+    from ..stages.temporal import grouped_apply
 
     sch = band_rows.schema()
     id_type = dict(zip(sch.names, sch.types))["doc_id"]
-
-    def tag(batch: pa.Table) -> pa.Table:
-        h = batch["band_hash"].to_numpy()
-        band = batch["band"].to_numpy().astype(np.uint64)
-        mix = h * np.uint64(0x9E3779B97F4A7C15) + band
-        return batch.append_column(
-            "__bucket", pa.array((mix % np.uint64(nbuckets)).astype(np.int64)))
 
     def kernel_df(df: pd.DataFrame) -> pa.Table:
         got = _pairs_from_frame(df)
         return pa.table({"id_a": pa.array(got["id_a"], type=id_type),
                          "id_b": pa.array(got["id_b"], type=id_type)})
 
-    pairs = band_rows.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(kernel_df, batch_format="pandas")
+    pairs = grouped_apply(band_rows, ["band", "band_hash"], kernel_df)
     # a pair found by band 0 and band 3 emerges from two partitions
-    return dedupmod.dedup_exact(pairs, key=["id_a", "id_b"], nbuckets=nbuckets)
+    return dedupmod.dedup_exact(pairs, key=["id_a", "id_b"])
 
 
 def exact_jaccard(texts_by_id: dict, pairs: pd.DataFrame, k: int = 5) -> pd.DataFrame:
@@ -305,14 +297,14 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
     pairs = pairs.repartition(num_partitions)
     sh_a = _rename(sh_tbl, {"id": "id_a", "sh": "sh_a"})
     sh_b = _rename(sh_tbl, {"id": "id_b", "sh": "sh_b"})
-    half = joinsmod.join_on_identifier(
-        pairs, sh_a, key="id_a", right_cols=["sh_a"], nbuckets=num_partitions)
+    half = joinsmod.join_on_identifier(pairs, sh_a, key="id_a",
+                                       right_cols=["sh_a"])
     # re-block to Arrow between the joins: join_on_identifier pads from
     # Dataset.schema() types, which are numpy dtypes for pandas-backed
     # blocks (map_groups output) and would break pa.nulls
     half = half.map_batches(lambda b: b, batch_format="pyarrow").materialize()
-    joined = joinsmod.join_on_identifier(
-        half, sh_b, key="id_b", right_cols=["sh_b"], nbuckets=num_partitions)
+    joined = joinsmod.join_on_identifier(half, sh_b, key="id_b",
+                                         right_cols=["sh_b"])
 
     def verify(batch: pa.Table) -> pa.Table:
         ja = np.empty(len(batch), dtype=np.float64)
@@ -380,8 +372,8 @@ def connected_components_minlabel(edges: ray.data.Dataset,
         # push it to the destination, re-minimize per node
         lbl = _rename(labels, {"id": "src", "label": "src_label"})
         prop = joinsmod.join_on_identifier(
-            es, lbl, key="src", right_cols=["src_label"],
-            nbuckets=num_partitions).select_columns(["dst", "src_label"])
+            es, lbl, key="src", right_cols=["src_label"]) \
+            .select_columns(["dst", "src_label"])
         prop = _rename(prop, {"dst": "id", "src_label": "label"})
         new_labels = labels.union(prop).groupby("id") \
             .aggregate(Min("label", alias_name="label")) \
@@ -398,8 +390,8 @@ def connected_components_minlabel(edges: ray.data.Dataset,
 
 def dedup_minhash_dist(ds: ray.data.Dataset, id_col: str, text_col: str,
                        threshold: float = 0.8, num_perm: int = 128,
-                       bands: int | None = None, shingle_k: int = 5,
-                       nbuckets: int = 64) -> pd.DataFrame:
+                       bands: int | None = None, shingle_k: int = 5
+                       ) -> pd.DataFrame:
     """dedup_minhash with every corpus-sized step distributed: band rows go
     through a hash-partitioned pair kernel (lsh_candidate_pairs_ds), texts
     are fetched by semi-join and verified per-pair in map_batches
@@ -417,7 +409,7 @@ def dedup_minhash_dist(ds: ray.data.Dataset, id_col: str, text_col: str,
             id_col=id_col, text_col=text_col, num_perm=num_perm, bands=bands,
             shingle_k=shingle_k),
         batch_format="pyarrow", concurrency=2)
-    pairs = lsh_candidate_pairs_ds(band_rows, nbuckets=nbuckets).materialize()
+    pairs = lsh_candidate_pairs_ds(band_rows).materialize()
     if pairs.count() == 0:
         return pd.DataFrame({id_col: [], "group_id": []})
     verified = verify_pairs_ds(ds, pairs, id_col, text_col, k=shingle_k)
@@ -664,19 +656,10 @@ def simhash_candidates(ds: ray.data.Dataset, id_col: str,
             out.loc[swap, ["id_b", "id_a"]].to_numpy()
         return out.drop_duplicates(["id_a", "id_b"])
 
-    nbuckets = 64
+    from ..stages.temporal import grouped_apply
 
-    def tag(batch: pa.Table) -> pa.Table:
-        v = batch["val"].to_numpy()
-        b = batch["band"].to_numpy().astype(np.uint64)
-        mix = v * np.uint64(0x9E3779B97F4A7C15) + b
-        return batch.append_column(
-            "__bucket", pa.array((mix % np.uint64(nbuckets)).astype(np.int64)))
-
-    got = ds.map_batches(explode, batch_format="pyarrow") \
-        .map_batches(tag, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(pairs_kernel, batch_format="pandas") \
-        .to_pandas()
+    got = grouped_apply(ds.map_batches(explode, batch_format="pyarrow"),
+                        ["band", "val"], pairs_kernel).to_pandas()
     if len(got) == 0:
         return got
     return got.drop_duplicates(["id_a", "id_b"]).sort_values(

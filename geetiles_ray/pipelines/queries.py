@@ -189,7 +189,7 @@ def q_incremental_dedup(sf_dir: str):
                                        n_partitions=4)
         snap2 = docs.map_batches(mod_mask(2), batch_format="pyarrow")
         out = snapmod.dedup_against_snapshots(
-            snap2, [prior_dir], key="doc_id", nbits=256, nbuckets=8)
+            snap2, [prior_dir], key="doc_id", nbits=256)
         # materialize before the prior dir is removed — the verify path
         # reads the prior keys lazily from it
         return out.sort("doc_id").materialize()

@@ -153,7 +153,7 @@ def cosine_neardup_pairs(ds: ray.data.Dataset, tau: float,
         reps = near.shape[1]
         return pa.table({
             id_col: pa.array(np.repeat(ids, reps)),
-            "__bucket": pa.array(near.ravel().astype(np.int64)),
+            "__centroid": pa.array(near.ravel().astype(np.int64)),
             vec_col: pa.array(np.repeat(m, reps, axis=0).tolist(),
                               type=pa.list_(pa.float64())),
         })
@@ -172,7 +172,8 @@ def cosine_neardup_pairs(ds: ray.data.Dataset, tau: float,
 
     out = ds.select_columns([id_col, vec_col]) \
         .map_batches(explode, batch_format="pyarrow", batch_size=4096) \
-        .groupby("__bucket").map_groups(bucket_pairs, batch_format="pandas") \
+        .groupby("__centroid").map_groups(bucket_pairs,
+                                          batch_format="pandas") \
         .to_pandas()
     if len(out) == 0:
         return out

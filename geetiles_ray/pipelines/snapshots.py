@@ -17,23 +17,22 @@ Scale shape (the whole point at 100 TB):
   snapshot, so rows that are PROVABLY new (Bloom has no false
   negatives) never enter any exchange;
 - only Bloom HITS (true re-crawls + the few-% false positives) are
-  verified exactly, through one co-bucketed hash exchange against the
-  prior keys — the exchange carries |dups| + fp·|new| rows, not the
-  snapshot.
+  verified exactly, through the engine's one two-sided key-hash exchange
+  (stages/temporal.grouped_apply on the (candidates, prior keys) pair)
+  — the exchange carries |dups| + fp·|new| rows, not the snapshot.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.arrowio import dataset_arrow_schema, pandas_to_arrow_normalizer
+from ..functions.arrowio import (dataset_arrow_schema, key_hash,
+                                 pandas_to_arrow_normalizer)
 from ..stages.joins import bloom_member, key_bloom
-from ..stages.temporal import _key_hash
+from ..stages.temporal import grouped_apply
 
 
 def prior_keys(prior_dirs: list[str], key: str) -> ray.data.Dataset:
@@ -57,7 +56,6 @@ def dedup_against_snapshots(
     key: str = "url",
     nbits: int = 1 << 23,
     nhashes: int = 2,
-    nbuckets: int = 64,
 ) -> ray.data.Dataset:
     """Rows of ``ds`` whose ``key`` appears in NO prior snapshot. Exact
     (the Bloom filter only routes: misses bypass, hits are verified by a
@@ -85,7 +83,7 @@ def dedup_against_snapshots(
         def __call__(self, batch: pa.Table) -> pa.Table:
             if not len(batch):
                 return batch
-            hit = bloom_member(self.words, _key_hash(batch[key]),
+            hit = bloom_member(self.words, key_hash(batch, [key]),
                                nbits, nhashes)
             return batch.filter(pa.array(hit == self.want_hit))
 
@@ -96,33 +94,16 @@ def dedup_against_snapshots(
         Split, fn_constructor_kwargs=dict(want_hit=True),
         batch_format="pyarrow", concurrency=(1, 4))
 
-    # exact verify: co-bucket candidates (src=0, full row) with prior keys
-    # (src=1, key only — other columns padded with typed nulls so the
-    # union shares ONE explicit schema) and anti-filter per bucket
-    def tag(src: int):
-        def f(batch: pa.Table) -> pa.Table:
-            b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-            cols = {}
-            for n in out_names:
-                cols[n] = (batch[n] if n in batch.column_names
-                           else pa.nulls(len(batch), type=target.field(n).type))
-            t = pa.table(cols)
-            return t.append_column("__bucket", pa.array(b)) \
-                .append_column("__src", pa.array([src] * len(batch),
-                                                 type=pa.int8()))
-        return f
-
-    both = candidates.map_batches(tag(0), batch_format="pyarrow").union(
-        keys_ds.map_batches(tag(1), batch_format="pyarrow"))
+    # exact verify: co-locate candidates (left, full rows) with the prior
+    # keys (right, key only) and anti-filter per bucket
     to_arrow = pandas_to_arrow_normalizer(target)
 
     def per_bucket(group: pd.DataFrame) -> pa.Table:
-        seen = group.loc[group["__src"] == 1, key]
-        keep = group[(group["__src"] == 0) & ~group[key].isin(seen)]
-        return to_arrow(keep)
+        side = group["__side"].to_numpy()
+        seen = group.loc[side == 1, key]
+        return to_arrow(group[(side == 0) & ~group[key].isin(seen)])
 
-    survivors = both.groupby("__bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    survivors = grouped_apply((candidates, keys_ds), key, per_bucket)
     return new_for_sure.union(survivors)
 
 

@@ -23,6 +23,7 @@ EPSG:4326 degree space, exactly like the reference's shapely ``.area`` on
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -224,102 +225,44 @@ def add_foreign_proportions(tiles: ray.data.Dataset, foreign: ray.data.Dataset,
 
 
 def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,
-                       key: str = "identifier", right_cols: list[str] | None = None,
-                       nbuckets: int = 32) -> ray.data.Dataset:
+                       key: str = "identifier",
+                       right_cols: list[str] | None = None
+                       ) -> ray.data.Dataset:
     """J4 (tiles ⋈ rasters by identifier — the reference does a filesystem
     lookup {dir}/{identifier}.tif, partitions.py:450-453): explicit
-    partitioned hash join. Both sides get a deterministic key-hash bucket
-    column, co-locate via groupby(bucket), and merge per bucket with
-    vectorized pandas. Use when BOTH sides are large; when one side is
-    small, prefer the broadcast pattern (broadcast_foreign / ray.put)."""
-    import pandas as pd
-
-    def tag(side: int):
-        def f(batch: pa.Table) -> pa.Table:
-            from .temporal import _key_hash
-            h = _key_hash(batch[key])
-            b = (h % np.uint64(nbuckets)).astype(np.int64)
-            return batch.append_column("__bucket", pa.array(b)) \
-                .append_column("__side", pa.array([side] * len(batch), type=pa.int8()))
-        return f
+    partitioned hash LEFT join. Both sides co-locate by key hash
+    (``temporal.grouped_apply`` on the pair) and merge per bucket with
+    vectorized pandas; a null key matches nothing. Use when BOTH sides are
+    large; when one side is small, prefer the broadcast pattern
+    (broadcast_foreign / ray.put)."""
+    from .temporal import _empty, _pd_dtypes, _sides, grouped_apply
+    from ..functions.arrowio import _NULLABLE, pa_type
 
     rcols = right_cols or [c for c in right.schema().names if c != key]
-    l_tagged = left.map_batches(tag(0), batch_format="pyarrow")
-    r_tagged = right.select_columns([key] + rcols).map_batches(
-        tag(1), batch_format="pyarrow")
-
-    l_names = [c for c in left.schema().names]
-
-    def _pd_dtype(t):
-        if isinstance(t, pa.DataType):
-            try:
-                return t.to_pandas_dtype()
-            except NotImplementedError:
-                return object
-        return t
-
-    l_dtypes = {n: _pd_dtype(t)
-                for n, t in zip(left.schema().names, left.schema().types)}
-    r_dtypes = {n: _pd_dtype(t)
-                for n, t in zip(right.schema().names, right.schema().types)}
+    right = right.select_columns([key] + rcols)
+    l_dtypes = _pd_dtypes(left)
+    r_dtypes = _pd_dtypes(right)
     # post-merge dtype contract: unmatched left rows put NaN in the right
     # columns, which silently upcasts int64→float64 in SOME blocks (the
     # ones with non-matches) but not others — and diverges from the Arrow
     # typed-null blocks the Bloom bypass emits. Cast merged int/bool right
     # columns to the pandas nullable twin so every block round-trips to
     # the same Arrow type (Int64+NA → int64 with nulls).
-    _nullable = {pa.int8(): "Int8", pa.int16(): "Int16",
-                 pa.int32(): "Int32", pa.int64(): "Int64",
-                 pa.uint8(): "UInt8", pa.uint16(): "UInt16",
-                 pa.uint32(): "UInt32", pa.uint64(): "UInt64",
-                 pa.bool_(): "boolean"}
-    r_arrow = dict(zip(right.schema().names, right.schema().types))
-    r_nullable = {c: _nullable[r_arrow[c]] for c in rcols
-                  if c in r_arrow and r_arrow[c] in _nullable}
+    r_arrow = {n: pa_type(t) for n, t in
+               zip(right.schema().names, right.schema().types)}
+    r_nullable = {c: _NULLABLE[r_arrow[c]] for c in rcols
+                  if r_arrow[c] in _NULLABLE}
+    out_dtypes = {**l_dtypes, **{c: r_nullable.get(c, r_dtypes[c])
+                                 for c in rcols}}
 
     def merge(group: pd.DataFrame) -> pd.DataFrame:
-        lg = group[group["__side"] == 0][l_names]
-        rg = group[group["__side"] == 1][[key] + rcols]
-        if len(lg) == 0:
-            return pd.DataFrame(columns=l_names + rcols)
-        # the pa.nulls schema padding upcasts int columns to float64 when
-        # the unioned block lands in pandas (NaN rows on the OTHER side);
-        # restore each side's true dtypes — a float64 key silently
-        # mismatches its int64 counterpart in the merge below, and the
-        # upcast would also poison any chained second join
-        lg = lg.astype({c: l_dtypes[c] for c in l_names if c in l_dtypes},
-                       copy=False)
-        rg = rg.astype({c: r_dtypes[c] for c in [key] + rcols
-                        if c in r_dtypes}, copy=False)
+        lg, rg = _sides(group, l_dtypes, r_dtypes)
+        if not len(lg):
+            return _empty(out_dtypes)
         out = lg.merge(rg, on=key, how="left")
         return out.astype(r_nullable, copy=False) if r_nullable else out
 
-    # union of two different schemas needs identical columns: pad each side
-    def pad(missing_cols, types):
-        def f(batch: pa.Table) -> pa.Table:
-            out = {n: batch[n] for n in batch.column_names}
-            for n, t in zip(missing_cols, types):
-                out[n] = pa.nulls(len(batch), t)
-            return pa.table(out)
-        return f
-
-    l_schema = dict(zip(left.schema().names, left.schema().types))
-    r_schema = dict(zip(right.schema().names, right.schema().types))
-    l_missing = [c for c in rcols if c not in l_schema]
-    r_missing = [c for c in l_names if c != key and c not in r_schema]
-    l_full = l_tagged.map_batches(
-        pad(l_missing, [r_schema[c] for c in l_missing]), batch_format="pyarrow")
-    r_full = r_tagged.map_batches(
-        pad(r_missing, [l_schema[c] for c in r_missing]), batch_format="pyarrow")
-    ordered_cols = [key] + [c for c in l_names if c != key] + l_missing + \
-        ["__bucket", "__side"]
-    l_full = l_full.select_columns(ordered_cols)
-    r_full = r_full.select_columns(ordered_cols)
-
-    # exchange via grouped_apply's groupby(bucket).map_groups; the merge
-    # kernel is per-key vectorized within each bucket
-    from .temporal import grouped_apply
-    return grouped_apply(l_full.union(r_full), merge)
+    return grouped_apply((left, right), key, merge)
 
 
 def semi_join_ids(ds: ray.data.Dataset, ids, col: str = "identifier",
@@ -363,7 +306,7 @@ def key_bloom(ds: ray.data.Dataset, key: str, nbits: int = 1 << 23,
     bitset partial (1 MiB at the default 8M bits) which the driver ORs —
     constant-size per block regardless of rows. At the default size the
     false-positive rate is ~(1-e^(-kn/m))^k ≈ 4% at 10M keys."""
-    from .temporal import _key_hash
+    from ..functions.arrowio import key_hash
 
     assert nbits % 64 == 0
     nwords = nbits // 64
@@ -371,7 +314,7 @@ def key_bloom(ds: ray.data.Dataset, key: str, nbits: int = 1 << 23,
     def local(batch: pa.Table) -> pa.Table:
         words = np.zeros(nwords, dtype=np.uint64)
         if len(batch):
-            h1 = _key_hash(batch[key])
+            h1 = key_hash(batch, [key])
             for idx in _bloom_positions(h1, nbits, nhashes):
                 np.bitwise_or.at(words, (idx >> np.uint64(6)).astype(np.int64),
                                  np.uint64(1) << (idx & np.uint64(63)))
@@ -400,7 +343,7 @@ def bloom_member(words: np.ndarray, h1: np.ndarray, nbits: int,
 def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
                              key: str = "identifier",
                              right_cols: list[str] | None = None,
-                             nbuckets: int = 32, nbits: int = 1 << 23,
+                             nbits: int = 1 << 23,
                              nhashes: int = 2) -> ray.data.Dataset:
     """join_on_identifier with a Bloom exchange-bypass: left rows whose key
     is PROVABLY absent from the right side (Bloom filters have no false
@@ -428,9 +371,7 @@ def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
     O(nbits) however big the right side is; with a selective right side
     the exchange shrinks by the non-match fraction, which is the whole
     shuffle at high selectivity."""
-    from .temporal import _key_hash
-
-    from ..functions.arrowio import pa_type
+    from ..functions.arrowio import key_hash, pa_type
 
     bloom_ref = key_bloom(right, key, nbits, nhashes)
     rcols = right_cols or [c for c in right.schema().names if c != key]
@@ -444,7 +385,7 @@ def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
             if not len(batch):
                 return batch
             words = ray.get(bloom_ref)
-            m = bloom_member(words, _key_hash(batch[key]), nbits, nhashes)
+            m = bloom_member(words, key_hash(batch, [key]), nbits, nhashes)
             return batch.filter(pa.array(m if want_hit else ~m))
         return f
 
@@ -457,7 +398,7 @@ def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
             out[c] = pa.nulls(len(batch), r_schema[c])
         return pa.table(out)
 
-    joined = join_on_identifier(maybe, right, key, rcols, nbuckets)
+    joined = join_on_identifier(maybe, right, key, rcols)
     # the merge kernel emits exactly left-columns + rcols; order the
     # bypass identically WITHOUT joined.schema() (which would execute)
     out_names = list(left.schema().names) + rcols

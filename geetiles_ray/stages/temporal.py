@@ -1,12 +1,16 @@
 """Temporal join / window operators Ray Data lacks natively: as-of join,
-interval (range) join, hopping-window expansion.
+interval (range) join, hopping-window expansion, and the per-key window
+operators (sessions, lags, funnels, cohorts, rolling actives, transitions).
 
-All three follow the same scale discipline as stages/joins.py: co-locate by
-a deterministic key-hash bucket (groupby on a small int column — ONE
-exchange whose traffic is the pruned join columns, never the payload), then
-a vectorized pandas/numpy kernel per bucket. No global sort, no driver-side
-row loops; skew is bounded by nbuckets and, for the interval join, by the
-bin width (a hot key still splits across time bins).
+This module also holds the engine's one co-location step,
+``grouped_apply``: rows are tagged with a hash of their key
+(``functions/arrowio.key_hash``) modulo ``bucket_count()`` and exchanged
+by one Ray ``groupby``/``map_groups`` on that tag (ONE exchange whose
+traffic is the pruned columns, never the payload), then a vectorized
+pandas/numpy kernel runs per bucket. Two-sided operators pass it a (left, right) pair. No
+global sort, no driver-side row loops; a bucket holds about 1/64 of the
+keys or less, and the interval join also splits a hot key across time
+bins.
 
 Partitioning assumptions (documented per the custom-operator contract):
 - asof_join: all rows of one key land in one bucket → per-key time order is
@@ -15,10 +19,10 @@ Partitioning assumptions (documented per the custom-operator contract):
   interval join's bin trick); crawl-shaped keys (user, domain) are far
   below that.
 - interval_join: matches only ever cross (key, time-bin) pairs, so both
-  sides co-locate on hash(key, bin); each point lives in exactly one bin so
-  no output dedup pass is needed. Intervals replicate to the bins they
-  cover — pick bin_us ≈ the typical interval length so that factor stays
-  O(1).
+  sides co-locate on the hash of (key, bin); each point lives in exactly
+  one bin so no output dedup pass is needed. Intervals replicate to the
+  bins they cover — pick bin_us ≈ the typical interval length so that
+  factor stays O(1).
 """
 
 from __future__ import annotations
@@ -26,86 +30,145 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd → bijective mod 2^64
+def bucket_count() -> int:
+    """Hash buckets per co-location exchange: many more buckets than
+    workers, so one hot bucket is a small share of any worker's load (the
+    reduce-skew defence of FP-Hadoop), derived from the cluster's CPUs
+    and never asked of the caller. At least 64, the widest default any
+    operator had before the width was derived."""
+    import ray as _ray
+    ncpu = int(_ray.cluster_resources().get("CPU", 0)) \
+        if _ray.is_initialized() else 0
+    return max(64, 2 * ncpu)
 
 
-def _key_hash(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Deterministic uint64 hash of a key column. Numeric keys hash on
-    their native numpy dtype (vectorized C path in hash_array — ~40x the
-    per-element object path); strings fall back to object hashing."""
-    try:
-        arr = col.to_numpy(zero_copy_only=False)
-    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-        arr = np.asarray(col.to_pylist(), dtype=object)
-    if arr.dtype == object:
-        arr = np.asarray(col.to_pylist(), dtype=object)
-    return pd.util.hash_array(arr)
+def _bucket_tag(keys: list[str]):
+    """map_batches fn appending ``__bucket`` = ``key_hash(keys) mod
+    bucket_count()`` to an Arrow batch."""
+    from ..functions.arrowio import key_hash
+
+    nb = np.uint64(bucket_count())
+
+    def tag(batch: pa.Table) -> pa.Table:
+        b = (key_hash(batch, keys) % nb).astype(np.int64)
+        # pandas metadata (parquet written from pandas) breaks schema hashing
+        return batch.replace_schema_metadata(None) \
+            .append_column("__bucket", pa.array(b))
+
+    return tag
 
 
-def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
-                    bucket_of_left, bucket_of_right) -> ray.data.Dataset:
-    """Tag each side with __bucket/__side, pad to a shared schema with typed
-    nulls, union. The groupby("__bucket") downstream is the one exchange.
-    (Same skeleton as joins.join_on_identifier; the dtype-restore happens in
-    each caller's kernel because null padding upcasts ints to float64.)"""
-    def tag(side: int, bucket_of):
-        def f(batch: pa.Table) -> pa.Table:
-            b = bucket_of(batch).astype(np.int64)
-            return batch.append_column("__bucket", pa.array(b)) \
-                .append_column("__side",
-                               pa.array([side] * len(batch), type=pa.int8()))
-        return f
+def grouped_apply(ds, keys: str | list[str], kernel,
+                  batch_format: str = "pandas") -> ray.data.Dataset:
+    """Run ``kernel`` once per co-located bucket of ``ds``: rows are
+    tagged with ``key_hash(keys) mod bucket_count()`` and exchanged by
+    ``groupby("__bucket").map_groups`` — the engine's one co-location
+    plan. The kernel sees every row of a bucket, hence every row of each
+    key, together (without the ``__bucket`` tag), in ``batch_format``,
+    and is never called on an empty group.
 
-    l_tagged = left.map_batches(tag(0, bucket_of_left), batch_format="pyarrow")
-    r_tagged = right.map_batches(tag(1, bucket_of_right), batch_format="pyarrow")
+    ``ds`` is one dataset, or the (left, right) pair of a two-sided
+    operator: ``_union_bucketed`` then tags each side before the union,
+    and the kernel splits a group with ``_sides``."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    if isinstance(ds, tuple):
+        tagged = _union_bucketed(*ds, keys)
+    else:
+        tagged = ds.map_batches(_bucket_tag(keys), batch_format="pyarrow")
 
-    l_schema = dict(zip(left.schema().names, left.schema().types))
-    r_schema = dict(zip(right.schema().names, right.schema().types))
+    def untagged(group):
+        if isinstance(group, pa.Table):
+            return kernel(group.drop_columns(["__bucket"]))
+        return kernel(group.drop(columns=["__bucket"]))
 
-    def pad(missing: dict):
-        def f(batch: pa.Table) -> pa.Table:
-            out = {n: batch[n] for n in batch.column_names}
-            for n, t in missing.items():
-                out[n] = pa.nulls(len(batch), t)
-            return pa.table(out)
-        return f
-
-    l_missing = {c: t for c, t in r_schema.items() if c not in l_schema}
-    r_missing = {c: t for c, t in l_schema.items() if c not in r_schema}
-    ordered = list(l_schema) + list(l_missing) + ["__bucket", "__side"]
-    l_full = l_tagged.map_batches(pad(l_missing), batch_format="pyarrow") \
-        .select_columns(ordered)
-    r_full = r_tagged.map_batches(pad(r_missing), batch_format="pyarrow") \
-        .select_columns(ordered)
-    return l_full.union(r_full)
-
-
-def grouped_apply(tagged: ray.data.Dataset, kernel) -> ray.data.Dataset:
-    """Run ``kernel`` (pandas frame → pandas frame) once per co-located
-    bucket of ``tagged`` (which carries an int64 ``__bucket`` column), via
-    ``groupby("__bucket").map_groups`` — the engine's one co-location plan.
-    The kernel sees every row of a bucket, hence every row of each key,
-    together, and is never called on an empty group."""
-    return tagged.groupby("__bucket").map_groups(kernel,
-                                                 batch_format="pandas")
+    return tagged.groupby("__bucket").map_groups(untagged,
+                                                 batch_format=batch_format)
 
 
 def _pd_dtypes(ds: ray.data.Dataset) -> dict:
+    """Pandas dtype per column of ``ds`` (pandas-block datasets already
+    report dtypes)."""
     out = {}
     for n, t in zip(ds.schema().names, ds.schema().types):
         try:
-            out[n] = t.to_pandas_dtype()
+            out[n] = t.to_pandas_dtype() if isinstance(t, pa.DataType) else t
         except (NotImplementedError, pa.ArrowNotImplementedError):
             out[n] = object
     return out
 
 
+def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
+                    keys: list[str]) -> ray.data.Dataset:
+    """The engine's one two-sided tag, pad and union step, behind
+    ``grouped_apply((left, right), keys, kernel)``: pad both sides to ONE
+    schema with typed nulls (a column both sides carry takes the promoted
+    type, so an int32 key meets an int64 one), tag each row with
+    ``__side`` (0 left, 1 right) and its ``__bucket``, and union. Right
+    rows with a null key are dropped — no join matches a null key."""
+    from ..functions.arrowio import pa_type
+
+    l_schema = {n: pa_type(t) for n, t in
+                zip(left.schema().names, left.schema().types)}
+    r_schema = {n: pa_type(t) for n, t in
+                zip(right.schema().names, right.schema().types)}
+    target = pa.unify_schemas(
+        [pa.schema(l_schema.items()), pa.schema(r_schema.items())],
+        promote_options="permissive").append(pa.field("__side", pa.int8()))
+    tag = _bucket_tag(keys)
+
+    def pad(side: int):
+        def f(batch: pa.Table) -> pa.Table:
+            if side:
+                for k in keys:
+                    batch = batch.filter(pc.is_valid(batch[k]))
+            n = len(batch)
+            cols = [batch[c.name].cast(c.type) if c.name in batch.column_names
+                    else pa.nulls(n, c.type) for c in target]
+            cols[-1] = pa.array(np.full(n, side, dtype=np.int8))
+            return tag(pa.Table.from_arrays(cols, schema=target))
+        return f
+
+    return left.map_batches(pad(0), batch_format="pyarrow").union(
+        right.map_batches(pad(1), batch_format="pyarrow"))
+
+
+def _restore(df: pd.DataFrame, dtypes: dict) -> pd.DataFrame:
+    """``df`` with ``dtypes`` restored. Null padding upcasts integer
+    columns to float64 (booleans to object) when a two-sided group lands
+    in pandas; a column that holds real nulls takes its nullable twin."""
+    from ..functions.arrowio import _NULLABLE
+
+    out = {}
+    for c, t in dtypes.items():
+        if df[c].dtype == t:
+            continue
+        if pd.api.types.pandas_dtype(t).kind in "iub" and df[c].hasnans:
+            t = _NULLABLE[pa.from_numpy_dtype(t)]
+        out[c] = t
+    return df.astype(out, copy=False) if out else df
+
+
+def _sides(g: pd.DataFrame, l_dtypes: dict, r_dtypes: dict):
+    """(left rows, right rows) of a ``_union_bucketed`` group, each side
+    with its own columns and dtypes."""
+    side = g["__side"].to_numpy()
+    return (_restore(g[side == 0][list(l_dtypes)], l_dtypes),
+            _restore(g[side == 1][list(r_dtypes)], r_dtypes))
+
+
+def _empty(dtypes: dict) -> pd.DataFrame:
+    """Typed zero-row frame: an object-dtype empty would make Ray's schema
+    unification treat the block as a new schema."""
+    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in dtypes.items()})
+
+
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
               on: str, right_on: str | None = None,
-              tiebreak: str | None = None, direction: str = "backward",
-              nbuckets: int = 32) -> ray.data.Dataset:
+              tiebreak: str | None = None, direction: str = "backward"
+              ) -> ray.data.Dataset:
     """Inner as-of join: each left row matches the right row (same ``key``)
     with the greatest ``right_on`` ≤ ``left[on]`` (direction="backward";
     "forward" = least ≥). Ties on equal ``right_on`` break to the greatest
@@ -136,33 +199,22 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
 
     l_dtypes = _pd_dtypes(left)
     r_dtypes = _pd_dtypes(right)
-
-    def b_left(batch: pa.Table) -> np.ndarray:
-        return _key_hash(batch[key]) % np.uint64(nbuckets)
-
-    unioned = _union_bucketed(left, right, b_left, b_left)
-    out_cols = l_names + r_payload
-    # typed empty frame for one-sided buckets: an object-dtype empty would
-    # make Ray's schema unification treat the block as a new schema
-    out_dtypes = {**{c: l_dtypes[c] for c in l_names},
-                  **{c: r_dtypes[c] for c in r_payload}}
-    empty = pd.DataFrame(columns=out_cols).astype(out_dtypes)
+    # typed empty frame for one-sided buckets
+    empty = _empty({**l_dtypes, **{c: r_dtypes[c] for c in r_payload}})
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == 0][l_names]
-        rg = g[g["__side"] == 1][[key, right_on] + r_payload]
+        lg, rg = _sides(g, l_dtypes, r_dtypes)
+        # a null key never matches (right ones never reach the kernel)
+        lg = lg[lg[key].notna()]
         if not len(lg) or not len(rg):
             return empty.copy()
-        lg = lg.astype({c: l_dtypes[c] for c in l_names}, copy=False) \
-            .sort_values(on, kind="mergesort")
+        lg = lg.astype({key: l_dtypes[key]}).sort_values(on, kind="mergesort")
         # ties on right_on break to the GREATEST tiebreak in both
         # directions: merge_asof takes the LAST equal-on row backward but
         # the FIRST forward, so the tiebreak sort flips with direction
         sort_cols = [right_on] + ([tiebreak] if tiebreak else [])
         asc = [True] + ([direction == "backward"] if tiebreak else [])
-        rg = rg.astype({c: r_dtypes[c] for c in [key, right_on] + r_payload},
-                       copy=False).sort_values(sort_cols, ascending=asc,
-                                               kind="mergesort")
+        rg = rg.sort_values(sort_cols, ascending=asc, kind="mergesort")
         if right_on != on:
             rg = rg.rename(columns={right_on: on})
         m = pd.merge_asof(lg, rg, on=on, by=key, direction=direction)
@@ -170,7 +222,7 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
         # NaN rows (now dropped) upcast int right columns to float64
         return m.astype({c: r_dtypes[c] for c in r_payload}, copy=False)
 
-    return grouped_apply(unioned, kernel)
+    return grouped_apply((left, right), key, kernel)
 
 
 def _pool_size() -> tuple:
@@ -235,8 +287,8 @@ def asof_join_broadcast(left: ray.data.Dataset, right: pd.DataFrame,
 
 
 def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
-                  key: str, ts: str, lo: str, hi: str, bin_width: int,
-                  nbuckets: int = 32) -> ray.data.Dataset:
+                  key: str, ts: str, lo: str, hi: str, bin_width: int
+                  ) -> ray.data.Dataset:
     """Inner range join: (point, interval) pairs with equal ``key`` and
     ``lo ≤ ts < hi``. ``ts``/``lo``/``hi`` are int64 (e.g. epoch µs —
     convert timestamps upstream); ``bin_width`` is in the same unit.
@@ -280,30 +332,21 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
 
     p_binned = points.map_batches(with_bin_points, batch_format="pyarrow")
     i_binned = intervals.map_batches(explode_intervals, batch_format="pyarrow")
-
-    def bucket(batch: pa.Table) -> np.ndarray:
-        h = _key_hash(batch[key])
-        b = batch["__bin"].to_numpy().astype(np.uint64)
-        return (h ^ (b * _MIX)) % np.uint64(nbuckets)
-
-    unioned = _union_bucketed(p_binned, i_binned, bucket, bucket)
     out_cols = i_names + [c for c in p_names if c != key]
-    empty = pd.DataFrame(columns=out_cols).astype(
-        {**{c: i_dtypes[c] for c in i_names},
-         **{c: p_dtypes[c] for c in p_names if c != key}})
+    empty = _empty({**i_dtypes, **{c: p_dtypes[c] for c in out_cols
+                                   if c not in i_dtypes}})
+    binned = {"__bin": np.dtype(np.int64)}
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        pg = g[g["__side"] == 0][p_names + ["__bin"]]
-        ig = g[g["__side"] == 1][i_names + ["__bin"]]
+        pg, ig = _sides(g, {**p_dtypes, **binned}, {**i_dtypes, **binned})
+        pg = pg[pg[key].notna()]
         if not len(pg) or not len(ig):
             return empty.copy()
-        pg = pg.astype({c: p_dtypes[c] for c in p_names}, copy=False)
-        ig = ig.astype({c: i_dtypes[c] for c in i_names}, copy=False)
-        m = ig.merge(pg, on=[key, "__bin"])
+        m = ig.merge(pg.astype({key: p_dtypes[key]}), on=[key, "__bin"])
         m = m[(m[lo] <= m[ts]) & (m[ts] < m[hi])]
         return m[out_cols]
 
-    return grouped_apply(unioned, kernel)
+    return grouped_apply((p_binned, i_binned), [key, "__bin"], kernel)
 
 
 def interval_join_broadcast(points: ray.data.Dataset,
@@ -410,29 +453,20 @@ def hopping_windows(ds: ray.data.Dataset, ts: str, length: int, hop: int,
 
 def session_windows(ds: ray.data.Dataset, key: str, ts: str,
                     gap: int, order_tiebreak: str | None = None,
-                    out_col: str = "session_id",
-                    nbuckets: int = 32) -> ray.data.Dataset:
+                    out_col: str = "session_id") -> ray.data.Dataset:
     """Sessionization: assign every row a 0-based per-key session id,
     incremented whenever the gap to the previous event of the same key
     exceeds ``gap`` (same units as ``ts`` — keep ``ts`` integer so the
     comparison is engine-exact). The streaming-window operator behind
     user_sessions, promoted to a first-class stage: one key-hash exchange
-    (grouped_apply's ``groupby(bucket).map_groups``), then a
+    (``grouped_apply``), then a
     vectorized sort + diff + cumsum kernel per bucket; no per-row Python,
     no state actor (the exchange co-locates each key's whole timeline,
     which is the partitioning assumption — a key's events must fit one
     task, true for user/host timelines at any corpus size)."""
     tb = [order_tiebreak] if order_tiebreak else []
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.drop(columns=["__bucket"])
         d = df.sort_values([key, ts] + tb, kind="mergesort")
         kk = d[key].to_numpy()
         tt = d[ts].to_numpy()
@@ -449,15 +483,15 @@ def session_windows(ds: ray.data.Dataset, key: str, ts: str,
         starts = np.nonzero(new_key)[0]
         base[starts] = sid[starts]
         d[out_col] = sid - np.maximum.accumulate(base)
-        return d.drop(columns=["__bucket"])
+        return d
 
-    return grouped_apply(tagged, kernel)
+    return grouped_apply(ds, key, kernel)
 
 
 def lag_deltas(ds: ray.data.Dataset, key: str, ts: str,
                order_tiebreak: str | None = None,
-               out_col: str = "delta", first_value: int = -1,
-               nbuckets: int = 32) -> ray.data.Dataset:
+               out_col: str = "delta", first_value: int = -1
+               ) -> ray.data.Dataset:
     """Per-key LAG window: every row gets ``ts - LAG(ts)`` over
     (PARTITION BY key ORDER BY ts, tiebreak) — inter-arrival deltas, the
     lead/lag window operator session_windows' cumsum cannot express. The
@@ -468,15 +502,7 @@ def lag_deltas(ds: ray.data.Dataset, key: str, ts: str,
     (keep ``ts`` integer so the subtraction is engine-exact)."""
     tb = [order_tiebreak] if order_tiebreak else []
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return df.drop(columns=["__bucket"])
         d = df.sort_values([key, ts] + tb, kind="mergesort")
         kk = d[key].to_numpy()
         tt = d[ts].to_numpy()
@@ -488,15 +514,14 @@ def lag_deltas(ds: ray.data.Dataset, key: str, ts: str,
         new_key[1:] = kk[1:] != kk[:-1]
         delta[new_key] = first_value
         d[out_col] = delta
-        return d.drop(columns=["__bucket"])
+        return d
 
-    return grouped_apply(tagged, kernel)
+    return grouped_apply(ds, key, kernel)
 
 
 def funnel_steps(ds: ray.data.Dataset, steps: list[str],
                  key: str = "user_id", ts: str = "ts",
-                 type_col: str = "event_type",
-                 nbuckets: int = 32) -> ray.data.Dataset:
+                 type_col: str = "event_type") -> ray.data.Dataset:
     """Ordered funnel progression per key: how many of ``steps`` the key
     completed IN ORDER — step i+1 must occur strictly after the chosen
     step-i event. The match rule is chained earliest-first (first step-0
@@ -511,18 +536,7 @@ def funnel_steps(ds: ray.data.Dataset, steps: list[str],
     (key, steps_reached) for EVERY key present — the zeros are the
     funnel's drop-off report."""
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.select_columns([key, ts, type_col]) \
-        .map_batches(tag, batch_format="pyarrow")
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({key: pd.Series([], dtype="int64"),
-                                 "steps_reached": pd.Series([],
-                                                            dtype="int64")})
         t64 = df[ts].astype("int64")
         reached = pd.Series(0, index=pd.Index(df[key].unique(), name=key),
                             dtype="int64")
@@ -546,16 +560,16 @@ def funnel_steps(ds: ray.data.Dataset, steps: list[str],
             frontier = first
         out = reached.reset_index()
         out.columns = [key, "steps_reached"]
-        return out.drop(columns=["__bucket"], errors="ignore")
+        return out
 
-    return grouped_apply(tagged, kernel)
+    return grouped_apply(ds.select_columns([key, ts, type_col]), key, kernel)
 
 
 def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
                      key: str = "user_id", ts: str = "ts",
                      type_col: str = "event_type",
-                     week_us: int = 7 * 86400 * 1_000_000,
-                     nbuckets: int = 32) -> ray.data.Dataset:
+                     week_us: int = 7 * 86400 * 1_000_000
+                     ) -> ray.data.Dataset:
     """Cohort retention matrix: users cohorted by the epoch-week of
     their FIRST ``anchor_type`` event; a user counts as retained in
     week-offset w if ANY of their events lands in
@@ -569,20 +583,10 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
     (cohort, offset, partial-count) rows into a tiny final groupby."""
     from ray.data.aggregate import Sum
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.select_columns([key, ts, type_col]) \
-        .map_batches(tag, batch_format="pyarrow")
+    empty = _empty({"cohort_week": np.int64, "week_offset": np.int64,
+                    "__n": np.int64})
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "cohort_week": pd.Series([], dtype="int64"),
-            "week_offset": pd.Series([], dtype="int64"),
-            "__n": pd.Series([], dtype="int64")})
-        if not len(df):
-            return empty
         t64 = df[ts].astype("datetime64[us]").astype("int64")
         anchors = t64[df[type_col] == anchor_type] \
             .groupby(df.loc[df[type_col] == anchor_type, key].to_numpy()) \
@@ -591,13 +595,13 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
         # whose ~256 µs resolution at 2020s epochs can shift a boundary
         sub = df[df[key].isin(anchors.index)]
         if not len(sub):
-            return empty
+            return empty.copy()
         t0v = anchors.loc[sub[key]].to_numpy()
         t64s = t64[sub.index].to_numpy()
         m = t64s >= t0v
         sub, t0v, t64s = sub[m], t0v[m], t64s[m]
         if not len(sub):
-            return empty
+            return empty.copy()
         out = pd.DataFrame({
             key: sub[key].to_numpy(),
             "cohort_week": t0v // week_us,
@@ -607,7 +611,8 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
         return g.astype({"cohort_week": "int64", "week_offset": "int64",
                          "__n": "int64"})
 
-    partial = grouped_apply(tagged, kernel)
+    partial = grouped_apply(ds.select_columns([key, ts, type_col]), key,
+                            kernel)
     agg = partial.groupby(["cohort_week", "week_offset"]) \
         .aggregate(Sum("__n"))
 
@@ -619,8 +624,7 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
 
 
 def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
-                   ts: str = "ts", window_days: int = 7,
-                   nbuckets: int = 32) -> ray.data.Dataset:
+                   ts: str = "ts", window_days: int = 7) -> ray.data.Dataset:
     """Rolling N-day active users (the WAU/MAU metric), EXACT: for each
     epoch-day d, how many distinct keys had at least one event in
     ``[d − N + 1, d]``. Sliding distinct counts resist sketch-free
@@ -635,18 +639,7 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
 
     day_us = 86400 * 1_000_000
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.select_columns([key, ts]) \
-        .map_batches(tag, batch_format="pyarrow")
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "window_end_day": pd.Series([], dtype="int64"),
-                "__n": pd.Series([], dtype="int64")})
         day = (df[ts].astype("datetime64[us]").astype("int64")
                // day_us).to_numpy()
         kd = pd.DataFrame({key: df[key].to_numpy(), "d": day}) \
@@ -661,7 +654,7 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
         g.columns = ["window_end_day", "__n"]
         return g.astype({"window_end_day": "int64", "__n": "int64"})
 
-    partial = grouped_apply(tagged, kernel)
+    partial = grouped_apply(ds.select_columns([key, ts]), key, kernel)
     agg = partial.groupby("window_end_day").aggregate(Sum("__n"))
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -672,8 +665,7 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
 
 def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
                       ts: str = "ts", type_col: str = "event_type",
-                      order_col: str = "event_id",
-                      nbuckets: int = 32) -> ray.data.Dataset:
+                      order_col: str = "event_id") -> ray.data.Dataset:
     """First-order transition counts over each key's event sequence
     (the empirical Markov matrix behind next-action models and bot
     detection): sort each key's events by (ts, order_col) — the
@@ -684,19 +676,7 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
     window."""
     from ray.data.aggregate import Sum
 
-    def tag(batch: pa.Table) -> pa.Table:
-        b = (_key_hash(batch[key]) % np.uint64(nbuckets)).astype(np.int64)
-        return batch.append_column("__bucket", pa.array(b))
-
-    tagged = ds.select_columns([key, ts, type_col, order_col]) \
-        .map_batches(tag, batch_format="pyarrow")
-
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({
-                "cur_type": pd.Series([], dtype="object"),
-                "next_type": pd.Series([], dtype="object"),
-                "__n": pd.Series([], dtype="int64")})
         d = df.sort_values([key, ts, order_col], kind="mergesort")
         nxt = d[type_col].shift(-1)
         same = d[key].to_numpy()[:-1] == d[key].to_numpy()[1:]
@@ -712,7 +692,9 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
     from ..functions.arrowio import pandas_to_arrow_normalizer
     target = pa.schema([("cur_type", pa.string()),
                         ("next_type", pa.string()), ("__n", pa.int64())])
-    partial = grouped_apply(tagged, kernel).map_batches(
+    partial = grouped_apply(
+        ds.select_columns([key, ts, type_col, order_col]), key, kernel
+    ).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
     agg = partial.groupby(["cur_type", "next_type"]).aggregate(Sum("__n"))
 

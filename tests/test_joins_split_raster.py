@@ -406,11 +406,12 @@ class TestBloomJoin:
         ds = ray.data.from_pandas(pd.DataFrame({"k": keys}))
         ref = joins.key_bloom(ds, "k", nbits=1 << 16)
         words = ray.get(ref)
-        from geetiles_ray.stages.temporal import _key_hash
-        h = _key_hash(pa.chunked_array([pa.array(keys)]))
+        from geetiles_ray.functions.arrowio import key_hash
+        h = key_hash(pa.table({"k": keys}), ["k"])
         assert joins.bloom_member(words, h, 1 << 16, 2).all()
         # non-member false-positive rate is bounded (~1% at this sizing)
-        other = _key_hash(pa.chunked_array(
-            [pa.array(rng.integers(10**12, 2 * 10**12, 5000).astype("int64"))]))
+        other = key_hash(pa.table(
+            {"k": rng.integers(10**12, 2 * 10**12, 5000).astype("int64")}),
+            ["k"])
         fp = joins.bloom_member(words, other, 1 << 16, 2).mean()
         assert fp < 0.1, fp

@@ -45,7 +45,7 @@ class TestDedupAgainstSnapshots:
         })
         got = snap.dedup_against_snapshots(
             ray.data.from_pandas(df2), [out1], key="url",
-            nbits=64, nbuckets=8).to_pandas()
+            nbits=64).to_pandas()
         want = df2[~df2.url.isin(df1.url)]
         assert sorted(got.url) == sorted(want.url)
         pd.testing.assert_frame_equal(

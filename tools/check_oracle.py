@@ -83,7 +83,8 @@ def main():
     ncpu = int(os.environ.get("GRAFT_ORACLE_CPUS", "8"))
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
     from geetiles_ray.ray_tuning import tune
 
     tune(ncpu)
