@@ -19,15 +19,16 @@ from geetiles_ray.pipelines import dedup
 from geetiles_ray.stages import joins, temporal
 
 
+# two int64 blocks; only the second has a null in ``k``, so a numpy-dtype
+# hash sees 5 as int64 in one block and float64 in the other
+_B1 = pa.table({"k": pa.array([5, 7], pa.int64()),
+                "ts": pa.array([1, 1], pa.int64())})
+_B2 = pa.table({"k": pa.array([5, None], pa.int64()),
+                "ts": pa.array([2, 2], pa.int64())})
+
+
 def _split_key_blocks() -> ray.data.Dataset:
-    """Two int64 blocks; only the second has a null in ``k``, so a
-    numpy-dtype hash sees 5 as int64 in one block and float64 in the
-    other."""
-    return ray.data.from_arrow([
-        pa.table({"k": pa.array([5, 7], pa.int64()),
-                  "ts": pa.array([1, 1], pa.int64())}),
-        pa.table({"k": pa.array([5, None], pa.int64()),
-                  "ts": pa.array([2, 2], pa.int64())})])
+    return ray.data.from_arrow([_B1, _B2])
 
 
 def _rows(df: pd.DataFrame, cols: list[str]) -> list[tuple]:
@@ -61,11 +62,9 @@ def _join():
 
 
 def _upsert():
-    blocks = _split_key_blocks()
-    base, updates = (ray.data.from_arrow(b) for b in
-                     ray.get(blocks.to_arrow_refs()))
-    return _rows(dedup.upsert(base, updates, "k", "ts").to_pandas(),
-                 ["k", "ts"])
+    return _rows(dedup.upsert(ray.data.from_arrow(_B1),
+                              ray.data.from_arrow(_B2), "k", "ts")
+                 .to_pandas(), ["k", "ts"])
 
 
 def _asof():
