@@ -3,10 +3,14 @@
 Default: runs the flagship pipeline (generate pages → dedup-by-url →
 html→text extraction → geocode → tile assignment → per-tile lang counts)
 over a deterministic synthetic page table, plus the oracle query suite over
-$GRAFT_SF_DIR, and prints ONE JSON line:
+$GRAFT_SF_DIR (every ``REGISTRY`` query less ``SKIP_QUERIES``, or
+``--only name[,name]``), and prints ONE short JSON line, the headline and
+the host probes:
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
-     "queries": {...}, "sf": ..., "num_cpus": N, ...}
+     "pages_per_sec": ..., "queries_sec": ..., "host_matmul_sec": ..., ...}
+
+The per-query times go to ``bench_queries.json`` beside this file.
 
 --scaling: runs the headline in fresh processes at num_cpus=N and 4N
 (default 4 and 16, best-of-3 per leg — GRAFT_SCALE_LO/HI/REPS) on the
@@ -27,36 +31,33 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 N_PAGES = int(os.environ.get("GRAFT_BENCH_PAGES", "4000000"))
 SF = float(SF_DIR.rstrip("/").rsplit("sf", 1)[-1]) if "sf" in SF_DIR else -1.0
+QUERIES_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "bench_queries.json")
 
-BENCH_QUERIES = ["page_tile_counts", "tile_lang_share", "dedup_events",
-                 "pricing_summary", "top_customers", "events_hourly",
-                 "token_stats", "knn_pages",
-                 # round-2 operators
-                 "dedup_events_broadcast", "orders_customer_join",
-                 "embedding_neardup", "ann_topk",
-                 # round-3 operators
-                 "asof_join_events", "purchase_window_events",
-                 "top_orders_per_customer", "price_quantiles",
-                 "top_tokens", "stratified_sample",
-                 "kmeans_clusters", "ann_lsh",
-                 # round-3b operators
-                 "segment_dedup", "domain_stats", "tile_pyramid",
-                 "sales_rollup", "running_totals", "token_postings",
-                 "tfidf_terms", "lang_quantiles", "quality_filter",
-                 "orders_join_bloom", "events_zscore", "repetition_stats",
-                 "host_cap", "events_outliers", "hll_users", "cms_events",
-                 "unigram_logprob", "pmi_pairs", "pagerank_docs",
-                 "tile_top_tokens", "upsert_orders", "json_props",
-                 "event_sessions",
-                 # round-4 operators
-                 "decontaminate", "video_features", "patch_orders",
-                 "normalize_text", "model_score", "skipgram_pairs",
-                 "link_graph", "host_rank", "event_deltas", "canonical_urls",
-                 "pack_bins", "importance_weights",
-                 # round-5 operators
-                 "bpe_tokens", "incremental_dedup", "chunk_docs",
-                 "redact_pii", "shard_plan", "curation_shards", "dup_ngrams", "mixture_take", "oov_rate", "crawl_budget", "centroid_outliers", "funnel_steps", "cohort_retention", "rolling_active", "event_transitions",
-                 "shipping_priority", "late_orders", "chunk_texts", "priority_shipmix", "promo_share", "returned_revenue"]
+# Known hangs (perfbench/README.md) the query suite leaves out: query →
+# the CPU count below which it hangs (None: at any count). ``--only``
+# still runs any of them by name.
+SKIP_QUERIES = {
+    "audio_features": None,   # decode-bound: over 60 s
+    "image_features": None,   # decode-bound: over 60 s
+    "oov_rate": 5,            # its 4-actor pool holds every CPU at 4
+    "tfidf_terms": 2,         # fixed 2-actor pool
+    "incremental_dedup": 2,
+    "returned_revenue": 2,
+}
+
+
+def suite_queries(registry, ncpu: int, only: list[str] | None = None):
+    """The queries a run times: ``only`` if given (every name must be in
+    ``registry``), else every registry query less ``SKIP_QUERIES``."""
+    if only:
+        unknown = [q for q in only if q not in registry]
+        if unknown:
+            raise SystemExit(f"unknown queries: {', '.join(unknown)}")
+        return list(only)
+    return [q for q in registry
+            if q not in SKIP_QUERIES
+            or (SKIP_QUERIES[q] is not None and ncpu >= SKIP_QUERIES[q])]
 
 
 def host_probe() -> dict:
@@ -102,9 +103,12 @@ def wait_for_healthy(budget_sec: float) -> dict:
     return p
 
 
-def run_bench() -> dict:
+def run_bench(only: list[str] | None = None) -> dict:
     import ray
 
+    from geetiles_ray.pipelines.queries import REGISTRY
+
+    queries = suite_queries(REGISTRY, NCPU, only)
     probe = wait_for_healthy(float(os.environ.get("GRAFT_WAIT_HEALTHY", "420")))
     ray.init(address="local", num_cpus=NCPU, include_dashboard=False,
              logging_level="ERROR")
@@ -136,7 +140,6 @@ def run_bench() -> dict:
         .map_batches(_warm, batch_size=1).materialize()
 
     from geetiles_ray.pipelines import flagship
-    from geetiles_ray.pipelines.queries import REGISTRY
     from geetiles_ray.sources import pages as pagesmod
 
     tiles = flagship.build_fixture_tileset()
@@ -162,27 +165,34 @@ def run_bench() -> dict:
 
     qtimes = {}
     if not os.environ.get("GRAFT_SKIP_QUERIES"):
-        for name in BENCH_QUERIES:
+        for name in queries:
             fn, _sql = REGISTRY[name]
             t0 = time.time()
             res = fn(SF_DIR)
             if hasattr(res, "to_pandas"):
                 res.to_pandas() if not hasattr(res, "count") else res.count()
             qtimes[name] = round(time.time() - t0, 3)
+        with open(QUERIES_OUT, "w") as f:
+            json.dump({"sf": SF, "num_cpus": NCPU, "queries": qtimes}, f,
+                      indent=1)
 
+    # the stdout line stays short (headline + host probes) so a capture
+    # of its tail parses; per-query times are in QUERIES_OUT
     out = {
         "metric": "flagship pages->tiles pipeline wall time "
                   "(dedup+extract+geocode+assign+per-tile counts)",
         "value": round(headline, 3),
         "unit": "sec",
-        "queries": qtimes,
-        "sf": SF,
-        "num_cpus": NCPU,
+        "pages_per_sec": round(N_PAGES / headline, 1),
         "n_pages": N_PAGES,
         "n_tiles": int(n_tiles),
         "n_assigned_rows": int(n_assigned),
         "n_tile_lang_rows": int(n_join),
-        "pages_per_sec": round(N_PAGES / headline, 1),
+        "num_cpus": NCPU,
+        "sf": SF,
+        "n_queries": len(qtimes),
+        "queries_sec": round(sum(qtimes.values()), 3),
+        "queries_file": QUERIES_OUT if qtimes else None,
         "host_matmul_sec_post": post["host_matmul_sec"],
         "host_memsum_gbps_post": post["host_memsum_gbps"],
         **probe,
@@ -240,7 +250,17 @@ def run_scaling() -> dict:
 
 
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
+    import argparse
+
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--scaling", action="store_true",
+                    help="N-vs-4N-CPU scaling legs instead of one run")
+    ap.add_argument("--only", default="",
+                    help="comma-separated query names to time (default: "
+                         "the registry less SKIP_QUERIES)")
+    args = ap.parse_args()
+    if args.scaling:
         print(json.dumps(run_scaling()))
     else:
-        print(json.dumps(run_bench()))
+        only = [q for q in args.only.split(",") if q]
+        print(json.dumps(run_bench(only)))

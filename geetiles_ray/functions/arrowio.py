@@ -34,12 +34,12 @@ _NULLABLE = {
     pa.bool_(): pd.BooleanDtype()}
 
 
-def key_hash(table: pa.Table, keys: list[str]) -> np.ndarray:
-    """Deterministic uint64 hash per row of ``table[keys]`` (one or more
-    columns, nulls included). Keys hash by value: integers are widened to
-    64 bits and converted as nullable dtypes first, so 5 hashes alike in
-    an int32 block, an int64 block and a block where the column also
-    holds a null."""
+def key_frame(table: pa.Table, keys: list[str]) -> pd.DataFrame:
+    """``table[keys]`` as the pandas frame a key hash reads: integers are
+    widened to 64 bits and converted as nullable dtypes, so 5 is the same
+    value in an int32 block, an int64 block and a block where the column
+    also holds a null (a numpy-dtype conversion makes that last one
+    float64). Other types convert as ``to_pandas()`` does."""
     cols = {}
     for k in keys:
         c = table[k]
@@ -48,9 +48,14 @@ def key_hash(table: pa.Table, keys: list[str]) -> np.ndarray:
         elif pa.types.is_unsigned_integer(c.type):
             c = pc.cast(c, pa.uint64())
         cols[k] = c
-    return pd.util.hash_pandas_object(
-        pa.table(cols).to_pandas(types_mapper=_NULLABLE.get),
-        index=False).to_numpy()
+    return pa.table(cols).to_pandas(types_mapper=_NULLABLE.get)
+
+
+def key_hash(table: pa.Table, keys: list[str]) -> np.ndarray:
+    """Deterministic uint64 hash per row of ``table[keys]`` (one or more
+    columns, nulls included). Keys hash by value (:func:`key_frame`)."""
+    return pd.util.hash_pandas_object(key_frame(table, keys),
+                                      index=False).to_numpy()
 
 
 def pa_type(t) -> pa.DataType:

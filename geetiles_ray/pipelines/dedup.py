@@ -41,7 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..functions.arrowio import key_hash
+from ..functions.arrowio import key_frame, key_hash
 
 
 def dedup_table(table: pa.Table, keys: list[str], orders: list[str] = (),
@@ -112,9 +112,7 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str]) -> "object":
     keys = [key] if isinstance(key, str) else list(key)
 
     def local(batch: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            batch.select(keys).to_pandas(), index=False).to_numpy()
-        u, c = np.unique(h, return_counts=True)
+        u, c = np.unique(key_hash(batch, keys), return_counts=True)
         return pa.table({"__h": pa.array(u, type=pa.uint64()),
                          "__partial": pa.array(c.astype(np.int64))})
 
@@ -127,7 +125,8 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str]) -> "object":
 
 
 def _hash128(df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent 64-bit key hashes (≈128-bit key identity): the
+    """Two independent 64-bit key hashes (≈128-bit key identity) of a
+    :func:`key_frame` (the first equals ``key_hash``): the
     broadcast-min dedup DROPS rows by hash identity, so a 64-bit collision
     (≈n²/2⁶⁴ — real at 10⁹ keys) could delete a wrong row. At 128 bits the
     probability is ~10⁻²⁰ per corpus."""
@@ -189,26 +188,26 @@ def dup_key_minima(ds: ray.data.Dataset, key: str | list[str],
         dup_ref = dup_key_set(ds, key)
 
     def local(batch: pa.Table) -> pa.Table:
-        df = batch.select(keys + [order_col]).to_pandas()
-        if len(df):
-            h64 = pd.util.hash_pandas_object(df[keys], index=False).to_numpy()
-            df = df[sorted_member(ray.get(dup_ref), h64)]
-        if len(df) == 0:
-            ts0 = df[order_col].to_numpy()
+        kf = key_frame(batch, keys)
+        ts = batch.select([order_col]).to_pandas()[order_col].to_numpy()
+        if len(kf):
+            m = sorted_member(ray.get(dup_ref), pd.util.hash_pandas_object(
+                kf, index=False).to_numpy())
+            kf, ts = kf[m], ts[m]
+        if len(kf) == 0:
             e = np.empty(0, dtype=np.uint64)
             z = np.empty(0, dtype=np.int64)
             return pa.table({"__h1": pa.array(e), "__h2": pa.array(e),
-                             "__cnt": pa.array(z), "__min": pa.array(ts0),
+                             "__cnt": pa.array(z), "__min": pa.array(ts),
                              "__nmin": pa.array(z)})
-        h1, h2 = _hash128(df[keys])
-        ts = df[order_col].to_numpy()
+        h1, h2 = _hash128(kf)
         order = np.lexsort((ts, h2, h1))
         h1s, h2s, tss = h1[order], h2[order], ts[order]
-        new = np.empty(len(df), dtype=bool)
+        new = np.empty(len(kf), dtype=bool)
         new[0] = True
         new[1:] = (h1s[1:] != h1s[:-1]) | (h2s[1:] != h2s[:-1])
         starts = np.nonzero(new)[0]
-        counts = np.diff(np.append(starts, len(df)))
+        counts = np.diff(np.append(starts, len(kf)))
         min_ts = tss[starts]
         eq = tss == np.repeat(min_ts, counts)
         n_at_min = np.add.reduceat(eq, starts)
@@ -294,7 +293,7 @@ def dedup_exact_broadcast(
     has_ties = bool(tie.any())
 
     def classify(batch: pa.Table, want: str) -> pa.Table:
-        df = batch.select(keys).to_pandas()
+        df = key_frame(batch, keys)
         n = len(df)
         ts = batch[order_col].to_numpy(zero_copy_only=False)
         # cheap 64-bit membership prefilter: only the few-% rows of

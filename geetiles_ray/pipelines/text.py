@@ -317,17 +317,17 @@ def importance_weights(ds: ray.data.Dataset, target_mask,
 # mirrors DuckDB's strip_accents for Latin-script text; the SQL twin
 # replays lower(strip_accents(nfc_normalize(x))) + whitespace collapse.
 _COMBINING_RE = r"[̀-ͯ]"
-_WS_RE = r"\s+"
 
 
 def normalize_series(texts: pd.Series) -> pd.Series:
     """NFC-normalize → strip accents (NFD + drop combining marks) →
-    lowercase → collapse runs of whitespace to one space → trim. All
-    vectorized pandas .str ops (the accent strip is one compiled regex
-    over the NFD form, not per-char Python)."""
+    lowercase → collapse runs of whitespace (``str.isspace``, the set
+    regex ``\\s`` matches) to one space → trim. All vectorized pandas
+    .str ops (the accent strip is one compiled regex over the NFD form,
+    not per-char Python; the whitespace collapse is one split per row)."""
     s = texts.str.normalize("NFC")
     s = s.str.normalize("NFD").str.replace(_COMBINING_RE, "", regex=True)
-    return s.str.lower().str.replace(_WS_RE, " ", regex=True).str.strip()
+    return s.str.lower().str.split().str.join(" ")
 
 
 def normalize_text(ds: ray.data.Dataset, text_col: str = "text",

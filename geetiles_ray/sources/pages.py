@@ -137,7 +137,6 @@ _SCRIPT_STYLE_RE = _re.compile(
     rb"<(script|style|noscript)\b[^>]*>.*?</\1\s*>", _re.S | _re.I)
 _COMMENT_RE = _re.compile(rb"<!--.*?-->", _re.S)
 _TAG_RE = _re.compile(rb"<[^>]*>")
-_WS_RE = _re.compile(r"\s+")
 _NUM_ENT_RE = _re.compile(r"&#(x[0-9a-fA-F]{1,6}|[0-9]{1,7});")
 _NAMED_ENTITIES = {
     "&amp;": "&", "&lt;": "<", "&gt;": ">", "&quot;": '"',
@@ -164,9 +163,12 @@ def _num_entity(m) -> str:
 def extract_text(h: bytes) -> str:
     """One page: html bytes → visible text. Body span → drop script/style/
     noscript/comments → strip tags (tag boundary = word boundary) →
-    entity decode → whitespace normalize. Plain body text (the fixture
-    generator's shape, and the common fast path) passes through
-    byte-identical — the north-rule invariant."""
+    entity decode → whitespace normalize: runs of whitespace become one
+    space and the ends are trimmed, where whitespace is ``str.isspace``
+    (the same set the str-pattern ``\\s`` matches, so one ``str.split``
+    replaces a regex substitution that matched once per word). Plain
+    body text (the fixture generator's shape, and the common fast path)
+    passes through byte-identical — the north-rule invariant."""
     lo = h.find(b"<body")
     lo = h.find(b">", lo) + 1 if lo >= 0 else 0
     hi = h.rfind(b"</body>")
@@ -178,7 +180,7 @@ def extract_text(h: bytes) -> str:
         body = _COMMENT_RE.sub(b" ", body)
         body = _TAG_RE.sub(b" ", body)
         s = _decode_entities(body.decode("utf-8", errors="replace"))
-        return _WS_RE.sub(" ", s).strip()
+        return " ".join(s.split())
     return body.decode("utf-8", errors="replace")
 
 

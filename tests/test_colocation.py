@@ -42,6 +42,11 @@ def _dedup():
                  .to_pandas(), ["k", "ts"])
 
 
+def _dedup_broadcast():
+    return _rows(dedup.dedup_exact_broadcast(_split_key_blocks(), "k", "ts")
+                 .to_pandas(), ["k", "ts"])
+
+
 def _lag():
     return _rows(temporal.lag_deltas(_split_key_blocks(), key="k", ts="ts")
                  .to_pandas(), ["k", "ts", "delta"])
@@ -86,18 +91,35 @@ def _join_widths():
 
 @pytest.mark.parametrize("run,want", [
     (_dedup, [(5, 1), (7, 1), (None, 2)]),
+    (_dedup_broadcast, [(5, 1), (7, 1), (None, 2)]),
     (_lag, [(5, 1, -1), (5, 2, 1), (7, 1, -1), (None, 2, -1)]),
     (_sessions, [(5, 1, 0), (5, 2, 1), (7, 1, 0), (None, 2, 0)]),
     (_join, [(5, 10), (7, None)]),
     (_upsert, [(5, 2), (7, 1), (None, 2)]),
     (_asof, [(5, 1, 100), (5, 2, 100)]),
     (_join_widths, [(-1, 10)]),
-], ids=["dedup_exact", "lag_deltas", "session_windows", "join_on_identifier",
-        "upsert", "asof_join", "join_int32_int64"])
+], ids=["dedup_exact", "dedup_exact_broadcast", "lag_deltas",
+        "session_windows", "join_on_identifier", "upsert", "asof_join",
+        "join_int32_int64"])
 def test_key_meets_itself_across_blocks(run, want):
     """A key lands in one bucket whatever block, null mask or integer
     width it arrives with, so every operator sees all of its rows."""
     assert run() == want
+
+
+def test_string_key_hashes_as_before():
+    """Widening integer keys leaves other key types as ``to_pandas()``
+    converts them, so a url key (the flagship's dedup key) hashes exactly
+    as the numpy-dtype conversion did, nulls included."""
+    from geetiles_ray.functions.arrowio import key_frame, key_hash
+    t = pa.table({"url": pa.array(["https://a.example/1", None, "", "ü"])})
+    old = t.to_pandas()
+    np.testing.assert_array_equal(
+        key_hash(t, ["url"]),
+        pd.util.hash_pandas_object(old, index=False).to_numpy())
+    for new_h, old_h in zip(dedup._hash128(key_frame(t, ["url"])),
+                            dedup._hash128(old)):
+        np.testing.assert_array_equal(new_h, old_h)
 
 
 def test_join_blocks_typed_when_buckets_hold_only_right_rows():

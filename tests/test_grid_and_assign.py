@@ -1,5 +1,8 @@
 """Grid generation + page→tile assignment conformance (FIXTURES.md F3/F7)."""
 
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -282,6 +285,41 @@ class TestPagesFixture:
         assert (lat >= geo.AOI_S).all() and (lat < geo.AOI_N).all()
 
 
+def _extract_by_regex(h: bytes) -> str:
+    """The extraction kernel with its earlier whitespace step, one
+    ``\\s+`` substitution then ``strip``; every other step is the
+    kernel's own. The oracle for the ``str.split`` normalization."""
+    lo = h.find(b"<body")
+    lo = h.find(b">", lo) + 1 if lo >= 0 else 0
+    hi = h.rfind(b"</body>")
+    if hi < 0:
+        hi = len(h)
+    body = h[lo:hi]
+    if b"<" in body or b"&" in body:
+        body = pagesmod._SCRIPT_STYLE_RE.sub(b" ", body)
+        body = pagesmod._COMMENT_RE.sub(b" ", body)
+        body = pagesmod._TAG_RE.sub(b" ", body)
+        s = pagesmod._decode_entities(body.decode("utf-8", errors="replace"))
+        return re.sub(r"\s+", " ", s).strip()
+    return body.decode("utf-8", errors="replace")
+
+
+# fuzz pieces: words, every kind of whitespace (ASCII, C0/C1, Unicode
+# spaces, and the look-alikes U+200B/U+FEFF that are not whitespace),
+# markup that opens and closes each pass, entities and broken UTF-8
+_FUZZ_PIECES = [
+    b"w", b"tile", b"caf\xc3\xa9", b" ", b"\t", b"\n", b"\r\n", b"\x0b",
+    b"\x0c", b"\x1c", b"\x1f", b"\x85", b"\xc2\x85", b"\xc2\xa0",
+    b"\xe2\x80\x80", b"\xe2\x80\x8a", b"\xe2\x80\x8b", b"\xe2\x80\xa8",
+    b"\xe2\x80\xa9", b"\xe2\x80\xaf", b"\xe2\x81\x9f", b"\xe3\x80\x80",
+    b"\xef\xbb\xbf", b"<p>", b"</p>", b"<br/>", b"<", b">", b"&", b"&amp;",
+    b"&nbsp;", b"&#10;", b"&#x3000;", b"&#133;", b"&#xA0;", b"&#9999999;",
+    b"<script>", b"</script>", b"<SCRIPT type=x>", b"</ScRiPt >",
+    b"<style>", b"</style>", b"<noscript>", b"</noscript>", b"<!--",
+    b"-->", b"<body>", b"<body class=x>", b"</body>", b"\xff", b"\xe3\x80",
+]
+
+
 class TestExtractor:
     def test_messy_html(self):
         from geetiles_ray.sources.pages import extract_text
@@ -312,3 +350,60 @@ class TestExtractor:
             [b"<body>x &#xD800; &#55296; y</body>", b"<p>caf&#233;</p>"])})
         out = extract_text_batch(batch)["text_extracted"].to_pylist()
         assert out == ["x � � y", "café"]
+
+    # extract_text normalizes whitespace with str.split; the tests below
+    # check it gives exactly what the regex substitution gave
+
+    def test_every_code_point_between_two_words(self):
+        from geetiles_ray.sources.pages import extract_text
+        cps = [c for c in range(0x110000) if chr(c) not in "<&"]
+        for i in range(0, len(cps), 512):
+            chunk = [chr(c) for c in cps[i:i + 512]]
+            h = ("<body><p>" + " ".join(f"a{c}b" for c in chunk)
+                 + "</p></body>").encode("utf-8", "surrogatepass")
+            got = extract_text(h)
+            assert got == _extract_by_regex(h), hex(cps[i])
+            if not any(0xD800 <= ord(c) <= 0xDFFF for c in chunk):
+                assert got == " ".join(
+                    "a b" if c.isspace() else f"a{c}b" for c in chunk)
+        for c in (b"<", b"&"):
+            h = b"<body><p>a" + c + b"b</p></body>"
+            assert extract_text(h) == _extract_by_regex(h)
+
+    @pytest.mark.parametrize("h", [
+        b"<body>a&nbsp;b&#10;c&#x3000;d&#133;e</body>",
+        b"<body>&nbsp;&#10; a &#x3000;&#133;</body>",
+        b"<body>&#xA0;x&#x200B;y&#xFEFF;&#x2028;</body>",
+        b"<body>&#133;&#133;</body>",
+    ])
+    def test_entities_that_decode_to_whitespace(self, h):
+        from geetiles_ray.sources.pages import extract_text
+        assert extract_text(h) == _extract_by_regex(h)
+
+    def test_entity_whitespace_collapses(self):
+        from geetiles_ray.sources.pages import extract_text
+        assert extract_text(
+            b"<body>a&nbsp;b&#10;c&#x3000;d&#133;e</body>") == "a b c d e"
+
+    @pytest.mark.parametrize("h", [
+        b"<body>a<SCRIPT>x</SCRIPT>b<ScRiPt src=1>y</sCrIpT >c</body>",
+        b"<body>keep<!-- <script> -->this<script>y</script>too</body>",
+        b"<body>a<!-- </script> --><script>b</script>c</body>",
+        b"<html><p>no body open</p>\x0b x</body> tail",
+        b"<body class=x>\t no body close <p>y</p>\n",
+        b"x</body> y <body>z</body>",
+        b"</body><body>",
+        b"<body>\xff\xfe a<p>\xe3\x80</p>\xc2 b\xc2\x85c</body>",
+        b"<body>\xe3\x80\x80\xe3\x80</body>",
+        b"<body>plain \xc2\x85 body, no markup\n</body>",
+    ])
+    def test_adversarial_html(self, h):
+        from geetiles_ray.sources.pages import extract_text
+        assert extract_text(h) == _extract_by_regex(h)
+
+    def test_random_html(self):
+        from geetiles_ray.sources.pages import extract_text
+        rng = random.Random(20261018)
+        for _ in range(4000):
+            h = b"".join(rng.choices(_FUZZ_PIECES, k=rng.randint(0, 60)))
+            assert extract_text(h) == _extract_by_regex(h), h

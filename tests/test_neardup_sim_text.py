@@ -554,6 +554,24 @@ class TestNormalizeText:
         assert out[3] == ""
         assert out[4] == "nandu ecole"
 
+    def test_whitespace_collapse_matches_regex(self):
+        """One ``str.split`` per row collapses exactly what the earlier
+        ``\\s+`` substitution plus ``strip`` did, NaN included."""
+        import re
+
+        from geetiles_ray.pipelines.text import normalize_series
+        spaces = [chr(c) for c in range(0x3100) if re.fullmatch(r"\s", chr(c))]
+        rows = ["", " ", "\x85", "\u3000 \u2028", np.nan, "a\u200bb\ufeffc",
+                "x\x1cy\x1fz", "\u00a0a\u00a0 b\u00a0"]
+        rows += [f"w{c}W{c}{c}v " for c in spaces]
+        rows += ["".join(spaces) + "Mid" + "".join(reversed(spaces))]
+        s = pd.Series(rows, dtype=object)
+        old = s.str.normalize("NFC").str.normalize("NFD") \
+            .str.replace(r"[\u0300-\u036f]", "", regex=True).str.lower() \
+            .str.replace(r"\s+", " ", regex=True).str.strip()
+        pd.testing.assert_series_equal(normalize_series(s), old)
+        assert normalize_series(s)[len(rows) - 1] == "mid"
+
     def test_stage_counts(self):
         from geetiles_ray.pipelines import text as textmod
         df = pd.DataFrame({"doc_id": [0, 1],
