@@ -115,10 +115,11 @@ def run_bench(only: list[str] | None = None) -> dict:
     from geetiles_ray.ray_tuning import tune
 
     tune(NCPU)
-    # Since round 2 the flagship has NO all-to-all exchange at all: the
-    # url-dedup is the broadcast-min form (dedup_exact_broadcast) — two
-    # narrow scans + a map-side filter, tie exchange never fires on crawl
-    # timestamps. Every exchange runs on Ray's default sort shuffle.
+    # The flagship has NO all-to-all exchange: its url dedup (dedup_exact)
+    # folds the per-batch partials in one task, or in url-hash-range tasks
+    # above dedup.ONE_TASK_FOLD_ROWS partial rows (the 4M-page headline
+    # takes the range fold). Every exchange runs on Ray's default sort
+    # shuffle.
 
     # warm the OS page cache so we measure compute+shuffle, not first read
     for name in os.listdir(SF_DIR):

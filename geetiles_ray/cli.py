@@ -332,9 +332,8 @@ def cmd_ingest(a):
     if a.prior_dirs:
         from .pipelines import snapshots as snapmod
 
-        # dedup_exact is content-deterministic (keep-first by order_col,
-        # stable sort), which satisfies the Bloom split's deterministic-
-        # rescan contract without pinning the table in the object store
+        # dedup_exact returns its fold's computed blocks, which satisfies
+        # the Bloom split's deterministic-rescan contract
         deduped = snapmod.dedup_against_snapshots(
             deduped, [d for d in a.prior_dirs.split(",") if d], key="url")
     res = manifestmod.checkpointed_write(

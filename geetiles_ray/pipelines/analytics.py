@@ -1093,10 +1093,10 @@ def pmi_pairs(ds: ray.data.Dataset, id_col: str = "doc_id",
     (both engines re-index identically).
 
     Combiner shape: each block ships its (tok1, tok2) pair counts (vocab²
-    bounded, Zipf-compressed) into ``fold_partials`` (above
-    AUTO_DRIVER_PARTIAL_ROWS the bigram table is partitioned across
-    hash-range fold tasks, NEVER concatenated on the driver; at crawl
-    scale it is billions of rows). Each folded block then yields a local
+    bounded, Zipf-compressed) into ``fold_partials`` (one fold task at
+    or below ONE_TASK_FOLD_ROWS, above it partitioned across hash-range
+    fold tasks, NEVER concatenated on the driver; at crawl scale it is
+    billions of rows). Each folded block then yields a local
     min_count-filtered top-k — globally safe, every pair lives in exactly
     one block — and only ≤ blocks·k candidate rows plus the ≤ 2k unigram
     counts they need ever reach the driver."""
@@ -1173,8 +1173,9 @@ def skipgram_pairs(ds: ray.data.Dataset, window: int = 2,
     (re-indexed after empty-token drops, like pmi_pairs).
 
     Same physical plan as pmi_pairs: per-block pair-count combiner →
-    ``fold_partials`` (hash-range tasks above AUTO_DRIVER_PARTIAL_ROWS, so
-    the vocab²-bounded pair space never lands on the driver at scale) →
+    ``fold_partials`` (one task at or below ONE_TASK_FOLD_ROWS, hash-range
+    tasks above, so the vocab²-bounded pair space never lands on the
+    driver) →
     per-block min_count filter + local top-k (globally safe: each pair
     lives in one block) → ≤ blocks·k rows to the driver."""
 

@@ -11,26 +11,27 @@ by an order column) and one kernel:
   on its own it dedups any table whose keys are already co-located, such
   as one url-hash partition of the flagship's checkpoint
   (state/manifest.map_checkpointed).
-- ``dedup_exact``: the full exchange. ``dedup_table`` per block inside
-  ``map_batches`` (kills most duplicates before the shuffle), then the
-  engine's one co-location step, ``stages/temporal.grouped_apply``: each
-  key-hash *bucket* (not each key!) is one group and runs
-  ``dedup_table`` again — vectorized regardless of key cardinality, with
-  the bucket count derived from the cluster, never set by the caller.
+- ``dedup_exact``: the size-placed fold. ``dedup_table`` per batch
+  inside ``map_batches`` (kills most duplicates where they sit), then
+  ``dedup_table`` once more over the materialized partials, placed as
+  every fold is (``_fold_placed``, below): one task for a small input,
+  one task per key-hash range above — no exchange, no rows on the
+  driver. The flagship's url dedup when it has no checkpoint.
 - ``dedup_exact_broadcast``: broadcast-min for low-duplicate corpora held
   in memory — two narrow scans build per-duplicate-key minima, one
   map-side filter keeps the minimum rows, and only tie keys ride
-  ``dedup_exact``'s exchange. The flagship's url dedup when it has no
-  checkpoint. Its per-key statistics are gathered on the driver, so the
-  driver's heap grows with the number of duplicated keys.
+  ``dedup_exact``. Kept for ``q_dedup_events_broadcast`` and
+  ``perfbench/layers.py``. Its per-key statistics are gathered on the
+  driver, so the driver's heap grows with the number of duplicated keys.
 - near-duplicate detection (MinHash-LSH, SimHash) lives in
   pipelines/neardup.py.
 
 Every aggregate in the engine (key censuses, counts, sums, vocabularies,
 rollups) has one shape: per-block combiner partials, then
-``fold_partials``. Its placement follows one size rule: at or below
-``AUTO_DRIVER_PARTIAL_ROWS`` materialized partial rows the fold runs once
-on the driver; above, once per hash range in its own task.
+``fold_partials``. Folds and ``dedup_exact`` share one placement
+(``_fold_placed``), picked by size: at or below ``ONE_TASK_FOLD_ROWS``
+materialized partial rows the kernel runs once, in one task; above, once
+per hash range in its own task.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 from ..functions.arrowio import key_frame, key_hash
@@ -84,10 +86,9 @@ def dedup_exact(
 ) -> ray.data.Dataset:
     """One row per ``key`` (column or list of columns); among duplicates keep
     the first by ``order_col`` ascending (ties: see ``dedup_table``).
-    Two-stage: ``dedup_table`` per batch → key-hash exchange
-    (``grouped_apply``) → ``dedup_table`` per bucket."""
-    from ..stages.temporal import grouped_apply
-
+    A fold: ``dedup_table`` per batch, then once more over the partials
+    wherever ``_fold_placed`` puts them (one task, or one per key-hash
+    range). Eager: the partials are materialized to be counted."""
     keys = [key] if isinstance(key, str) else list(key)
     orders = [] if order_col is None else (
         [order_col] if isinstance(order_col, str) else list(order_col))
@@ -95,8 +96,8 @@ def dedup_exact(
     def local(table: pa.Table) -> pa.Table:
         return dedup_table(table, keys, orders, keep)
 
-    return grouped_apply(ds.map_batches(local, batch_format="pyarrow"),
-                         keys, local, batch_format="pyarrow")
+    return _fold_placed(ds.map_batches(local, batch_format="pyarrow"),
+                        local, keys)
 
 
 def dup_key_set(ds: ray.data.Dataset, key: str | list[str]) -> "object":
@@ -105,10 +106,8 @@ def dup_key_set(ds: ray.data.Dataset, key: str | list[str]) -> "object":
     column leaves each block) and pre-aggregated per block, so the data
     moved is |distinct keys per block| × 16 B; ``fold_partials`` sums the
     partials and only the duplicated hashes reach the driver. Hash
-    collisions only ever route extra rows through the exchange (false
+    collisions only ever send extra rows to the 128-bit check (false
     positive = harmless), never lose a duplicate (same key ⇒ same hash)."""
-    import ray
-
     keys = [key] if isinstance(key, str) else list(key)
 
     def local(batch: pa.Table) -> pa.Table:
@@ -172,7 +171,7 @@ def dup_key_minima(ds: ray.data.Dataset, key: str | list[str],
 
     - (h1, h2): 128-bit key hash of every key with global count ≥ 2
     - keep_order: the global minimum of ``order_col`` for that key
-    - is_tie: >1 row carries that minimum (needs an exchange to pick one)
+    - is_tie: >1 row carries that minimum (needs ``dedup_exact`` to pick one)
 
     Two narrow scans: the cheap 64-bit ``dup_key_set`` pass prunes to the
     few-% duplicated keys (its false positives are filtered out below — a
@@ -181,8 +180,6 @@ def dup_key_minima(ds: ray.data.Dataset, key: str | list[str],
     rows — the driver folds |dup keys| rows, not |distinct keys| (folding
     every distinct key single-threaded was the measured bottleneck: 9.7 s
     of a 20 s flagship at 4M mostly-unique urls)."""
-    import ray
-
     keys = [key] if isinstance(key, str) else list(key)
     if dup_ref is None:
         dup_ref = dup_key_set(ds, key)
@@ -262,8 +259,8 @@ def dedup_exact_broadcast(
     survives iff its key is not duplicated, or it carries the key's global
     minimum ``order_col`` (and the minimum is unique). Only TIE keys (>1
     row at the minimum — usually none when order is a crawl timestamp)
-    route through ``dedup_exact``'s exchange, and when the tie set is empty
-    the exchange is skipped entirely.
+    go through ``dedup_exact``, and when the tie set is empty that fold
+    is skipped entirely.
 
     This removes the all-to-all leg from the dedup path: both passes scale
     like map work (~0.93 on this host) instead of the single-store
@@ -274,12 +271,10 @@ def dedup_exact_broadcast(
     correctness here, not just speed. keep="first" ascending only (the
     flagship contract); a composite ``order_col`` needs per-key
     lexicographic minima the broadcast stats don't carry, so it runs
-    ``dedup_exact``'s full exchange instead.
+    ``dedup_exact`` instead.
 
-    ``nbuckets`` is ignored (the exchange derives its width); it stays
+    ``nbuckets`` is ignored (the fold places itself by size); it stays
     only because ``perfbench/layers.py`` passes it."""
-    import ray
-
     if not isinstance(order_col, str):
         return dedup_exact(ds, key, order_col)
 
@@ -313,7 +308,7 @@ def dedup_exact_broadcast(
             m = ~found
             if len(h1d):
                 m |= found & (ts == gmin[idx_c]) & ~tie[idx_c]
-        else:  # tie-key minimum rows → the (tiny) exchange
+        else:  # tie-key minimum rows → the (tiny) dedup_exact fold
             m = found & (ts == gmin[idx_c]) & tie[idx_c] if len(h1d) \
                 else np.zeros(n, dtype=bool)
         return batch.filter(pa.array(m))
@@ -327,38 +322,99 @@ def dedup_exact_broadcast(
     return kept.union(dedup_exact(tied, key, order_col))
 
 
-# Partial-row count at or below which the fold runs once on the driver: the
-# range fold's task startup + split overhead (~2-4 s of task latency) dwarfs
-# a sub-second fold over a few hundred thousand rows. Measured round-4:
-# token_postings at sf0.1 (~10⁵ partial rows) was 4.7× slower under the
-# range fold, while a 1M-doc corpus (~10⁷ partial rows) was 6× FASTER —
-# the crossover sits comfortably inside this band.
-AUTO_DRIVER_PARTIAL_ROWS = 400_000
+# Partial-row count at or below which a fold runs once, in one task: the
+# range fold's split tasks and per-range task startup (~2-4 s of task
+# latency) dwarf a sub-second fold over a few hundred thousand rows.
+# Measured round-4: token_postings at sf0.1 (~10⁵ partial rows) was 4.7×
+# slower under the range fold, while a 1M-doc corpus (~10⁷ partial rows)
+# was 6× FASTER — the crossover sits comfortably inside this band.
+ONE_TASK_FOLD_ROWS = 400_000
+
 
 def _as_arrow(block) -> pa.Table:
     return pa.Table.from_pandas(block, preserve_index=False) \
         if isinstance(block, pd.DataFrame) else block
 
 
-def _partial_schema(mat: ray.data.Dataset, refs: list, cols: list[str],
+def _partial_schema(mat: ray.data.Dataset, cols: list[str] | None,
                     fallback: pa.Schema | None) -> pa.Schema:
-    """Arrow types of ``cols``: from the dataset's schema; when Ray reports
-    none (every block empty), from the first block that has the columns —
-    blocks keep their dtypes at 0 rows, but Ray skips map fns on empty
-    blocks, so one may still hold the UPSTREAM columns — then
-    ``fallback``, then null types."""
-    import ray
-
+    """Arrow types of ``cols`` (None: every column) for a fold with no
+    rows: from the dataset's schema; when Ray reports none, from the first
+    block that has the columns, then ``fallback``, then null types."""
     from ..functions.arrowio import dataset_arrow_schema
 
     sch = mat.schema()
-    if sch is not None and set(cols) <= set(sch.names):
-        return dataset_arrow_schema(mat, cols)
-    for ref in refs:
+    if sch is not None and set(cols or ()) <= set(sch.names):
+        return dataset_arrow_schema(mat, cols or sch.names)
+    for ref in mat.get_internal_block_refs():
         t = _as_arrow(ray.get(ref))
-        if set(cols) <= set(t.column_names):
-            return t.select(cols).schema
-    return fallback or pa.schema([(c, pa.null()) for c in cols])
+        if set(cols or ()) <= set(t.column_names):
+            return t.select(cols or t.column_names).schema
+    return fallback or pa.schema([(c, pa.null()) for c in cols or ()])
+
+
+def _select(block, cols: list[str] | None) -> pa.Table:
+    t = _as_arrow(block)
+    return t.select(cols or t.column_names)
+
+
+@ray.remote(num_cpus=1)
+def _fold_task(kernel, cols: list[str] | None, *blocks) -> pa.Table:
+    """``kernel`` over the ``cols`` (None: all) of ``blocks`` as one
+    table. Blocks may disagree (a column all null in one block is typed
+    null, a pandas block may carry int32); the permissive concat promotes
+    each column to one type — the same in every range, as every range
+    holds a slice, empty or not, of every block."""
+    return kernel(pa.concat_tables([_select(b, cols) for b in blocks],
+                                   promote_options="permissive"))
+
+
+@ray.remote(num_cpus=0.5)
+def _split_task(cols: list[str] | None, route: list[str], cuts: np.ndarray,
+                block) -> tuple:
+    t = _select(block, cols)
+    h = key_hash(t, route)
+    order = np.argsort(h, kind="stable")
+    bounds = np.concatenate([[0], np.searchsorted(h[order], cuts), [len(h)]])
+    # take, not slice: each range ships its own rows, never a view pinning
+    # the whole block
+    return tuple(t.take(order[lo:hi])
+                 for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def _fold_placed(ds: ray.data.Dataset, kernel, route: list[str],
+                 cols: list[str] | None = None,
+                 fallback: pa.Schema | None = None) -> ray.data.Dataset:
+    """Run the table ``kernel`` over the ``cols`` (None: all) of every
+    row of ``ds`` so that all rows of a ``route`` key meet in one call.
+    Placement is picked by measured size, never by the caller: ``ds`` is
+    materialized and counted. At or below ``ONE_TASK_FOLD_ROWS`` rows the
+    kernel runs once, in one task (one output block). Above, each block
+    is split by ``key_hash(route)`` into one slice per range (one task per
+    block, co-located with it, each slice its own object), and the kernel
+    runs once per range in its own task — the reduce-input split of
+    FP-Hadoop. The driver holds object refs only, never rows; with no
+    rows the kernel sees an empty table (types: ``_partial_schema``).
+
+    Empty blocks are left out: Ray skips map fns on them, so one may
+    still hold the UPSTREAM columns."""
+    mat = ds.materialize()
+    refs = [r for b in mat.iter_internal_ref_bundles()
+            for r, meta in b.blocks if meta.num_rows != 0]
+    if not refs:
+        return ray.data.from_arrow(kernel(
+            _partial_schema(mat, cols, fallback).empty_table()))
+    if mat.count() <= ONE_TASK_FOLD_ROWS:
+        return ray.data.from_arrow_refs(
+            [_fold_task.remote(kernel, cols, *refs)])
+    nranges = max(4, min(64, int(ray.cluster_resources().get("CPU", 8))))
+    cuts = np.arange(1, nranges, dtype=np.uint64) \
+        * np.uint64((1 << 64) // nranges)
+    srefs = [_split_task.options(num_returns=nranges)
+             .remote(cols, route, cuts, r) for r in refs]
+    return ray.data.from_arrow_refs(
+        [_fold_task.remote(kernel, cols, *[s[r] for s in srefs])
+         for r in range(nranges)])
 
 
 def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
@@ -370,19 +426,11 @@ def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
     """The engine's one fold of per-block partial aggregates (the
     reference's combiner shape, partitions.py:447-468): sum, min or max
     each ``aggs`` (value_col, op) by ``group_cols``. One Arrow
-    ``group_by`` kernel; null keys form a group (SQL ``GROUP BY``).
-    Output columns are ``group_cols + [value_col...]``, renamed
-    positionally to ``out_names``; every key lives in exactly ONE output
-    block, so per-block top-k / filters downstream are globally safe.
-
-    Placement is picked by measured size, never by the caller: the
-    partials are materialized and counted. At or below
-    ``AUTO_DRIVER_PARTIAL_ROWS`` rows the kernel runs once on the driver
-    (one output block). Above, each partial block is split by a hash of
-    its key into one slice per range (one task per block, co-located with
-    it, each slice its own object), and the kernel runs once per range in
-    its own task — the reduce-input split of FP-Hadoop: no task, and not
-    the driver, ever holds the whole key space.
+    ``group_by`` kernel, placed by ``_fold_placed``; null keys form a
+    group (SQL ``GROUP BY``). Output columns are
+    ``group_cols + [value_col...]``, renamed positionally to
+    ``out_names``; every key lives in exactly ONE output block, so
+    per-block top-k / filters downstream are globally safe.
 
     ``range_by``: a subset of ``group_cols`` to route ranges by, so e.g.
     all of a tile's tokens share a range (range_by=[tile]) and a per-block
@@ -392,59 +440,17 @@ def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
     ``fallback_schema``: Arrow types for ``group_cols + value_cols``,
     used only when every block is empty and none carries the partial
     columns (see ``_partial_schema``)."""
-    import ray
-
     group_cols = list(group_cols)
     cols = group_cols + [c for c, _ in aggs]
     names = list(out_names) if out_names else cols
-    route = list(range_by) if range_by else group_cols
-    mat = partial.materialize()
-    refs = mat.get_internal_block_refs()
-    target = _partial_schema(mat, refs, cols, fallback_schema)
-
-    def conform(block) -> pa.Table:
-        # one explicit schema for every block and range: an empty or
-        # all-null pandas block would otherwise infer null types and split
-        # the fold's schema
-        t = _as_arrow(block)
-        if not t.num_rows:
-            return target.empty_table()
-        return t.select(cols).cast(target)
 
     def fold(t: pa.Table) -> pa.Table:
         g = t.group_by(group_cols, use_threads=False).aggregate(list(aggs))
         return g.select(group_cols + [f"{c}_{op}" for c, op in aggs]) \
             .rename_columns(names)
 
-    n = mat.count()
-    if not n:
-        return ray.data.from_arrow(target.empty_table().rename_columns(names))
-    if n <= AUTO_DRIVER_PARTIAL_ROWS:
-        return ray.data.from_arrow(fold(pa.concat_tables(
-            [conform(b) for b in ray.get(refs)])))
-    nranges = max(4, min(64, int(ray.cluster_resources().get("CPU", 8))))
-    cuts = np.array([(i + 1) * ((1 << 64) // nranges)
-                     for i in range(nranges - 1)], dtype=np.uint64)
-
-    @ray.remote(num_cpus=0.5)
-    def split_block(block):
-        t = conform(block)
-        h = key_hash(t, route)
-        order = np.argsort(h, kind="stable")
-        bounds = np.concatenate([[0], np.searchsorted(h[order], cuts),
-                                 [len(h)]])
-        # take, not slice: each range ships its own rows, never a view
-        # pinning the whole block
-        return tuple(t.take(order[lo:hi])
-                     for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-    @ray.remote(num_cpus=1)
-    def fold_range(*slices):
-        return fold(pa.concat_tables(slices))
-
-    srefs = [split_block.options(num_returns=nranges).remote(r) for r in refs]
-    return ray.data.from_arrow_refs(
-        [fold_range.remote(*[s[r] for s in srefs]) for r in range(nranges)])
+    return _fold_placed(partial, fold, list(range_by or group_cols), cols,
+                        fallback_schema)
 
 
 def frequent_keys(folded: ray.data.Dataset, key_cols: list[str],
@@ -505,7 +511,7 @@ def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,
 
     Physically just union + dedup_exact(keep="last") over (priority,
     order) — the update side carries priority 1 — so it shares
-    dedup_exact's key-hash exchange and its combiner-shaped local
+    dedup_exact's size-placed fold and its combiner-shaped local
     pre-dedup.
     Schemas must match (``updates`` may be a subset of columns ONLY if
     identical — no partial-column patches; that is a different operator)."""

@@ -17,8 +17,11 @@ url dedup runs where the pre-dedup rows already sit:
   (state/manifest.checkpointed_write), so every row of a url is in one
   ``part=NNNNN`` file; one task per partition reads its file and keeps the
   earliest row per url (dedup.dedup_table) — no exchange, no driver state;
-- without one, the slim rows are materialized in the object store and
-  deduped by broadcast-min (dedup.dedup_exact_broadcast).
+- without one, ``dedup.dedup_exact`` dedups the slim rows: each batch
+  keeps its earliest row per url, and one more ``dedup_table`` runs over
+  those partials in one task (one task per url-hash range above
+  ``dedup.ONE_TASK_FOLD_ROWS`` partial rows) — no exchange, no driver
+  state.
 """
 
 from __future__ import annotations
@@ -90,9 +93,11 @@ def run(
 ):
     """pages(url, warc_ts, html, text, lang) → (assignments, tile_lang_counts).
 
-    ``mode="single"`` (default): in-memory materialize between the map
-    chain and the broadcast-min dedup — the fastest single-node/bench path
-    (with a ``checkpoint_dir`` it takes the checkpointed path below).
+    ``mode="single"`` (default): the map chain's per-batch url dedup
+    partials are materialized in the object store and folded by
+    ``dedup.dedup_exact`` (one task at bench scale, url-hash ranges
+    above) — the fastest single-node/bench path (with a
+    ``checkpoint_dir`` it takes the checkpointed path below).
     ``mode="cluster"``: THE deployment mode for multi-node runs —
     checkpointed partitioned parquet (durable, kill-and-resume via
     per-partition manifests) instead of pinning the full slim table in
@@ -122,7 +127,7 @@ def run(
     partial-count combiner.
 
     Stage order is chosen for the ONE co-location step in this pipeline
-    (the partitioned write, or the broadcast-min scans): extraction,
+    (the partitioned write, or the dedup fold): extraction,
     geocoding and tile assignment are pure per-row functions, so they run
     BEFORE the url dedup and the raw payload (``html`` + source ``text``)
     is dropped at the map stage — only the narrow derived columns move
@@ -166,11 +171,6 @@ def run(
         assigned = manifestmod.map_checkpointed(
             checkpoint_dir, report["written"] + report["skipped"], earliest)
     else:
-        # broadcast-min dedup scans its input three times, so the slim
-        # table is pinned once; the second materialize keeps the eager
-        # partial_counts below (its fold materializes the partials) from
-        # re-running the dedup when the caller also consumes `assigned`
-        assigned = dedupmod.dedup_exact_broadcast(
-            slim.materialize(), key="url", order_col="warc_ts").materialize()
+        assigned = dedupmod.dedup_exact(slim, "url", "warc_ts")
     counts = dedupmod.partial_counts(assigned, ["tile_id", "lang"], "n_pages")
     return assigned, counts

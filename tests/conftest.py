@@ -39,10 +39,12 @@ def box_aoi():
 
 @pytest.fixture(params=["driver", "range"])
 def fold_placement(request, monkeypatch):
-    """Runs a test at both placements of ``dedup.fold_partials``: as is
-    (small test inputs fold on the driver) and with the size threshold at
-    0, so every non-empty fold runs in hash-range tasks."""
+    """Runs a test at both placements of ``dedup._fold_placed`` (under
+    ``fold_partials`` and ``dedup_exact``): as is (small test inputs fold
+    in one task; the ``driver`` id predates that task and is kept so test
+    ids stay stable) and with the size threshold at 0, so every non-empty
+    fold runs in hash-range tasks."""
     if request.param == "range":
         from geetiles_ray.pipelines import dedup
-        monkeypatch.setattr(dedup, "AUTO_DRIVER_PARTIAL_ROWS", 0)
+        monkeypatch.setattr(dedup, "ONE_TASK_FOLD_ROWS", 0)
     return request.param

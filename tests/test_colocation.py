@@ -6,6 +6,7 @@ no public function asks its caller for a bucket count."""
 import importlib
 import inspect
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pandas as pd
@@ -40,6 +41,12 @@ def _rows(df: pd.DataFrame, cols: list[str]) -> list[tuple]:
 def _dedup():
     return _rows(dedup.dedup_exact(_split_key_blocks(), "k", "ts")
                  .to_pandas(), ["k", "ts"])
+
+
+def _dedup_ranges():
+    # the same fold with every non-empty input split into key-hash ranges
+    with mock.patch.object(dedup, "ONE_TASK_FOLD_ROWS", 0):
+        return _dedup()
 
 
 def _dedup_broadcast():
@@ -91,6 +98,7 @@ def _join_widths():
 
 @pytest.mark.parametrize("run,want", [
     (_dedup, [(5, 1), (7, 1), (None, 2)]),
+    (_dedup_ranges, [(5, 1), (7, 1), (None, 2)]),
     (_dedup_broadcast, [(5, 1), (7, 1), (None, 2)]),
     (_lag, [(5, 1, -1), (5, 2, 1), (7, 1, -1), (None, 2, -1)]),
     (_sessions, [(5, 1, 0), (5, 2, 1), (7, 1, 0), (None, 2, 0)]),
@@ -98,9 +106,9 @@ def _join_widths():
     (_upsert, [(5, 2), (7, 1), (None, 2)]),
     (_asof, [(5, 1, 100), (5, 2, 100)]),
     (_join_widths, [(-1, 10)]),
-], ids=["dedup_exact", "dedup_exact_broadcast", "lag_deltas",
-        "session_windows", "join_on_identifier", "upsert", "asof_join",
-        "join_int32_int64"])
+], ids=["dedup_exact", "dedup_exact_ranges", "dedup_exact_broadcast",
+        "lag_deltas", "session_windows", "join_on_identifier", "upsert",
+        "asof_join", "join_int32_int64"])
 def test_key_meets_itself_across_blocks(run, want):
     """A key lands in one bucket whatever block, null mask or integer
     width it arrives with, so every operator sees all of its rows."""

@@ -27,7 +27,7 @@ def _oracle(df: pd.DataFrame) -> pd.DataFrame:
 
 
 class TestDedupExact:
-    def test_sort_path_matches_pandas(self):
+    def test_sort_path_matches_pandas(self, fold_placement):
         ds = _pages_with_cross_block_dups()
         want = _oracle(ds.to_pandas())
         got = dedupmod.dedup_exact(ds, key="url", order_col="warc_ts") \
@@ -47,7 +47,7 @@ class TestDedupExact:
         assert got.dtype == np.uint64 and len(want) > 0
         np.testing.assert_array_equal(got, want)
 
-    def test_multi_key(self):
+    def test_multi_key(self, fold_placement):
         df = pd.DataFrame({"a": [1, 1, 2, 2, 1], "b": ["x", "x", "y", "y", "z"],
                            "v": [5, 3, 9, 1, 7]})
         got = dedupmod.dedup_exact(ray.data.from_pandas(df, override_num_blocks=3),
@@ -58,8 +58,7 @@ class TestDedupExact:
             .sort_values(["a", "b"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want)
 
-
-    def test_ties_broken_on_other_columns(self):
+    def test_ties_broken_on_other_columns(self, fold_placement):
         # rows tied on (key, order) that differ elsewhere: the kept row is
         # the least by the remaining columns, whatever the block layout
         rng = np.random.default_rng(11)
@@ -74,6 +73,31 @@ class TestDedupExact:
                 key="url", order_col="warc_ts") \
                 .to_pandas().sort_values("url").reset_index(drop=True)
             pd.testing.assert_frame_equal(got[want.columns], want)
+
+    def test_null_typed_and_empty_blocks(self, fold_placement):
+        # the first block types ``lang`` null, and the empty block keeps
+        # the upstream ``html`` column (Ray skips map fns on empty
+        # blocks): the fold conforms every block to one schema
+        def block(url, ts, lang, lang_type):
+            return pa.table({
+                "url": pa.array(url, pa.string()),
+                "warc_ts": pa.array(ts, pa.int64()),
+                "lang": pa.array(lang, lang_type),
+                "html": pa.array([b"<p>"] * len(url), pa.binary())})
+
+        blocks = [block(["b", "c"], [0, 5], [None, None], pa.null()),
+                  block([], [], [], pa.string()),
+                  block(["a", "b", "a", "c"], [3, 0, 2, 5],
+                        ["en", "fr", "de", "es"], pa.string())]
+        ds = ray.data.from_arrow(blocks).drop_columns(["html"])
+        got = dedupmod.dedup_exact(ds, key="url", order_col="warc_ts")
+        assert got.schema().names == ["url", "warc_ts", "lang"]
+        want = pd.concat([b.drop_columns(["html"]).to_pandas()
+                          for b in blocks]) \
+            .sort_values(["warc_ts", "lang"]).drop_duplicates("url") \
+            .sort_values("url").reset_index(drop=True)
+        got = got.to_pandas().sort_values("url").reset_index(drop=True)
+        assert got.to_dict("list") == want.to_dict("list")
 
     def test_table_kernel_null_keys_and_keep_last(self):
         t = pa.table({"k": ["a", None, "a", None, "b"],
@@ -160,6 +184,16 @@ class TestPartialCombiners:
         got = dedupmod.partial_sums(ds, ["url"], "payload", "s") \
             .to_pandas().sort_values("url").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_null_typed_first_block(self, fold_placement):
+        # Ray reports the first block's schema, here ``lang: null``; the
+        # fold must still take the string block (a cast to the reported
+        # type raised ArrowNotImplementedError)
+        ds = ray.data.from_arrow([pa.table({"lang": pa.nulls(2)}),
+                                  pa.table({"lang": ["en", "de", "en"]})])
+        got = dedupmod.partial_counts(ds, ["lang"], "n").to_pandas()
+        assert sorted(zip(got.lang.fillna("-"), got.n)) == \
+            [("-", 2), ("de", 1), ("en", 2)]
 
     def test_null_group_keys_kept(self, fold_placement):
         # SQL GROUP BY: a null key is a group of its own; no row is lost.

@@ -346,6 +346,40 @@ class TestFlagshipPartitionLocalDedup:
         pd.testing.assert_frame_equal(got, want)
 
 
+class TestFlagshipSingleModeDedup:
+    def test_earliest_ties_match_pandas_oracle(self, fold_placement):
+        """Single mode without a checkpoint keeps each url's earliest
+        warc_ts row; rows tied there that differ in ``lang`` resolve on
+        the other columns, as a full sort would."""
+        from geetiles_ray.pipelines import flagship
+        from geetiles_ray.sources import pages as pagesmod
+        from geetiles_ray.stages import assign as assignmod
+
+        pages = _recrawl_pages(seed=6)
+        at_min = pages[pages.warc_ts
+                       == pages.groupby("url").warc_ts.transform("min")]
+        tied = at_min[at_min.url.duplicated(keep=False)]
+        assert tied.groupby("url").lang.nunique().gt(1).any()
+        tiles = flagship.build_fixture_tileset(5000.0)
+        ds = ray.data.from_pandas(pages, override_num_blocks=5)
+        out, counts = flagship.run(ds, tiles=tiles)
+        slim = assignmod.assign_pages(
+            ds.map_batches(pagesmod.extract_text_batch,
+                           batch_format="pyarrow"),
+            tiles, use_actors=False).drop_columns(["html", "text"]) \
+            .to_pandas()
+        rest = [c for c in slim.columns if c not in ("url", "warc_ts")]
+        want = _by_url(slim.sort_values(["warc_ts"] + rest)
+                       .drop_duplicates("url"))
+        pd.testing.assert_frame_equal(_by_url(out.to_pandas()), want)
+        key = ["tile_id", "lang"]
+        want_counts = want.groupby(key).size().rename("n_pages") \
+            .reset_index()
+        pd.testing.assert_frame_equal(
+            counts.to_pandas().sort_values(key).reset_index(drop=True),
+            want_counts, check_dtype=False)
+
+
 class TestFlagshipEmptyInput:
     @pytest.mark.parametrize("mode", ["single", "cluster"])
     def test_zero_pages(self, mode, tmp_path):

@@ -9,13 +9,16 @@ Usage:
         --case grouped_topn --case running_total
     python tools/scale_probe.py --list
 
-With no ``--case`` every case runs. Two tables, built once per run and
+With no ``--case`` every case runs. Three tables, built once per run and
 only when a chosen case needs them:
 - events: ``rows`` events (event_id, user_id over rows/400 users, ts_us
   over 30 days, etype of 5, value float, cents int);
 - docs: ``rows`` texts of 24 words from a 1,000-word vocabulary; every
   4th starts with a shared 3-word boilerplate segment, every 3rd carries
-  an email and every 5th an IPv4 address (doc_id, text, lang, tile_key).
+  an email and every 5th an IPv4 address (doc_id, text, lang, tile_key);
+- crawl: ``rows`` page visits (url, warc_ts over 30 days, lang, n_chars);
+  every 50th row re-crawls another row's url, so about 2% of the urls
+  are duplicated.
 The flagship ingest is measured by perfbench, not here.
 """
 
@@ -74,6 +77,21 @@ def _docs(ids: np.ndarray, r, n: int) -> pa.Table:
     })
 
 
+def _crawl(ids: np.ndarray, r, n: int) -> pa.Table:
+    src = np.where(ids % 50 == 49, ids * 7919 % n, ids)
+    lang = pa.array(np.take(np.array(["en", "es", "de", "fr", "zh"]),
+                            src % 5))
+    return pa.table({
+        "url": pc.binary_join_element_wise(
+            "https://", lang, ".site", pc.cast(pa.array(src % 4096),
+                                               pa.string()),
+            ".example/p/", pc.cast(pa.array(src), pa.string()), ""),
+        "warc_ts": r.integers(0, 30 * 24 * HOUR_US, len(ids)),
+        "lang": lang,
+        "n_chars": r.integers(100, 10_000, len(ids)),
+    })
+
+
 def inputs(n: int, nblocks: int) -> dict:
     """Input name → cached builder of a materialized dataset (or a tuple
     of them). Built before a case's clock starts."""
@@ -96,6 +114,9 @@ def inputs(n: int, nblocks: int) -> dict:
 
     def docs():
         return generated(_docs)
+
+    def crawl():
+        return generated(_crawl)
 
     def kind(etype, names):
         return built["events"]().filter(expr=f"etype == '{etype}'") \
@@ -123,7 +144,7 @@ def inputs(n: int, nblocks: int) -> dict:
                                                    "rv": rkeys * 2}))
 
     built = {f.__name__: functools.cache(f)
-             for f in (events, docs, asof, interval, join)}
+             for f in (events, docs, crawl, asof, interval, join)}
     return built
 
 
@@ -133,6 +154,7 @@ def cases() -> dict:
 
     from geetiles_ray.functions import pii, url
     from geetiles_ray.pipelines import analytics as an
+    from geetiles_ray.pipelines import dedup
     from geetiles_ray.pipelines import lines, pyramid
     from geetiles_ray.stages import joins
     from geetiles_ray.stages import temporal as tmp
@@ -216,6 +238,11 @@ def cases() -> dict:
             d, key_col="doc_id", shard_size=4096).count()),
         "stratified_take": ("docs", lambda d: an.stratified_take(
             d, "doc_id", "lang", quota).count()),
+        "dedup_exact": ("crawl", lambda c: dedup.dedup_exact(
+            c, "url", "warc_ts").count()),
+        "dedup_exact_broadcast": ("crawl", lambda c:
+                                  dedup.dedup_exact_broadcast(
+                                      c, "url", "warc_ts").count()),
         "redact_pii": ("docs", lambda d: pii.redact_pii(
             d.select_columns(["doc_id", "text"]))
             .aggregate(Sum("n_email"), Sum("n_ipv4"))),
