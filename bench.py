@@ -42,8 +42,6 @@ SKIP_QUERIES = {
     "image_features": None,   # decode-bound: over 60 s
     "oov_rate": 5,            # its 4-actor pool holds every CPU at 4
     "tfidf_terms": 2,         # fixed 2-actor pool
-    "incremental_dedup": 2,
-    "returned_revenue": 2,
 }
 
 

@@ -261,8 +261,9 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
                     id_col: str, text_col: str, k: int = 5,
                     num_partitions: int = 8) -> ray.data.Dataset:
     """Distributed exact-Jaccard verification: semi-join candidate texts
-    out of the corpus (ids-only broadcast — the candidate ID list is the
-    one thing small enough for the driver by the LSH contract), shingle
+    out of the corpus (a ``joins.broadcast_lookup`` of the ids only — the
+    candidate ID list is the one thing small enough for the driver by the
+    LSH contract), shingle
     them once per doc, equi-join shingle sets onto the pair table twice,
     and verify per pair with np.intersect1d. Returns (id_a, id_b, jaccard).
     """
@@ -277,8 +278,9 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
             lambda b: b.append_column("jaccard", pa.nulls(len(b), pa.float64())),
             batch_format="pyarrow")
 
-    texts = joinsmod.semi_join_ids(
-        ds.select_columns([id_col, text_col]), cand, col=id_col)
+    texts = joinsmod.broadcast_lookup(
+        ds.select_columns([id_col, text_col]), pa.table({id_col: list(cand)}),
+        id_col, how="semi")
 
     def shingle(batch: pa.Table) -> pa.Table:
         sh = _hash_char_shingles(batch[text_col].to_pylist(), k)

@@ -16,6 +16,7 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Mean, Sum
 
@@ -285,7 +286,6 @@ def q_pricing_summary(sf_dir: str):
                  "l_extendedprice", "l_discount", "l_shipdate"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         keep = pc.less_equal(batch["l_shipdate"],
                              pa.scalar(pd.Timestamp("1998-09-02")))
         batch = batch.filter(keep)
@@ -318,7 +318,9 @@ GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus
 
 
 def q_top_customers(sf_dir: str):
-    """Join + top-k: revenue per customer joined to nation, top 10."""
+    """Join + top-k: revenue per customer joined to nation, top 10.
+    customer ⋈ nation is a dimension: merged on the driver, attached by
+    ``joins.broadcast_lookup``."""
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_custkey", "o_totalprice"])
     rev = dedupmod.partial_sums(orders, ["o_custkey"], "o_totalprice", "revenue")
@@ -328,17 +330,9 @@ def q_top_customers(sf_dir: str):
     nation = pd.read_parquet(f"{sf_dir}/nation.parquet",
                              columns=["n_nationkey", "n_name"])
     dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey")
-    dimref = ray.put(dim[["c_custkey", "c_name", "n_name"]])
-
-    class JoinDim:
-        def __init__(self):
-            self.dim = ray.get(dimref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            return df.merge(self.dim, left_on="o_custkey", right_on="c_custkey") \
-                [["c_custkey", "c_name", "n_name", "revenue"]]
-
-    out = rev.map_batches(JoinDim, batch_format="pandas", concurrency=2) \
+    out = joinsmod.broadcast_lookup(rev, dim, "o_custkey", "c_custkey",
+                                    cols=["c_custkey", "c_name", "n_name"]) \
+        .select_columns(["c_custkey", "c_name", "n_name", "revenue"]) \
         .sort(["revenue", "c_custkey"], descending=[True, False]).limit(10).to_pandas()
     out["revenue"] = out.revenue.round(2)
     return out
@@ -445,8 +439,6 @@ def q_ann_topk(sf_dir: str):
     vec_id < 5."""
     from . import sim as simmod
 
-    import pyarrow.compute as pc
-
     emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet",
                                 columns=["vec_id", "embedding"])
     qdf = emb.map_batches(lambda t: t.filter(pc.less(t["vec_id"], 5)),
@@ -544,13 +536,11 @@ SELECT user_id, SUM(new_session)::BIGINT AS n_sessions FROM (
 
 def q_revenue_by_nation(sf_dir: str):
     """TPC-H Q5-style revenue per customer nation. The lineitem⋈orders leg is
-    a LARGE-LARGE hash join (``Dataset.join`` — both sides hash-partition on
-    the order key, so at 100 TB neither side is materialized anywhere);
-    customer→nation is the broadcast-dimension pattern. lineitem is
-    pre-aggregated to one row per order key BEFORE the join (combiner), so
-    the shuffle moves |orders| rows, not |lineitem| rows."""
-    import pyarrow.compute as pc
-
+    a LARGE-LARGE hash join (``joins.hash_join`` — both sides
+    hash-partition on the order key, so at 100 TB neither side is
+    materialized anywhere); customer→nation is a ``broadcast_lookup``.
+    lineitem is pre-aggregated to one row per order key BEFORE the join
+    (combiner), so the shuffle moves |orders| rows, not |lineitem| rows."""
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount"])
@@ -571,28 +561,19 @@ def q_revenue_by_nation(sf_dir: str):
     nation = pd.read_parquet(f"{sf_dir}/nation.parquet",
                              columns=["n_nationkey", "n_name"])
     dim = cust.merge(nation, left_on="c_nationkey", right_on="n_nationkey")
-    name_of_cust = dict(zip(dim.c_custkey, dim.n_name))
-    dimref = ray.put(name_of_cust)
 
-    class TagNation:
-        def __init__(self):
-            self.name_of = ray.get(dimref)
+    def in_window(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.and_(
+            pc.greater_equal(batch["o_orderdate"],
+                             pa.scalar(pd.Timestamp("1995-01-01"))),
+            pc.less(batch["o_orderdate"],
+                    pa.scalar(pd.Timestamp("1997-01-01")))))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            keep = pc.and_(
-                pc.greater_equal(batch["o_orderdate"],
-                                 pa.scalar(pd.Timestamp("1995-01-01"))),
-                pc.less(batch["o_orderdate"],
-                        pa.scalar(pd.Timestamp("1997-01-01"))))
-            batch = batch.filter(keep)
-            names = [self.name_of[k] for k in batch["o_custkey"].to_pylist()]
-            return pa.table({"o_orderkey": batch["o_orderkey"],
-                             "n_name": pa.array(names, type=pa.string())})
-
-    tagged = orders.map_batches(TagNation, batch_format="pyarrow",
-                                concurrency=2)
-    joined = li_rev.join(tagged, join_type="inner", num_partitions=8,
-                         on=("l_orderkey",), right_on=("o_orderkey",))
+    tagged = joinsmod.broadcast_lookup(
+        orders.map_batches(in_window, batch_format="pyarrow"),
+        dim[["c_custkey", "n_name"]], "o_custkey", "c_custkey") \
+        .select_columns(["o_orderkey", "n_name"])
+    joined = joinsmod.hash_join(li_rev, tagged, "l_orderkey", "o_orderkey")
     out = dedupmod.partial_sums(joined, ["n_name"], "rev", "revenue") \
         .to_pandas().sort_values("n_name").reset_index(drop=True)
     out["revenue"] = out.revenue.round(2)
@@ -611,28 +592,18 @@ GROUP BY n_name ORDER BY n_name
 
 
 def q_supplier_region(sf_dir: str):
-    """Dimension-chain rollup: supplier ⋈ nation ⋈ region (both dims
-    broadcast) → per-region supplier count + avg balance."""
+    """Dimension-chain rollup: supplier ⋈ nation ⋈ region (the dims
+    merged on the driver, attached by ``broadcast_lookup``) → per-region
+    supplier count + avg balance."""
     from ray.data.aggregate import Count, Mean
 
     nation = pd.read_parquet(f"{sf_dir}/nation.parquet")
     region = pd.read_parquet(f"{sf_dir}/region.parquet")
     dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
-    region_of_nation = dict(zip(dim.n_nationkey, dim.r_name))
-    dimref = ray.put(region_of_nation)
-
-    class TagRegion:
-        def __init__(self):
-            self.region_of = ray.get(dimref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            names = [self.region_of[k] for k in batch["s_nationkey"].to_pylist()]
-            return pa.table({"r_name": pa.array(names, type=pa.string()),
-                             "s_acctbal": batch["s_acctbal"]})
-
     sup = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                                 columns=["s_nationkey", "s_acctbal"])
-    out = sup.map_batches(TagRegion, batch_format="pyarrow", concurrency=2) \
+    out = joinsmod.broadcast_lookup(sup, dim[["n_nationkey", "r_name"]],
+                                    "s_nationkey", "n_nationkey") \
         .groupby("r_name") \
         .aggregate(Count(alias_name="n_suppliers"),
                    Mean("s_acctbal", alias_name="avg_acctbal")) \
@@ -703,7 +674,6 @@ def q_foreign_overlap(sf_dir: str):
     first-max in foreign row order). Exercises the REAL join code path
     (broadcast_foreign + ForeignAssigner), not a SQL-shaped re-derivation."""
     from ..functions import geom as geommod
-    from ..stages import joins as joinsmod
 
     def boxes(nx, ny, x0, y0, dx, dy, prefix):
         ids, rings = [], []
@@ -771,7 +741,6 @@ def q_foreign_weighted(sf_dir: str):
     with wᵢ = intersection-area share — through the REAL J2 path
     (add_foreign_proportions). Rounded to 7 decimals on both sides."""
     from ..functions import geom as geommod
-    from ..stages import joins as joinsmod
 
     def boxes(nx, ny, x0, y0, dx, dy, prefix, with_score=False):
         ids, rings, scores = [], [], []
@@ -838,25 +807,22 @@ FROM fine LEFT JOIN agg USING (identifier) ORDER BY identifier
 
 
 def q_rare_parts(sf_dir: str):
-    """J5 semi-join through the real broadcast path (semi_join_ids): the 25
-    least-ordered parts (ties broken by partkey — scale-free, unlike a count
-    threshold). Per-part order counts come from the per-block combiner
+    """J5 through ``joins.broadcast_lookup``: the 25 least-ordered parts
+    (ties broken by partkey — scale-free, unlike a count threshold).
+    Per-part order counts come from the per-block combiner
     (partial_counts), so only |distinct parts per block| rows reach the
-    driver; the 25 winning ids are broadcast into the part-table filter."""
-    from ..stages import joins as joinsmod
-
+    driver; the 25 winners and their ``n_orders`` are broadcast into the
+    part-table lookup."""
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_partkey"])
     counts = dedupmod.partial_counts(li, ["l_partkey"], "n_orders").to_pandas()
     rare = counts.sort_values(["n_orders", "l_partkey"]).head(25)
-    n_of = dict(zip(rare.l_partkey, rare.n_orders))
 
     parts = ray.data.read_parquet(f"{sf_dir}/part.parquet",
                                   columns=["p_partkey", "p_name"])
-    out = joinsmod.semi_join_ids(parts, set(n_of), col="p_partkey") \
+    out = joinsmod.broadcast_lookup(parts, rare, "p_partkey", "l_partkey") \
         .to_pandas().sort_values("p_partkey").reset_index(drop=True)
-    out["n_orders"] = out.p_partkey.map(n_of).astype("int64")
-    return out
+    return out.astype({"n_orders": "int64"})
 
 
 SQL_RARE_PARTS = """
@@ -2108,8 +2074,8 @@ SQL_TILE_PYRAMID = _sql_tile_pyramid()
 def q_sales_rollup(sf_dir: str):
     """GROUP BY ROLLUP(region, nation) over order revenue
     (analytics.rollup): region⊃nation subtotals + grand total cascade
-    from ONE orders scan — customer→nation→region is the
-    broadcast-dimension pattern, revenue is exact integer cents so the
+    from ONE orders scan — customer→nation→region is a
+    ``broadcast_lookup`` dimension, revenue is exact integer cents so the
     cascaded sums hash-match SQL regardless of addition order."""
     from . import analytics as anmod
 
@@ -2119,24 +2085,19 @@ def q_sales_rollup(sf_dir: str):
     reg = pd.read_parquet(f"{sf_dir}/region.parquet")
     nat = nat.merge(reg, left_on="n_regionkey", right_on="r_regionkey")
     dim = cust.merge(nat, left_on="c_nationkey", right_on="n_nationkey")
-    nation_of = dict(zip(dim.c_custkey, dim.n_name))
-    region_of = dict(zip(dim.c_custkey, dim.r_name))
-    import ray as _ray
-    dim_ref = _ray.put((nation_of, region_of))
-
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_custkey", "o_totalprice"])
 
-    def enrich(df: pd.DataFrame) -> pd.DataFrame:
-        nation_of, region_of = _ray.get(dim_ref)
+    def cents(batch: pa.Table) -> pa.Table:
         # DuckDB ROUND = half away from zero → floor(x+0.5) for positives
-        cents = np.floor(df["o_totalprice"].to_numpy() * 100.0 + 0.5) \
+        c = np.floor(batch["o_totalprice"].to_numpy() * 100.0 + 0.5) \
             .astype(np.int64)
-        return pd.DataFrame({"region": df["o_custkey"].map(region_of),
-                             "nation": df["o_custkey"].map(nation_of),
-                             "cents": cents})
+        return pa.table({"region": batch["r_name"],
+                         "nation": batch["n_name"], "cents": pa.array(c)})
 
-    enriched = orders.map_batches(enrich, batch_format="pandas")
+    enriched = joinsmod.broadcast_lookup(
+        orders, dim[["c_custkey", "r_name", "n_name"]], "o_custkey",
+        "c_custkey").map_batches(cents, batch_format="pyarrow")
     out = anmod.rollup(enriched, ["region", "nation"], "cents")
     out = out.rename(columns={"__n": "n_orders", "__sum": "sum_cents"})
     return out[["region", "nation", "n_orders", "sum_cents"]] \
@@ -2390,8 +2351,8 @@ def q_events_zscore(sf_dir: str):
     """Per-event-type z-score normalization (feature scaling for training
     pipelines): group statistics from ONE combiner scan over exact integer
     cents (sum + sum-of-squares partials — order-independent, so the
-    engine-vs-SQL hash matches), broadcast as a tiny dict, then the
-    normalization itself is map-side. The explicit population formula
+    engine-vs-SQL hash matches), attached by ``broadcast_lookup``, then
+    the normalization itself is map-side. The explicit population formula
     var = E[x²] − E[x]² is used on BOTH sides (DuckDB's own stddev uses a
     different accumulation and would not hash-match)."""
     ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
@@ -2419,21 +2380,19 @@ def q_events_zscore(sf_dir: str):
         .to_pandas().groupby("event_type").sum()
     mean = partials["__s"] / partials["__n"]
     var = partials["__s2"] / partials["__n"] - mean * mean
-    std = np.sqrt(var)
-    import ray as _ray
-    stats_ref = _ray.put((dict(mean), dict(std)))
+    stats = pd.DataFrame({"event_type": partials.index, "mu": mean,
+                          "sd": np.sqrt(var)})
 
-    def norm(df: pd.DataFrame) -> pd.DataFrame:
-        m, s = _ray.get(stats_ref)
-        mu = df["event_type"].map(m).to_numpy()
-        sd = df["event_type"].map(s).to_numpy()
-        z = (df["cents"].to_numpy() - mu) / sd
-        return pd.DataFrame({"event_id": df["event_id"],
-                             "event_type": df["event_type"],
-                             "cents": df["cents"],
-                             "z": np.round(z, 6)})
+    def norm(batch: pa.Table) -> pa.Table:
+        z = (batch["cents"].to_numpy() - batch["mu"].to_numpy()) \
+            / batch["sd"].to_numpy()
+        return pa.table({"event_id": batch["event_id"],
+                         "event_type": batch["event_type"],
+                         "cents": batch["cents"],
+                         "z": pa.array(np.round(z, 6))})
 
-    out = evc.map_batches(norm, batch_format="pandas").to_pandas() \
+    out = joinsmod.broadcast_lookup(evc, stats, "event_type") \
+        .map_batches(norm, batch_format="pyarrow").to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     return out.astype({"cents": "int64"})
 
@@ -2838,7 +2797,8 @@ def q_events_outliers(sf_dir: str):
     """Robust outlier flags (median/MAD composition): per event type,
     median cents and the median absolute deviation come from TWO
     grouped-quantile passes (analytics.grouped_quantiles — exact, no
-    sort); the flag itself is a broadcast map (|x − med| > 3·MAD).
+    sort); each is attached by ``broadcast_lookup`` and the flag is
+    map-side (|x − med| > 3·MAD).
     Everything integer until the final comparison, so the oracle
     hash-matches bit-for-bit."""
     from . import analytics as anmod
@@ -2854,31 +2814,30 @@ def q_events_outliers(sf_dir: str):
                          "cents": pa.array(c)})
 
     evc = ev.map_batches(cents, batch_format="pyarrow")
-    med = anmod.grouped_quantiles(evc, "event_type", "cents", [0.5])
-    med_of = dict(zip(med.event_type, med.value.astype("int64")))
-    import ray as _ray
-    med_ref = _ray.put(med_of)
 
-    def absdev(df: pd.DataFrame) -> pd.DataFrame:
-        m = _ray.get(med_ref)
-        df["absdev"] = (df["cents"]
-                        - df["event_type"].map(m)).abs().astype("int64")
-        return df
+    def median_of(ds: ray.data.Dataset, col: str, name: str):
+        q = anmod.grouped_quantiles(ds, "event_type", col, [0.5])
+        return pd.DataFrame({"event_type": q.event_type,
+                             name: q.value.astype("int64")})
 
-    devs = evc.map_batches(absdev, batch_format="pandas")
-    mad = anmod.grouped_quantiles(devs, "event_type", "absdev", [0.5])
-    mad_of = dict(zip(mad.event_type, mad.value.astype("int64")))
-    mad_ref = _ray.put(mad_of)
+    def absdev(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "absdev", pc.abs(pc.subtract(batch["cents"], batch["med"])))
 
-    def flag(df: pd.DataFrame) -> pd.DataFrame:
-        m = _ray.get(med_ref)
-        s = _ray.get(mad_ref)
-        med_v = df["event_type"].map(m).astype("int64")
-        mad_v = df["event_type"].map(s).astype("int64")
-        df["is_outlier"] = (df["cents"] - med_v).abs() > 3 * mad_v
-        return df[["event_id", "event_type", "cents", "is_outlier"]]
+    devs = joinsmod.broadcast_lookup(evc, median_of(evc, "cents", "med"),
+                                     "event_type") \
+        .map_batches(absdev, batch_format="pyarrow")
 
-    out = devs.map_batches(flag, batch_format="pandas").to_pandas() \
+    def flag(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_id": batch["event_id"], "event_type": batch["event_type"],
+            "cents": batch["cents"],
+            "is_outlier": pc.greater(batch["absdev"],
+                                     pc.multiply(batch["mad"], 3))})
+
+    out = joinsmod.broadcast_lookup(devs, median_of(devs, "absdev", "mad"),
+                                    "event_type") \
+        .map_batches(flag, batch_format="pyarrow").to_pandas() \
         .sort_values("event_id").reset_index(drop=True)
     return out.astype({"cents": "int64"})
 
@@ -4022,7 +3981,6 @@ def q_redact_pii(sf_dir: str):
         docs.map_batches(_pii_dirty_batch, batch_format="pyarrow"))
 
     def finalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         n = pc.utf8_length(batch["text"]).cast(pa.int64())
         return pa.table({"doc_id": batch["doc_id"],
                          "n_email": batch["n_email"],
@@ -4326,37 +4284,30 @@ GROUP BY cur_type, next_type ORDER BY cur_type, next_type
 def q_shipping_priority(sf_dir: str):
     """TPC-H Q3-style shipping priority: BUILDING-segment customers'
     orders placed before the cutoff, revenue from lineitems shipped
-    after it, top 10 by revenue. Plan: segment custkeys broadcast
-    (dimension semi-join), date-pruned scans on both fact tables,
+    after it, top 10 by revenue. Plan: segment custkeys as a
+    ``broadcast_lookup`` semi-join (plain tasks: the old fixed actor pool
+    starved at one CPU), date-pruned scans on both fact tables,
     lineitem pre-aggregated to one row per order BEFORE the
     large-large hash join (the shuffle moves |orders| rows), per-block
     top-k combiner → tiny driver merge. Revenue is summed in integer
     cents per line (order-independent folds, as q_returned_revenue).
     Ties pinned by (rev_cents desc, o_orderdate, l_orderkey) in both
     engines."""
-    import pyarrow.compute as pc
-
     cust = pd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_mktsegment"])
-    keys = ray.put(frozenset(
-        cust.loc[cust.c_mktsegment == "BUILDING", "c_custkey"]))
+    building = cust.loc[cust.c_mktsegment == "BUILDING", ["c_custkey"]]
     cutoff = pd.Timestamp("1996-06-30")
 
-    class FilterOrders:
-        def __init__(self):
-            self.keys = ray.get(keys)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            batch = batch.filter(
-                pc.less(batch["o_orderdate"], pa.scalar(cutoff)))
-            m = [k in self.keys for k in batch["o_custkey"].to_pylist()]
-            return batch.filter(pa.array(m)).select(
-                ["o_orderkey", "o_orderdate"])
+    def before(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.less(batch["o_orderdate"], pa.scalar(cutoff)))
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"]) \
-        .map_batches(FilterOrders, batch_format="pyarrow", concurrency=2)
+        .map_batches(before, batch_format="pyarrow")
+    orders = joinsmod.broadcast_lookup(orders, building, "o_custkey",
+                                       "c_custkey", how="semi") \
+        .select_columns(["o_orderkey", "o_orderdate"])
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -4376,8 +4327,7 @@ def q_shipping_priority(sf_dir: str):
     li_rev = dedupmod.partial_sums(
         li.map_batches(rev, batch_format="pyarrow"),
         ["l_orderkey"], "rev_cents", "rev_cents")
-    joined = li_rev.join(orders, join_type="inner", num_partitions=8,
-                         on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = joinsmod.hash_join(li_rev, orders, "l_orderkey", "o_orderkey")
     by = ["rev_cents", "o_orderdate", "l_orderkey"]
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -4399,9 +4349,6 @@ def q_late_orders(sf_dir: str):
     combiner — the shuffle moves |orders| rows), the lateness predicate
     is exact epoch-µs integer arithmetic, and the output is pure
     integer counts (no float in the hash)."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_shipdate"])
 
@@ -4414,18 +4361,13 @@ def q_late_orders(sf_dir: str):
         return pa.table({"l_orderkey": pa.array(g["l_orderkey"]),
                          "max_ship": pa.array(g["s"])})
 
-    part = li.map_batches(maxship, batch_format="pyarrow")
-    li_max = part.groupby("l_orderkey").max("max_ship")
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["l_orderkey", "max_ship"])
-
-    li_max = li_max.map_batches(rename, batch_format="pyarrow")
+    li_max = dedupmod.fold_partials(
+        li.map_batches(maxship, batch_format="pyarrow"), ["l_orderkey"],
+        [("max_ship", "max")])
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    joined = orders.join(li_max, join_type="inner", num_partitions=8,
-                         on=("o_orderkey",), right_on=("l_orderkey",))
+    joined = joinsmod.hash_join(orders, li_max, "o_orderkey", "l_orderkey")
 
     def late(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy().astype("datetime64[us]") \
@@ -4434,9 +4376,9 @@ def q_late_orders(sf_dir: str):
         return batch.filter(pa.array(keep)) \
             .select(["o_orderpriority"])
 
-    agg = joined.map_batches(late, batch_format="pyarrow") \
-        .groupby("o_orderpriority").aggregate(Count()).to_pandas()
-    agg = agg.rename(columns={"count()": "n_late"})
+    agg = dedupmod.partial_counts(
+        joined.map_batches(late, batch_format="pyarrow"),
+        ["o_orderpriority"], "n_late").to_pandas()
     return agg.sort_values("o_orderpriority").reset_index(drop=True) \
         .astype({"n_late": "int64"})
 
@@ -4461,28 +4403,26 @@ def q_priority_shipmix(sf_dir: str):
     map-side AFTER a large-large hash join whose right side is the
     pruned (o_orderkey, o_orderpriority) projection; counts are pure
     integers so the hash is exact by construction."""
-    from ray.data.aggregate import Sum
-
     li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
                                columns=["l_orderkey", "l_returnflag"])
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_orderpriority"])
-    joined = li.join(orders, join_type="inner", num_partitions=8,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = joinsmod.hash_join(li, orders, "l_orderkey", "o_orderkey")
 
     def classify(batch: pa.Table) -> pa.Table:
         pri = batch["o_orderpriority"].to_numpy(zero_copy_only=False)
         hi = np.isin(pri, ["1-URGENT", "2-HIGH"]).astype(np.int64)
         return pa.table({"l_returnflag": batch["l_returnflag"],
-                         "high": pa.array(hi),
-                         "low": pa.array(1 - hi)})
+                         "high": pa.array(hi), "low": pa.array(1 - hi)}) \
+            .group_by("l_returnflag").aggregate([("high", "sum"),
+                                                 ("low", "sum")])
 
-    agg = joined.map_batches(classify, batch_format="pyarrow") \
-        .groupby("l_returnflag").aggregate(Sum("high"), Sum("low")) \
-        .to_pandas()
-    agg = agg.rename(columns={"sum(high)": "high_line_count",
-                              "sum(low)": "low_line_count"})
+    agg = dedupmod.fold_partials(
+        joined.map_batches(classify, batch_format="pyarrow"),
+        ["l_returnflag"], [("high_sum", "sum"), ("low_sum", "sum")],
+        out_names=["l_returnflag", "high_line_count",
+                   "low_line_count"]).to_pandas()
     return agg.sort_values("l_returnflag").reset_index(drop=True) \
         .astype({"high_line_count": "int64", "low_line_count": "int64"})
 
@@ -4500,46 +4440,34 @@ GROUP BY l_returnflag ORDER BY l_returnflag
 
 def q_promo_share(sf_dir: str):
     """TPC-H Q14-style promo revenue share per month: part is a
-    dimension, so its PROMO flag broadcasts (ray.put once, read in
-    every task — never a shuffle). Per-line revenue is quantized to
-    integer cents BEFORE summing (floor(rev·100 + 0.5) — the same one
-    IEEE multiply chain per row in both engines), so the monthly sums
-    are order-independent int64 and can never land on a rounding
+    dimension, so its type is attached by ``broadcast_lookup`` (put
+    once, read in every task — never a shuffle). Per-line revenue is
+    quantized to integer cents BEFORE summing (floor(rev·100 + 0.5) — the
+    same one IEEE multiply chain per row in both engines), so the monthly
+    sums are order-independent int64 and can never land on a rounding
     boundary the way ROUND-after-float-SUM does."""
-    import pyarrow.compute as pc
-
     part = pd.read_parquet(f"{sf_dir}/part.parquet",
                            columns=["p_partkey", "p_type"])
-    promo = ray.put(frozenset(
-        part.loc[part.p_type == "PROMO", "p_partkey"]))
-
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_extendedprice", "l_discount",
                  "l_shipdate"])
 
-    class Classify:
-        def __init__(self):
-            self.promo = ray.get(promo)
+    def classify(batch: pa.Table) -> pa.Table:
+        rev = pc.multiply(
+            batch["l_extendedprice"],
+            pc.subtract(pa.scalar(1.0), batch["l_discount"])).to_numpy()
+        cents = np.floor(rev * 100.0 + 0.5).astype(np.int64)
+        d = batch["l_shipdate"].to_numpy().astype("datetime64[M]")
+        month = (d.astype("datetime64[M]").astype(np.int64) + 1970 * 12)
+        isp = pc.equal(batch["p_type"], "PROMO").to_numpy()
+        return pa.table({
+            "ship_month": pa.array(month),
+            "promo_cents": pa.array(np.where(isp, cents, 0)),
+            "total_cents": pa.array(cents)})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            rev = pc.multiply(
-                batch["l_extendedprice"],
-                pc.subtract(pa.scalar(1.0), batch["l_discount"])) \
-                .to_numpy()
-            cents = np.floor(rev * 100.0 + 0.5).astype(np.int64)
-            d = batch["l_shipdate"].to_numpy().astype("datetime64[M]")
-            month = (d.astype("datetime64[M]").astype(np.int64)
-                     + 1970 * 12)
-            isp = np.array([k in self.promo
-                            for k in batch["l_partkey"].to_pylist()])
-            return pa.table({
-                "ship_month": pa.array(month),
-                "promo_cents": pa.array(np.where(isp, cents, 0)),
-                "total_cents": pa.array(cents)})
-
-    tagged = li.map_batches(Classify, batch_format="pyarrow",
-                            concurrency=2)
+    tagged = joinsmod.broadcast_lookup(li, part, "l_partkey", "p_partkey") \
+        .map_batches(classify, batch_format="pyarrow")
     pr = dedupmod.partial_sums(tagged, ["ship_month"], "promo_cents",
                                "promo_cents")
     tot = dedupmod.partial_sums(tagged, ["ship_month"], "total_cents",
@@ -4570,8 +4498,6 @@ def q_returned_revenue(sf_dir: str):
     (integer folds, order-independent), lineitem pre-aggregated per
     order BEFORE the large-large join, customer names attached from a
     broadcast dimension, ties pinned by custkey."""
-    import pyarrow.compute as pc
-
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount",
@@ -4592,8 +4518,7 @@ def q_returned_revenue(sf_dir: str):
         ["l_orderkey"], "rev_cents", "rev_cents")
     orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
                                    columns=["o_orderkey", "o_custkey"])
-    joined = li_rev.join(orders, join_type="inner", num_partitions=8,
-                         on=("l_orderkey",), right_on=("o_orderkey",))
+    joined = joinsmod.hash_join(li_rev, orders, "l_orderkey", "o_orderkey")
     per_cust = dedupmod.partial_sums(joined, ["o_custkey"], "rev_cents",
                                      "rev_cents")
 

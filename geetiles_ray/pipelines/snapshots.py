@@ -72,27 +72,19 @@ def dedup_against_snapshots(
     target = dataset_arrow_schema(ds, ds.schema().names)
     out_names = list(target.names)
 
-    class Split:
-        """Bloom probe as a stateful stage: the bitset is ray.get ONCE per
-        actor, never per batch."""
-
-        def __init__(self, want_hit: bool):
-            self.words = ray.get(bloom_ref)
-            self.want_hit = want_hit
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
+    def split(want_hit: bool):
+        # plain tasks, like join_on_identifier_bloom's split: a fixed
+        # actor pool holding the bitset starved the read at one CPU
+        def f(batch: pa.Table) -> pa.Table:
             if not len(batch):
                 return batch
-            hit = bloom_member(self.words, key_hash(batch, [key]),
+            hit = bloom_member(ray.get(bloom_ref), key_hash(batch, [key]),
                                nbits, nhashes)
-            return batch.filter(pa.array(hit == self.want_hit))
+            return batch.filter(pa.array(hit == want_hit))
+        return f
 
-    new_for_sure = ds.map_batches(
-        Split, fn_constructor_kwargs=dict(want_hit=False),
-        batch_format="pyarrow", concurrency=(1, 4))
-    candidates = ds.map_batches(
-        Split, fn_constructor_kwargs=dict(want_hit=True),
-        batch_format="pyarrow", concurrency=(1, 4))
+    new_for_sure = ds.map_batches(split(False), batch_format="pyarrow")
+    candidates = ds.map_batches(split(True), batch_format="pyarrow")
 
     # exact verify: co-locate candidates (left, full rows) with the prior
     # keys (right, key only) and anti-filter per bucket

@@ -15,11 +15,12 @@ Semantics reproduced exactly:
 Execution: the global min/max come from a Dataset aggregate; the k-scan
 needs the projected coordinate VECTOR — it streams to the driver as one
 float64 per tile (the tileset is the small side; 8 MB per million tiles).
-The final band→split map is broadcast back into a map_batches. The scan
-itself usually terminates after a few hundred k values.
+The final grid_idx→split table is attached by ``joins.broadcast_lookup``.
+The scan itself usually terminates after a few hundred k values.
 
 ``split_per_partitions`` (A3, partitions.py:371-384): majority split per
-foreign group via partial counts + broadcast winner map.
+foreign group via partial counts + a left ``broadcast_lookup`` of the
+winners.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 import ray.data
 
+from ..stages import joins
 from . import dedup as dedupmod
 
 
@@ -100,27 +102,19 @@ def split_assignment(nbands: int, train_pct: float, test_pct: float,
 def split(tiles: ray.data.Dataset, nbands: int, angle: float,
           train_pct: float, test_pct: float, val_pct: float,
           split_col_name: str = "split") -> ray.data.Dataset:
-    """Append the split column to a tileset Dataset."""
+    """Append the split column to a tileset Dataset: the driver computes
+    one split per ``grid_idx``, and ``joins.broadcast_lookup`` attaches it
+    in plain tasks."""
     ex, ey, idxs = _projection_inputs(tiles)
     band_id = compute_band_ids(ex, ey, nbands, angle)
     bands_ids = np.sort(np.unique(band_id))
     splits = split_assignment(nbands, train_pct, test_pct, val_pct,
                               achieved=len(bands_ids))
-    band_split_map = {int(b): s for b, s in zip(bands_ids, splits)}
-    by_grid_idx = {int(g): band_split_map[int(b)] for g, b in zip(idxs, band_id)}
-    ref = ray.put(by_grid_idx)
-
-    class AddSplit:
-        def __init__(self):
-            self.map = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            g = batch["grid_idx"].to_numpy()
-            vals = [self.map[int(i)] for i in g]
-            return batch.append_column(split_col_name,
-                                       pa.array(vals, type=pa.string()))
-
-    return tiles.map_batches(AddSplit, batch_format="pyarrow", concurrency=2)
+    of_tile = np.asarray(splits, dtype=object)[
+        np.searchsorted(bands_ids, band_id)]
+    dim = pa.table({"grid_idx": idxs,
+                    split_col_name: pa.array(of_tile, type=pa.string())})
+    return joins.broadcast_lookup(tiles, dim, "grid_idx")
 
 
 def split_per_partitions(tiles: ray.data.Dataset, nbands: int, angle: float,
@@ -139,21 +133,17 @@ def split_per_partitions(tiles: ray.data.Dataset, nbands: int, angle: float,
     # first-seen order, which over a groupby-count table is not recoverable —
     # we use (count desc, split asc) as the deterministic tie-break.
     counts = counts.sort_values(["n", "split"], ascending=[False, True], kind="stable")
-    winner = counts.drop_duplicates(fid_col).set_index(fid_col)["split"].to_dict()
-    ref = ray.put(winner)
     out_col = f"split_{foreign_name}"
+    winner = counts.drop_duplicates(fid_col)[[fid_col, "split"]] \
+        .rename(columns={"split": out_col})
 
-    class Harmonize:
-        def __init__(self):
-            self.win = ray.get(ref)
+    def harmonize(batch: pa.Table) -> pa.Table:
+        i = batch.schema.get_field_index(out_col)
+        return batch.set_column(i, out_col,
+                                pc.coalesce(batch[out_col], batch["split"]))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            fids = batch[fid_col].to_pylist()
-            base = batch["split"].to_pylist()
-            vals = [self.win.get(f, b) for f, b in zip(fids, base)]
-            return batch.append_column(out_col, pa.array(vals, type=pa.string()))
-
-    return with_split.map_batches(Harmonize, batch_format="pyarrow", concurrency=2)
+    return joins.broadcast_lookup(with_split, winner, fid_col, how="left") \
+        .map_batches(harmonize, batch_format="pyarrow")
 
 
 def save_splits(tiles: ray.data.Dataset, path: str) -> str:

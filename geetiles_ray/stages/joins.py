@@ -18,6 +18,10 @@ actor builds a bbox-bucket index over it in ``__init__`` and processes fine
 tiles in vectorized-candidate batches. Intersection areas are computed in
 EPSG:4326 degree space, exactly like the reference's shapely ``.area`` on
 4326 geometries.
+
+Key joins go through two functions: ``hash_join`` (both sides large; the
+only ``Dataset.join`` call) and ``broadcast_lookup`` (one side a small
+dimension table; inner, left, semi and anti, run as plain tasks).
 """
 
 from __future__ import annotations
@@ -265,24 +269,86 @@ def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,
     return grouped_apply((left, right), key, merge)
 
 
-def semi_join_ids(ds: ray.data.Dataset, ids, col: str = "identifier",
-                  anti: bool = False) -> ray.data.Dataset:
-    """J5: semi/anti join against a broadcast id set (cmds.py:540-554
-    analogue — prune rows whose id is (not) in the included set)."""
-    id_ref = ray.put(pa.array(sorted(set(ids))))
+def _plain(t: pa.Table) -> pa.Table:
+    """``t`` without schema metadata. pandas-written Parquet carries a
+    metadata dict that makes ``pa.Schema`` unhashable, so Ray's schema
+    dedup (``transform_pyarrow.unify_schemas``) logs "Failed to hash the
+    schemas" and falls back to a full unification per call."""
+    return t.replace_schema_metadata(None)
 
-    class Filter:
-        def __init__(self):
-            # Arrow value-set for pc.is_in — vectorized membership, no
-            # per-row Python hashing (the set is built once per actor).
-            self.ids = ray.get(id_ref)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            mask = pc.is_in(batch[col], value_set=self.ids)
-            mask = pc.fill_null(mask, False)
-            return batch.filter(pc.invert(mask) if anti else mask)
+def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
+              right_on: str | None = None,
+              how: str = "inner") -> ray.data.Dataset:
+    """Large-large equi-join: the engine's one caller of ``Dataset.join``
+    (``how`` is its ``join_type``: inner, left_outer, left_semi, ...).
 
-    return ds.map_batches(Filter, batch_format="pyarrow", concurrency=2)
+    Width: ``derive_n_partitions`` over the input bytes the plan already
+    knows (an in-memory source such as ``from_arrow``; never
+    ``Dataset.size_bytes()``, which would execute a lazy input a second
+    time), floored at the cluster CPUs. The hash aggregators ask for no
+    CPU: at one CPU the fused upstream map task holds the only slot, so
+    an aggregator that needs one never starts and the join deadlocks."""
+    from ..state.manifest import derive_n_partitions
+
+    known = sum(ds._logical_plan.dag.infer_metadata().size_bytes or 0
+                for ds in (left, right))
+    width = derive_n_partitions(
+        known, min_parts=int(ray.cluster_resources().get("CPU", 1)))
+    return left.map_batches(_plain, batch_format="pyarrow").join(
+        right.map_batches(_plain, batch_format="pyarrow"),
+        join_type=how, num_partitions=width, on=(on,),
+        right_on=(right_on or on,),
+        aggregator_ray_remote_args={"num_cpus": 0})
+
+
+def broadcast_lookup(ds: ray.data.Dataset, dim, key: str,
+                     dim_key: str | None = None,
+                     cols: list[str] | None = None,
+                     how: str = "inner") -> ray.data.Dataset:
+    """Join ``ds`` to a small dimension table held by every task (J5 and
+    the dimension side of every star join; cmds.py:540-554 analogue).
+
+    ``dim`` (a ``pa.Table`` or DataFrame) is ``ray.put`` once; a plain
+    ``map_batches`` task fetches it and matches each batch with
+    ``pc.index_in`` (dim key cast to the probe key's type), so a null key
+    never matches, as in SQL. ``how``:
+    - ``inner``/``left``: append the dim's ``cols`` (default: all but
+      ``dim_key``; name it to get the dim's copy of the key); ``left``
+      keeps unmatched rows with nulls there;
+    - ``semi``/``anti``: keep the rows whose key is / is not in the dim.
+    A duplicate (non-null) dim key raises ``ValueError`` here, on the
+    driver, before anything runs."""
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"unknown how={how!r}")
+    dim_key = dim_key or key
+    if isinstance(dim, pd.DataFrame):
+        dim = pa.Table.from_pandas(dim, preserve_index=False)
+    dim = _plain(dim).filter(pc.is_valid(dim[dim_key]))
+    if pc.count_distinct(dim[dim_key]).as_py() != len(dim):
+        raise ValueError(f"broadcast_lookup: duplicate keys in {dim_key!r}")
+    if how in ("semi", "anti"):
+        cols = []
+    elif cols is None:
+        cols = [c for c in dim.column_names if c != dim_key]
+    ref = ray.put(dim.select(list(dict.fromkeys([dim_key] + cols))))
+
+    def probe(batch: pa.Table) -> pa.Table:
+        d = ray.get(ref)
+        k = batch[key]
+        if pa.types.is_null(k.type):
+            k = k.cast(d[dim_key].type)
+        idx = pc.index_in(k, skip_nulls=True, value_set=d[dim_key]
+                          .combine_chunks().cast(k.type))
+        batch = _plain(batch)
+        if how != "left":
+            hit = pc.is_null(idx) if how == "anti" else pc.is_valid(idx)
+            batch, idx = batch.filter(hit), idx.filter(hit)
+        for c in cols:
+            batch = batch.append_column(c, d[c].take(idx))
+        return batch
+
+    return ds.map_batches(probe, batch_format="pyarrow")
 
 
 # ----------------------------------------------------- Bloom join pre-filter

@@ -580,8 +580,8 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
     One key-hash exchange co-locates each user's events; the kernel
     dedups (user, offset) locally (a user lives in exactly one bucket,
     so local distinct IS global distinct) and ships only
-    (cohort, offset, partial-count) rows into a tiny final groupby."""
-    from ray.data.aggregate import Sum
+    (cohort, offset, partial-count) rows into ``dedup.fold_partials``."""
+    from ..pipelines.dedup import fold_partials
 
     empty = _empty({"cohort_week": np.int64, "week_offset": np.int64,
                     "__n": np.int64})
@@ -613,14 +613,9 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
 
     partial = grouped_apply(ds.select_columns([key, ts, type_col]), key,
                             kernel)
-    agg = partial.groupby(["cohort_week", "week_offset"]) \
-        .aggregate(Sum("__n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            ["cohort_week", "week_offset", "n_users"])
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return fold_partials(partial, ["cohort_week", "week_offset"],
+                         [("__n", "sum")],
+                         out_names=["cohort_week", "week_offset", "n_users"])
 
 
 def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
@@ -635,7 +630,7 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
     leave the exchange; the explosion factor is N on the DEDUPED
     (key, day) table, not on raw events. Output
     (window_end_day, n_active), only windows with ≥ 1 active key."""
-    from ray.data.aggregate import Sum
+    from ..pipelines.dedup import fold_partials
 
     day_us = 86400 * 1_000_000
 
@@ -655,12 +650,8 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
         return g.astype({"window_end_day": "int64", "__n": "int64"})
 
     partial = grouped_apply(ds.select_columns([key, ts]), key, kernel)
-    agg = partial.groupby("window_end_day").aggregate(Sum("__n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["window_end_day", "n_active"])
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return fold_partials(partial, ["window_end_day"], [("__n", "sum")],
+                         out_names=["window_end_day", "n_active"])
 
 
 def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
@@ -672,9 +663,9 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
     explicit tie-break makes same-timestamp order engine-exact — and
     count adjacent (current → next) type pairs corpus-wide. One
     key-hash exchange, vectorized shift kernel, type²-sized output
-    through a tiny final groupby. SQL twin: LEAD() OVER the same
+    through ``dedup.fold_partials``. SQL twin: LEAD() OVER the same
     window."""
-    from ray.data.aggregate import Sum
+    from ..pipelines.dedup import fold_partials
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
         d = df.sort_values([key, ts, order_col], kind="mergesort")
@@ -696,9 +687,7 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
         ds.select_columns([key, ts, type_col, order_col]), key, kernel
     ).map_batches(
         pandas_to_arrow_normalizer(target), batch_format="pandas")
-    agg = partial.groupby(["cur_type", "next_type"]).aggregate(Sum("__n"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["cur_type", "next_type", "n"])
-
-    return agg.map_batches(rename, batch_format="pyarrow")
+    return fold_partials(partial, ["cur_type", "next_type"],
+                         [("__n", "sum")],
+                         out_names=["cur_type", "next_type", "n"],
+                         fallback_schema=target)

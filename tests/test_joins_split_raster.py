@@ -2,6 +2,10 @@
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import zipfile
 
 import pandas as pd
@@ -73,11 +77,108 @@ class TestForeignJoins:
         assert got == pytest.approx({"x": 0.5, "y": 0.5})
 
     def test_semi_anti_join(self, tiles):
-        ids = tiles.to_pandas().identifier.iloc[:5].tolist()
-        semi = joins.semi_join_ids(tiles, ids).to_pandas()
-        anti = joins.semi_join_ids(tiles, ids, anti=True).to_pandas()
-        assert sorted(semi.identifier) == sorted(ids)
+        ids = pa.table({"identifier": tiles.to_pandas().identifier.iloc[:5]})
+        semi = joins.broadcast_lookup(tiles, ids, "identifier",
+                                      how="semi").to_pandas()
+        anti = joins.broadcast_lookup(tiles, ids, "identifier",
+                                      how="anti").to_pandas()
+        assert sorted(semi.identifier) == sorted(ids["identifier"].to_pylist())
         assert len(anti) == tiles.count() - 5
+        assert list(semi.columns) == tiles.schema().names
+
+
+def _rows(df: pd.DataFrame, cols: list[str]) -> list[str]:
+    """Sorted rows, every null as None and every number as int."""
+    def norm(v):
+        return None if pd.isna(v) else int(v) if isinstance(
+            v, (float, np.floating, np.integer)) else v
+    return sorted(repr(tuple(map(norm, r)))
+                  for r in df[cols].itertuples(index=False))
+
+
+class TestBroadcastLookup:
+    # probe: int32 key with nulls, a key missing from the dim, an empty
+    # block, a block whose all-null key is null-typed; dim: int64 key with
+    # a null key (which must match nothing)
+    PROBE = [pd.DataFrame({"k": pd.array([1, 2, None, 4, 7], dtype="Int32"),
+                           "v": list("abcde")}),
+             pd.DataFrame({"k": pd.array([], dtype="Int32"), "v": []}),
+             pd.DataFrame({"k": pd.array([4, None, 9], dtype="Int32"),
+                           "v": list("fgh")}),
+             pd.DataFrame({"k": pd.array([None, None], dtype="Int32"),
+                           "v": list("ij")})]
+    DIM = pd.DataFrame({"dk": pd.array([4, 1, 5, None], dtype="Int64"),
+                        "name": ["four", "one", "five", "null-key"],
+                        "w": pd.array([40, 10, 50, 0], dtype="Int64")})
+
+    def _probe(self):
+        typed = pa.schema([("k", pa.int32()), ("v", pa.string())])
+        return ray.data.from_arrow(
+            [pa.Table.from_pandas(df, preserve_index=False).cast(typed)
+             for df in self.PROBE[:-1]]
+            + [pa.table({"k": pa.nulls(2), "v": self.PROBE[-1].v})])
+
+    @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+    def test_matches_pandas_oracle(self, how):
+        probe = pd.concat(self.PROBE, ignore_index=True)
+        dim = self.DIM[self.DIM.dk.notna()]  # SQL: a null key never matches
+        if how in ("inner", "left"):
+            exp = probe.merge(dim, left_on="k", right_on="dk", how=how)
+            cols = ["k", "v", "name", "w"]
+        else:
+            hit = probe.k.isin(dim.dk).fillna(False).astype(bool)
+            exp, cols = probe[hit if how == "semi" else ~hit], ["k", "v"]
+        dim_tbl = pa.Table.from_pandas(self.DIM, preserve_index=False)
+        assert dim_tbl.schema.field("dk").type == pa.int64()
+        got = joins.broadcast_lookup(self._probe(), dim_tbl, "k", "dk",
+                                     how=how).to_pandas()
+        assert list(got.columns) == cols
+        assert _rows(got, cols) == _rows(exp, cols)
+
+    def test_left_keeps_missing_keys_as_null(self):
+        got = joins.broadcast_lookup(self._probe(), self.DIM, "k", "dk",
+                                     cols=["name"], how="left").to_pandas()
+        by_v = dict(zip(got.v, got.name))
+        assert by_v["b"] is None and by_v["e"] is None   # 2, 7: not in dim
+        assert by_v["c"] is None and by_v["g"] is None   # null probe key
+        assert by_v["a"] == "one" and by_v["d"] == by_v["f"] == "four"
+
+    def test_duplicate_dim_key_raises(self):
+        dim = pa.table({"dk": [1, 2, 1], "name": ["a", "b", "c"]})
+        with pytest.raises(ValueError, match="duplicate"):
+            joins.broadcast_lookup(self._probe(), dim, "k", "dk")
+
+
+def test_hash_join_finishes_at_one_cpu():
+    """range(2000) joined to a mapped copy of itself in a fresh 1-CPU Ray
+    session: the upstream map task holds the only CPU, so the join's
+    aggregators must need none."""
+    code = textwrap.dedent("""
+        import ray, ray.data
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        from geetiles_ray.stages import joins
+        r = ray.data.range(2000)
+        out = joins.hash_join(r, r.map_batches(lambda b: {"id": b["id"],
+                                                          "x": b["id"] * 2}),
+                              "id").to_pandas()
+        assert sorted(out["id"]) == list(range(2000)), len(out)
+        assert (out["x"] == out["id"] * 2).all()
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": root}
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                            text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)   # the child's Ray daemons too
+        proc.communicate()
+        pytest.fail("hash_join did not finish at num_cpus=1 within 60 s")
+    assert proc.returncode == 0, out[-3000:]
 
 
 def _tileset_of_boxes(boxes):
