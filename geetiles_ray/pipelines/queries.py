@@ -537,8 +537,8 @@ SELECT user_id, SUM(new_session)::BIGINT AS n_sessions FROM (
 def q_revenue_by_nation(sf_dir: str):
     """TPC-H Q5-style revenue per customer nation. The lineitem⋈orders leg is
     a LARGE-LARGE hash join (``joins.hash_join`` — both sides
-    hash-partition on the order key, so at 100 TB neither side is
-    materialized anywhere); customer→nation is a ``broadcast_lookup``.
+    co-locate by order-key hash, neither is collected on the driver);
+    customer→nation is a ``broadcast_lookup``.
     lineitem is pre-aggregated to one row per order key BEFORE the join
     (combiner), so the shuffle moves |orders| rows, not |lineitem| rows."""
     li = ray.data.read_parquet(

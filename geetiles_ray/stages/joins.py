@@ -19,9 +19,10 @@ tiles in vectorized-candidate batches. Intersection areas are computed in
 EPSG:4326 degree space, exactly like the reference's shapely ``.area`` on
 4326 geometries.
 
-Key joins go through two functions: ``hash_join`` (both sides large; the
-only ``Dataset.join`` call) and ``broadcast_lookup`` (one side a small
-dimension table; inner, left, semi and anti, run as plain tasks).
+Key joins take one of two plans. Both sides large: ``hash_join`` (inner)
+and ``join_on_identifier`` (left) co-locate the pair by key hash with
+``temporal.grouped_apply``. One side a small dimension table:
+``broadcast_lookup`` (inner, left, semi and anti, run as plain tasks).
 """
 
 from __future__ import annotations
@@ -237,8 +238,7 @@ def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,
     partitioned hash LEFT join. Both sides co-locate by key hash
     (``temporal.grouped_apply`` on the pair) and merge per bucket with
     vectorized pandas; a null key matches nothing. Use when BOTH sides are
-    large; when one side is small, prefer the broadcast pattern
-    (broadcast_foreign / ray.put)."""
+    large; when one side is small, use ``broadcast_lookup``."""
     from .temporal import _empty, _pd_dtypes, _sides, grouped_apply
     from ..functions.arrowio import _NULLABLE, pa_type
 
@@ -269,37 +269,38 @@ def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,
     return grouped_apply((left, right), key, merge)
 
 
+def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
+              right_on: str | None = None) -> ray.data.Dataset:
+    """Large-large INNER equi-join ``left.on = right.right_on``: the same
+    co-location plan as ``join_on_identifier`` (``grouped_apply`` on the
+    pair, width ``bucket_count()``, no actor pool, so it runs at one CPU),
+    merged per bucket with pandas. The right key is renamed to ``on``, so
+    the output carries the key once, under the left name; the payload
+    columns of the two sides must not collide. A null key matches
+    nothing. The engine has no ``Dataset.join`` call: its hash
+    aggregators deadlocked at one CPU and cost about 2.7 s per join."""
+    from .temporal import _pd_dtypes, _sides, grouped_apply
+
+    if right_on and right_on != on:
+        # in a task: Ray's rename_columns fails on pandas blocks
+        right = right.map_batches(lambda t: t.rename_columns(
+            [on if c == right_on else c for c in t.column_names]),
+            batch_format="pyarrow")
+    l_dtypes, r_dtypes = _pd_dtypes(left), _pd_dtypes(right)
+
+    def merge(group: pd.DataFrame) -> pd.DataFrame:
+        lg, rg = _sides(group, l_dtypes, r_dtypes)
+        return lg.merge(rg, on=on)
+
+    return grouped_apply((left, right), on, merge)
+
+
 def _plain(t: pa.Table) -> pa.Table:
     """``t`` without schema metadata. pandas-written Parquet carries a
     metadata dict that makes ``pa.Schema`` unhashable, so Ray's schema
     dedup (``transform_pyarrow.unify_schemas``) logs "Failed to hash the
     schemas" and falls back to a full unification per call."""
     return t.replace_schema_metadata(None)
-
-
-def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
-              right_on: str | None = None,
-              how: str = "inner") -> ray.data.Dataset:
-    """Large-large equi-join: the engine's one caller of ``Dataset.join``
-    (``how`` is its ``join_type``: inner, left_outer, left_semi, ...).
-
-    Width: ``derive_n_partitions`` over the input bytes the plan already
-    knows (an in-memory source such as ``from_arrow``; never
-    ``Dataset.size_bytes()``, which would execute a lazy input a second
-    time), floored at the cluster CPUs. The hash aggregators ask for no
-    CPU: at one CPU the fused upstream map task holds the only slot, so
-    an aggregator that needs one never starts and the join deadlocks."""
-    from ..state.manifest import derive_n_partitions
-
-    known = sum(ds._logical_plan.dag.infer_metadata().size_bytes or 0
-                for ds in (left, right))
-    width = derive_n_partitions(
-        known, min_parts=int(ray.cluster_resources().get("CPU", 1)))
-    return left.map_batches(_plain, batch_format="pyarrow").join(
-        right.map_batches(_plain, batch_format="pyarrow"),
-        join_type=how, num_partitions=width, on=(on,),
-        right_on=(right_on or on,),
-        aggregator_ray_remote_args={"num_cpus": 0})
 
 
 def broadcast_lookup(ds: ray.data.Dataset, dim, key: str,

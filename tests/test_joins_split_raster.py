@@ -149,10 +149,30 @@ class TestBroadcastLookup:
             joins.broadcast_lookup(self._probe(), dim, "k", "dk")
 
 
+def test_hash_join_matches_pandas_merge():
+    """Inner join with differently named keys, an int32 left key against an
+    int64 right key, null keys on both sides, a key repeated on both sides
+    and an empty block."""
+    left = ray.data.from_arrow([
+        pa.table({"lk": pa.array([1, 2, None, 4, 4], pa.int32()),
+                  "v": list("abcde")}),
+        pa.table({"lk": pa.array([], pa.int32()), "v": pa.array([], pa.string())}),
+        pa.table({"lk": pa.array([7, None, 1], pa.int32()), "v": list("fgh")})])
+    right = pd.DataFrame({"rk": pd.array([4, 1, 4, None, 9], dtype="Int64"),
+                          "w": [40, 10, 41, 0, 90]})
+    got = joins.hash_join(left, ray.data.from_pandas(right), "lk",
+                          "rk").to_pandas()
+    exp = left.to_pandas().dropna().merge(right.dropna(), left_on="lk",
+                                          right_on="rk")
+    assert sorted(got.columns) == ["lk", "v", "w"]
+    assert _rows(got, ["lk", "v", "w"]) == _rows(exp, ["lk", "v", "w"])
+    assert len(got) == 6   # a and h: 1 match each, d and e: 2 each
+
+
 def test_hash_join_finishes_at_one_cpu():
     """range(2000) joined to a mapped copy of itself in a fresh 1-CPU Ray
-    session: the upstream map task holds the only CPU, so the join's
-    aggregators must need none."""
+    session: the upstream map task holds the only CPU, so no stage of the
+    join may wait for a CPU of its own (Ray's ``Dataset.join`` did)."""
     code = textwrap.dedent("""
         import ray, ray.data
         ray.init(address="local", num_cpus=1, include_dashboard=False,
