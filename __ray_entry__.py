@@ -41,7 +41,7 @@ def entry() -> Any:
         })
 
     pages = docs.map_batches(to_pages, batch_format="pyarrow")
-    assigned, _counts = flagship.run(pages, concurrency=2)
+    assigned, _counts = flagship.run(pages)
     return assigned.select_columns(
         ["url", "lang", "lon", "lat", "tile_id", "cell_id", "text_extracted"])
 

@@ -3,8 +3,8 @@
 Default: runs the flagship pipeline (generate pages → dedup-by-url →
 html→text extraction → geocode → tile assignment → per-tile lang counts)
 over a deterministic synthetic page table, plus the oracle query suite over
-$GRAFT_SF_DIR (every ``REGISTRY`` query less ``SKIP_QUERIES``, or
-``--only name[,name]``), and prints ONE short JSON line, the headline and
+$GRAFT_SF_DIR (every ``REGISTRY`` query, or ``--only name[,name]``), and
+prints ONE short JSON line, the headline and
 the host probes:
 
     {"metric": "...", "value": <headline sec>, "unit": "sec",
@@ -34,28 +34,15 @@ SF = float(SF_DIR.rstrip("/").rsplit("sf", 1)[-1]) if "sf" in SF_DIR else -1.0
 QUERIES_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "bench_queries.json")
 
-# Known hangs (perfbench/README.md) the query suite leaves out: query →
-# the CPU count below which it hangs (None: at any count). ``--only``
-# still runs any of them by name.
-SKIP_QUERIES = {
-    "audio_features": None,   # decode-bound: over 60 s
-    "image_features": None,   # decode-bound: over 60 s
-    "oov_rate": 5,            # its 4-actor pool holds every CPU at 4
-    "tfidf_terms": 2,         # fixed 2-actor pool
-}
-
-
-def suite_queries(registry, ncpu: int, only: list[str] | None = None):
+def suite_queries(registry, only: list[str] | None = None):
     """The queries a run times: ``only`` if given (every name must be in
-    ``registry``), else every registry query less ``SKIP_QUERIES``."""
+    ``registry``), else every registry query."""
     if only:
         unknown = [q for q in only if q not in registry]
         if unknown:
             raise SystemExit(f"unknown queries: {', '.join(unknown)}")
         return list(only)
-    return [q for q in registry
-            if q not in SKIP_QUERIES
-            or (SKIP_QUERIES[q] is not None and ncpu >= SKIP_QUERIES[q])]
+    return list(registry)
 
 
 def host_probe() -> dict:
@@ -106,7 +93,7 @@ def run_bench(only: list[str] | None = None) -> dict:
 
     from geetiles_ray.pipelines.queries import REGISTRY
 
-    queries = suite_queries(REGISTRY, NCPU, only)
+    queries = suite_queries(REGISTRY, only)
     probe = wait_for_healthy(float(os.environ.get("GRAFT_WAIT_HEALTHY", "420")))
     ray.init(address="local", num_cpus=NCPU, include_dashboard=False,
              logging_level="ERROR")
@@ -148,8 +135,7 @@ def run_bench(only: list[str] | None = None) -> dict:
     # flagship.run materializes the assignment once and derives the
     # per-tile counts from the materialized blocks (single execution)
     assigned, counts = flagship.run(
-        pagesmod.generate_pages(N_PAGES), tiles=tiles,
-        concurrency=(2, max(2, NCPU // 2)), batch_size=8192)
+        pagesmod.generate_pages(N_PAGES), tiles=tiles, batch_size=8192)
     n_assigned = assigned.count()
     tile_counts = counts.materialize()
     n_join = tile_counts.count()
@@ -256,7 +242,7 @@ if __name__ == "__main__":
                     help="N-vs-4N-CPU scaling legs instead of one run")
     ap.add_argument("--only", default="",
                     help="comma-separated query names to time (default: "
-                         "the registry less SKIP_QUERIES)")
+                         "the whole registry)")
     args = ap.parse_args()
     if args.scaling:
         print(json.dumps(run_scaling()))

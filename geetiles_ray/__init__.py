@@ -2,9 +2,10 @@
 
 Re-expresses the capabilities of rramosp/geetiles (reference at
 /root/reference, studied via SURVEY.md) as idiomatic Ray Data pipelines:
-``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches, actor
-pools for stateful stages, explicit partial-aggregation before shuffles,
-broadcast small sides via ``ray.put``.
+``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches, plain
+tasks for every stage (stateful ones read a per-worker broadcast cache,
+``functions/arrowio.worker_cached``), explicit partial-aggregation before
+shuffles, broadcast small sides via ``ray.put``.
 
 Pure-numpy geometry / CRS / cell-index core (no shapely/pyproj/h3 in this
 environment); everything is deterministic and seed-pinned so results are

@@ -95,17 +95,10 @@ def cmd_download(a):
     plugin = load_plugin(a.dataset_def)
     hw = ast.literal_eval(a.pixels_lonlat) if a.pixels_lonlat else (100, 100)
     dest = os.path.splitext(a.tiles_file.rstrip("/"))[0]
-    import ray
-
-    # clamp the actor pool to the session's CPUs: an int concurrency is a
-    # MINIMUM pool size, and demanding more actors than cores stalls the
-    # whole pipeline waiting for actors that can never be placed
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    conc = max(1, min(a.n_processes, ncpu - 1 if ncpu > 1 else 1))
     from .state import metrics as metricsmod
     metricsmod.reset()  # per-run counts — the named actor survives pipelines
     rasters = raster.render_tiles(tiles, plugin, pixels_hw=tuple(hw),
-                                  concurrency=(1, conc))
+                                  concurrency=a.n_processes)
     if a.shuffle:
         rasters = rasters.random_shuffle(seed=42)  # T1: spread load
     if a.max_downloads:

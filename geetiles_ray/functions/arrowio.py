@@ -1,6 +1,7 @@
-"""Arrow/pandas block-schema utilities shared by the exchange kernels.
+"""Arrow/pandas block-schema utilities shared by the exchange kernels,
+and the per-worker cache every stateful stage reads its broadcast from.
 
-Three recurring needs, one home (round-4 review: the idiom was growing
+Four recurring needs, one home (round-4 review: the idiom was growing
 copies in joins.py and dedup.py):
 
 - ``pa_type``: normalize whatever ``Dataset.schema().types`` yields
@@ -14,6 +15,10 @@ copies in joins.py and dedup.py):
 - ``key_hash``: the engine's one routing hash — every exchange, hash
   range and Bloom probe places a row by it, so a key lands in one place
   whatever block, null mask or integer width it arrives with.
+- ``worker_cached``: a broadcast (``ray.put``) value, fetched and built
+  once per worker process and reused by every later task there — the
+  reference's ``multiprocessing.Pool(initializer=...)`` state
+  (gee.py:141-150) as a plain task.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 # integer and boolean columns convert to pandas nullable dtypes, so a column
 # keeps its dtype in a block with nulls (numpy would make it float64 /
@@ -88,3 +94,26 @@ def pandas_to_arrow_normalizer(target: pa.Schema):
                                     preserve_index=False)
 
     return to_arrow
+
+
+# per-worker-process cache of built broadcasts, oldest first; a few
+# entries cover every broadcast one plan reads at a time
+WORKER_CACHE_SIZE = 4
+_WORKER_CACHE: dict[str, object] = {}
+
+
+def worker_cached(ref: "ray.ObjectRef", build=None):
+    """``build(ray.get(ref))`` (or the fetched value when ``build`` is
+    None), computed once per worker process and ``ref`` and reused by
+    every later task in that process. Keyed by ``ref.hex()``, so one ref
+    has one build. Holds at most ``WORKER_CACHE_SIZE`` entries and evicts
+    the oldest. A stage calls it per batch; only the first call in a
+    process deserializes the broadcast (a vocabulary dict or an index is
+    never rebuilt per batch)."""
+    key = ref.hex()
+    if key not in _WORKER_CACHE:
+        value = ray.get(ref)
+        _WORKER_CACHE[key] = build(value) if build is not None else value
+        while len(_WORKER_CACHE) > WORKER_CACHE_SIZE:
+            del _WORKER_CACHE[next(iter(_WORKER_CACHE))]
+    return _WORKER_CACHE[key]

@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data
 
+from ..functions import arrowio
 from .dedup import fold_partials
 
 _MIX = 0x9E3779B97F4A7C15  # odd 64-bit multiplier (splitmix64's golden gamma)
@@ -552,43 +554,37 @@ def _string_byte_layout(arr):
 
 
 def oov_rate(ds: ray.data.Dataset, id_col: str = "doc_id",
-             text_col: str = "text", vocab_size: int = 100,
-             concurrency: int = 4) -> ray.data.Dataset:
+             text_col: str = "text",
+             vocab_size: int = 100) -> ray.data.Dataset:
     """Tokenizer-vocabulary coverage diagnostics: per document, how many
     tokens fall outside the corpus's own top-``vocab_size`` vocabulary —
     the OOV-rate report run before fixing a tokenizer vocab or spotting
     out-of-domain/garbage shards. Vocab = :func:`top_tokens` (exact,
     deterministic (count desc, token asc) tie-break at the size
-    boundary, one ``fold_partials``), broadcast ONCE PER ACTOR via
-    ``ray.get`` in ``__init__`` (the ImportanceScore pattern — never
-    per batch), then ONE map pass. Output (id, n_tokens, n_oov)."""
-    import ray as _ray
-
+    boundary, one ``fold_partials``), broadcast once and loaded once per
+    worker process (``arrowio.worker_cached`` — never per batch), then
+    ONE plain-task map pass. Output (id, n_tokens, n_oov)."""
     top = top_tokens(ds, text_col, k=vocab_size)
-    ref = _ray.put(frozenset(top["token"].tolist()))
+    ref = ray.put(frozenset(top["token"].tolist()))
 
-    class Oov:
-        def __init__(self):
-            self.vocab = _ray.get(ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            if not len(df):
-                return pd.DataFrame({
-                    id_col: pd.Series([], dtype="int64"),
-                    "n_tokens": pd.Series([], dtype="int64"),
-                    "n_oov": pd.Series([], dtype="int64")})
-            toks = tokenize(df[text_col])
-            nt = toks.groupby(level=0).size() \
-                .reindex(df.index, fill_value=0)
-            inv = toks.isin(self.vocab).groupby(level=0).sum() \
-                .reindex(df.index, fill_value=0)
+    def oov(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df):
             return pd.DataFrame({
-                id_col: df[id_col].to_numpy(),
-                "n_tokens": nt.to_numpy().astype(np.int64),
-                "n_oov": (nt - inv).to_numpy().astype(np.int64)})
+                id_col: pd.Series([], dtype="int64"),
+                "n_tokens": pd.Series([], dtype="int64"),
+                "n_oov": pd.Series([], dtype="int64")})
+        toks = tokenize(df[text_col])
+        nt = toks.groupby(level=0).size() \
+            .reindex(df.index, fill_value=0)
+        inv = toks.isin(arrowio.worker_cached(ref)).groupby(level=0).sum() \
+            .reindex(df.index, fill_value=0)
+        return pd.DataFrame({
+            id_col: df[id_col].to_numpy(),
+            "n_tokens": nt.to_numpy().astype(np.int64),
+            "n_oov": (nt - inv).to_numpy().astype(np.int64)})
 
     return ds.select_columns([id_col, text_col]).map_batches(
-        Oov, batch_format="pandas", concurrency=concurrency)
+        oov, batch_format="pandas")
 
 
 def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
@@ -850,14 +846,14 @@ def token_postings(ds: ray.data.Dataset, id_col: str = "doc_id",
 
 class _TfidfScorer:
     """Stateful scoring stage for tfidf_topk: the document-frequency map
-    is ray.get once per ACTOR in __init__ (the ImportanceScore pattern,
-    text.py) — never per batch, where a 10⁸-token vocabulary dict would
-    re-deserialize on every task (round-4 judge finding)."""
+    is fetched once per worker PROCESS (``arrowio.worker_cached``, the
+    ImportanceScore pattern, text.py) — never per batch, where a
+    10⁸-token vocabulary dict would re-deserialize on every task (round-4
+    judge finding)."""
 
     def __init__(self, df_ref, n1: float, id_col: str, text_col: str,
                  k: int):
-        import ray as _ray
-        self.dfm = _ray.get(df_ref)
+        self.df_ref = df_ref
         self.n1, self.id_col, self.text_col, self.k = n1, id_col, text_col, k
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
@@ -867,7 +863,8 @@ class _TfidfScorer:
              "token": toks.to_numpy()})
         tf = t.groupby(["doc_id", "token"], sort=False).size() \
             .rename("tf").reset_index()
-        dfv = tf.token.map(self.dfm).to_numpy(dtype=np.float64)
+        dfm = arrowio.worker_cached(self.df_ref)
+        dfv = tf.token.map(dfm).to_numpy(dtype=np.float64)
         idf = np.log(self.n1 / (dfv + 1.0)) + 1.0
         tf["score"] = np.round(tf.tf.to_numpy() * idf, 6)
         d = tf.sort_values(["doc_id", "score", "token"],
@@ -882,8 +879,7 @@ class _TfidfScorer:
 def tfidf_topk(ds: ray.data.Dataset, id_col: str = "doc_id",
                text_col: str = "text", k: int = 3,
                n_docs: int | None = None,
-               df_map: dict | None = None,
-               concurrency: int | tuple | None = None) -> ray.data.Dataset:
+               df_map: dict | None = None) -> ray.data.Dataset:
     """Top-``k`` TF-IDF terms per document (idf = ln((N+1)/(df+1)) + 1,
     score = round(tf·idf, 6); ties rank by token asc).
 
@@ -891,26 +887,17 @@ def tfidf_topk(ds: ray.data.Dataset, id_col: str = "doc_id",
     (vocabulary-sized — Zipf caps it far below corpus size) and is
     broadcast once via ``ray.put``; the scoring pass is then PURELY
     map-side — each doc's rows live in one batch, so per-doc top-k needs
-    no exchange at all, and the broadcast map loads once per actor in
-    ``__init__``. Pass ``df_map``/``n_docs`` to reuse a postings table
+    no exchange at all, and the broadcast map loads once per worker
+    process. Pass ``df_map``/``n_docs`` to reuse a postings table
     already built (e.g. by the same curation pipeline)."""
-    import ray as _ray
-
     if df_map is None:
         post = token_postings(ds, id_col, text_col).to_pandas()
         df_map = dict(zip(post.token, post.df.astype("int64")))
     if n_docs is None:
         n_docs = ds.count()
-    if concurrency is None:
-        ncpu = int(_ray.cluster_resources().get("CPU", 4))
-        concurrency = (2, max(2, ncpu // 2))
-    df_ref = _ray.put(df_map)
-
     return ds.select_columns([id_col, text_col]).map_batches(
-        _TfidfScorer,
-        fn_constructor_kwargs=dict(df_ref=df_ref, n1=float(n_docs + 1),
-                                   id_col=id_col, text_col=text_col, k=k),
-        batch_format="pandas", concurrency=concurrency)
+        _TfidfScorer(ray.put(df_map), float(n_docs + 1), id_col, text_col, k),
+        batch_format="pandas")
 
 
 # ------------------------------------------------------- grouped quantiles

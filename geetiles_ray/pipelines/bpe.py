@@ -20,9 +20,9 @@ non-overlapping) as ``str.replace`` — the ``|tok `` state rendering
 canonical token-level pass.
 
 Scale shape (the part that matters at 100 TB):
-- the merges table is broadcast ONCE via ``ray.put`` and loaded per
-  actor in ``__init__`` (stateful actor-pool stage — the model-load
-  pattern);
+- the merges table is broadcast ONCE via ``ray.put`` and loaded once
+  per worker process (``arrowio.worker_cached`` in a plain task — the
+  model-load pattern);
 - each batch encodes only its DISTINCT words (the per-word cache every
   real tokenizer keeps): Zipf makes |distinct| ≪ |tokens|, and the
   encoded counts map back vectorized;
@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray
 import ray.data
 
+from ..functions import arrowio
 from .text import tokenize
 
 # Deterministic exemplar merges table (rank order). Every rule's sides
@@ -120,21 +122,21 @@ def bpe_token_counts_kernel(words: pd.Series,
 
 
 class BpeCount:
-    """Actor-pool stage: per-doc whitespace word count and BPE token
-    count under a broadcast merges table. Merges ride the object store
-    once and load per actor in ``__init__``; each batch encodes only its
-    DISTINCT words and maps the counts back (vectorized)."""
+    """Per-doc whitespace word count and BPE token count under a
+    broadcast merges table. Merges ride the object store once and load
+    once per worker process (``arrowio.worker_cached``); each batch
+    encodes only its DISTINCT words and maps the counts back
+    (vectorized)."""
 
     def __init__(self, merges_ref, text_col: str = "text"):
-        import ray
-        self.merges = ray.get(merges_ref)
-        self.text_col = text_col
+        self.merges_ref, self.text_col = merges_ref, text_col
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         toks = tokenize(df[self.text_col])
         uniq = toks.unique() if len(toks) else np.array([], dtype=object)
         cnt = pd.Series(
-            bpe_token_counts_kernel(pd.Series(uniq, dtype=str), self.merges),
+            bpe_token_counts_kernel(pd.Series(uniq, dtype=str),
+                                    arrowio.worker_cached(self.merges_ref)),
             index=uniq, dtype="int64")
         per_tok = toks.map(cnt)
         owner = toks.index.to_numpy()
@@ -147,20 +149,11 @@ class BpeCount:
 
 
 def bpe_token_counts(ds: ray.data.Dataset, text_col: str = "text",
-                     merges: list[tuple[str, str]] | None = None,
-                     concurrency: int | tuple | None = None
+                     merges: list[tuple[str, str]] | None = None
                      ) -> ray.data.Dataset:
     """Append ``n_words`` / ``n_bpe_tokens`` columns (the pack_plan
     ``tokens_col`` feed) — see module docstring for the physical plan."""
-    import ray
-
     merges = list(MERGES if merges is None else merges)
     validate_merges(merges)
-    if concurrency is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = (2, max(2, ncpu // 2))
-    ref = ray.put(merges)
-    return ds.map_batches(
-        BpeCount, fn_constructor_kwargs=dict(merges_ref=ref,
-                                             text_col=text_col),
-        batch_format="pandas", concurrency=concurrency)
+    return ds.map_batches(BpeCount(ray.put(merges), text_col),
+                          batch_format="pandas")

@@ -84,7 +84,8 @@ def band_fold(sig_bands: np.ndarray) -> np.ndarray:
 
 
 class MinHashStage:
-    """map_batches stage: text → minhash signature + LSH band rows.
+    """map_batches stage (a callable instance, run as a task): text →
+    minhash signature + LSH band rows.
 
     Every hash is SQL-expressible modular arithmetic (char-shingle
     polynomial → (a·h+b) mod 2⁶¹-1 minima → band polynomial fold), which
@@ -407,10 +408,8 @@ def dedup_minhash_dist(ds: ray.data.Dataset, id_col: str, text_col: str,
         bands, rows = optimal_bands(threshold, num_perm, fp_weight=0.2)
         num_perm = bands * rows
     band_rows = ds.map_batches(
-        MinHashStage, fn_constructor_kwargs=dict(
-            id_col=id_col, text_col=text_col, num_perm=num_perm, bands=bands,
-            shingle_k=shingle_k),
-        batch_format="pyarrow", concurrency=2)
+        MinHashStage(id_col, text_col, num_perm=num_perm, bands=bands,
+                     shingle_k=shingle_k), batch_format="pyarrow")
     pairs = lsh_candidate_pairs_ds(band_rows).materialize()
     if pairs.count() == 0:
         return pd.DataFrame({id_col: [], "group_id": []})
@@ -445,10 +444,8 @@ def dedup_minhash(ds: ray.data.Dataset, id_col: str, text_col: str,
         bands, rows = optimal_bands(threshold, num_perm, fp_weight=0.2)
         num_perm = bands * rows
     band_rows = ds.map_batches(
-        MinHashStage, fn_constructor_kwargs=dict(
-            id_col=id_col, text_col=text_col, num_perm=num_perm, bands=bands,
-            shingle_k=shingle_k),
-        batch_format="pyarrow", concurrency=2)
+        MinHashStage(id_col, text_col, num_perm=num_perm, bands=bands,
+                     shingle_k=shingle_k), batch_format="pyarrow")
     pairs = lsh_candidate_pairs(band_rows)
     if len(pairs) == 0:
         return pd.DataFrame({id_col: [], "group_id": []})

@@ -699,7 +699,7 @@ def q_foreign_overlap(sf_dir: str):
     # 0.143 is incommensurate with the fine 0.04 grid: no coarse boundary
     # ever bisects a fine tile exactly, so argmax areas have no float ties
     coarse = ray.data.from_arrow(boxes(5, 6, 5.77, 49.37, 0.143, 0.143, "f"))
-    out = joinsmod.add_foreign_partition(fine, coarse, "coarse", concurrency=2)
+    out = joinsmod.add_foreign_partition(fine, coarse, "coarse")
     return out.select_columns(["identifier", "foreignid_coarse"]).to_pandas() \
         .sort_values("identifier").reset_index(drop=True)
 
@@ -771,7 +771,7 @@ def q_foreign_weighted(sf_dir: str):
     coarse = ray.data.from_arrow(
         boxes(5, 6, 5.77, 49.37, 0.143, 0.143, "f", with_score=True))
     out = joinsmod.add_foreign_proportions(fine, coarse, "coarse", "props",
-                                           out_col="w", concurrency=2).to_pandas()
+                                           out_col="w").to_pandas()
     # round 7: the assigner's areas come from the generic polygon-clip
     # shoelace (relative error ~1e-9 vs the SQL box formula), so 9
     # decimals can split on exact-decimal scores like 4.75
@@ -943,9 +943,9 @@ def q_label_proportions(sf_dir: str):
 
     tiles = flagship.build_fixture_tileset(5000.0)
     rasters = rastermod.render_tiles(tiles, "worldcoverlike",
-                                     pixels_hw=(20, 20), concurrency=2)
-    props = rastermod.compute_proportions(rasters, tiles, "worldcoverlike",
-                                          concurrency=2).to_pandas()
+                                     pixels_hw=(20, 20))
+    props = rastermod.compute_proportions(rasters, tiles,
+                                          "worldcoverlike").to_pandas()
     rows = []
     pcol = [c for c in props.columns if c != "identifier"][0]
     for ident, mp in zip(props["identifier"], props[pcol]):
@@ -2519,11 +2519,11 @@ SELECT doc_id, domain FROM ranked WHERE r <= 20 ORDER BY doc_id
 
 def q_model_score(sf_dir: str):
     """Batched model inference plumbing (pipelines/sim.py linear_score):
-    every embedding scored by a broadcast linear head in an actor pool —
-    weights ray.put once, fetched in __init__, exact int64 dot product
-    (kmeans Q_SCALE quantization) so the 'model output' is value-hashed
-    against HUGEINT SQL. Weights are a splitmix function of the dimension
-    index; scores are dyadic-exact float64 both sides."""
+    every embedding scored by a broadcast linear head in plain tasks —
+    weights ray.put once, fetched once per worker process, exact int64 dot
+    product (kmeans Q_SCALE quantization) so the 'model output' is
+    value-hashed against HUGEINT SQL. Weights are a splitmix function of
+    the dimension index; scores are dyadic-exact float64 both sides."""
     from . import sim as simmod
 
     dim, q = 64, 1 << 20
@@ -3720,8 +3720,8 @@ SQL_IMPORTANCE_WEIGHTS = _sql_importance_weights()
 def q_bpe_tokens(sf_dir: str):
     """BPE tokenizer encode (bpe.bpe_token_counts): per-doc whitespace
     word count and BPE token count under the broadcast exemplar merges
-    table. The merges ride the object store once and load per actor in
-    ``__init__``; each batch encodes only its DISTINCT words (Zipf word
+    table. The merges ride the object store once and load once per worker
+    process; each batch encodes only its DISTINCT words (Zipf word
     cache) — the whole stage is exchange-free. The SQL twin replays the
     identical rank-order fixed-point encode with a recursive CTE over
     (rule_idx, state_string) using DuckDB ``replace`` (same leftmost
@@ -3798,7 +3798,7 @@ def q_bpe_pack_bins(sf_dir: str):
     """The learned-tokenizer training-prep composition (round-4 judge
     item #6's 'token counts feeding pack_plan'): BPE-encode every doc
     under the broadcast merges table (bpe.bpe_token_counts — exchange-
-    free actor pool) and pack the corpus into 512-BPE-token training
+    free plain tasks) and pack the corpus into 512-BPE-token training
     sequences per (lang, 10k-doc shard) stream with analytics.pack_plan.
     The SQL twin chains the recursive-CTE encode into the windowed-SUM
     binning, so the value hash proves encode AND packing end-to-end."""
@@ -4042,10 +4042,10 @@ SQL_REDACT_PII = _sql_redact_pii()
 def q_oov_rate(sf_dir: str):
     """Per-doc OOV rate vs the corpus top-100 vocabulary
     (analytics.oov_rate): exact top-V via top_tokens' one partial
-    fold, vocab broadcast once per actor, one map pass. The SQL twin
-    rebuilds the identical vocab (same (count desc, token asc)
-    boundary tie-break) and LEFT JOINs it back, so the value hash
-    checks vocab construction AND membership counting."""
+    fold, vocab broadcast once and loaded once per worker process, one
+    map pass. The SQL twin rebuilds the identical vocab (same (count
+    desc, token asc) boundary tie-break) and LEFT JOINs it back, so the
+    value hash checks vocab construction AND membership counting."""
     from . import analytics as anmod
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
@@ -4693,34 +4693,35 @@ def q_curation_shards(sf_dir: str):
     (stages/joins.join_on_identifier) → per-shard rollup. One value
     hash certifies the whole chain; every stage is the same code the
     standalone queries run."""
-    from ray.data.aggregate import Min
-
     from ..functions import pii as piimod
     from ..stages.joins import join_on_identifier
     from . import analytics as anmod
+
+    def with_ones(cols: list[str]):
+        def f(batch: pa.Table) -> pa.Table:
+            return batch.select(cols).append_column(
+                "__n", pa.array(np.ones(len(batch), np.int64)))
+        return f
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
     red = piimod.redact_pii(
         docs.map_batches(_pii_dirty_batch, batch_format="pyarrow"))
-    chunks = anmod.chunk_plan(red, window=16, stride=12)
-    per_doc = chunks.groupby("doc_id").aggregate(
-        Count(), Sum("n_chunk_bytes"))
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["doc_id", "n_chunks", "chunk_bytes"])
-
-    per_doc = per_doc.map_batches(rename, batch_format="pyarrow")
+    chunks = anmod.chunk_plan(red, window=16, stride=12).map_batches(
+        with_ones(["doc_id", "n_chunk_bytes"]), batch_format="pyarrow")
+    per_doc = dedupmod.fold_partials(
+        chunks, ["doc_id"], [("__n", "sum"), ("n_chunk_bytes", "sum")],
+        out_names=["doc_id", "n_chunks", "chunk_bytes"])
     shards = anmod.shard_plan(docs, key_col="doc_id", shard_size=64)
     joined = join_on_identifier(shards, per_doc, key="doc_id",
                                 right_cols=["n_chunks", "chunk_bytes"])
-    agg = joined.groupby("shard").aggregate(
-        Count(), Sum("n_chunks"), Sum("chunk_bytes"),
-        Min("doc_id")).to_pandas()
-    agg = agg.rename(columns={"count()": "n_docs",
-                              "sum(n_chunks)": "n_chunks",
-                              "sum(chunk_bytes)": "chunk_bytes",
-                              "min(doc_id)": "first_doc"})
+    cols = ["shard", "n_chunks", "chunk_bytes", "doc_id"]
+    agg = dedupmod.fold_partials(
+        joined.map_batches(with_ones(cols), batch_format="pyarrow"),
+        ["shard"], [("__n", "sum"), ("n_chunks", "sum"),
+                    ("chunk_bytes", "sum"), ("doc_id", "min")],
+        out_names=["shard", "n_docs", "n_chunks", "chunk_bytes",
+                   "first_doc"]).to_pandas()
     agg = agg.sort_values("shard").reset_index(drop=True)
     return agg.astype({c: "int64" for c in agg.columns})
 

@@ -19,6 +19,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions import arrowio
+
 
 def _to_matrix(col) -> np.ndarray:
     return np.asarray(col.to_pylist(), dtype=np.float64)
@@ -38,9 +40,7 @@ def brute_force_topk(ds: ray.data.Dataset, queries: np.ndarray,
     to 6 dp, rank by (score desc, neighbor_id asc) for determinism."""
     qm = _normalize(np.asarray(queries, dtype=np.float64))
     qids = np.asarray(query_ids)
-    # query state is small → plain-function stage (closure is shipped once
-    # per task); actor pools are reserved for heavy per-actor state, and
-    # chaining multiple pools can starve a small session's CPUs.
+    # query state is small → the closure ships it with each task
 
     def score(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch[id_col].to_pylist())
@@ -121,24 +121,20 @@ def cosine_neardup_pairs(ds: ray.data.Dataset, tau: float,
         mat = _normalize(np.stack(full[vec_col].to_numpy()).astype(np.float64))
         ref = ray.put((ids, mat))
 
-        class PairFinder:
-            def __init__(self):
-                self.ids, self.mat = ray.get(ref)
+        def pair_finder(batch: pa.Table) -> pa.Table:
+            all_ids, all_mat = arrowio.worker_cached(ref)
+            bids = np.asarray(batch[id_col].to_pylist())
+            bm = _normalize(_to_matrix(batch[vec_col]))
+            cos = bm @ all_mat.T
+            row, col = np.nonzero(
+                (cos >= tau) & (bids[:, None] < all_ids[None, :]))
+            return pa.table({
+                "id_a": pa.array(bids[row], type=pa.int64()),
+                "id_b": pa.array(all_ids[col], type=pa.int64()),
+                "cos_sim": pa.array(np.round(cos[row, col], 6)),
+            })
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                bids = np.asarray(batch[id_col].to_pylist())
-                bm = _normalize(_to_matrix(batch[vec_col]))
-                cos = bm @ self.mat.T
-                row, col = np.nonzero(
-                    (cos >= tau) & (bids[:, None] < self.ids[None, :]))
-                return pa.table({
-                    "id_a": pa.array(bids[row], type=pa.int64()),
-                    "id_b": pa.array(self.ids[col], type=pa.int64()),
-                    "cos_sim": pa.array(np.round(cos[row, col], 6)),
-                })
-
-        out = ds.map_batches(PairFinder, batch_format="pyarrow",
-                             concurrency=2).to_pandas()
+        out = ds.map_batches(pair_finder, batch_format="pyarrow").to_pandas()
         return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
     cent = train_centroids(ds, n_centroids, vec_col)
@@ -209,10 +205,9 @@ def ivf_topk(ds: ray.data.Dataset, queries: np.ndarray, query_ids: np.ndarray,
 
 def linear_score(ds: ray.data.Dataset, weights: np.ndarray,
                  id_col: str = "vec_id", vec_col: str = "embedding",
-                 q_scale: int = 1 << 20,
-                 concurrency: int | tuple | None = None) -> ray.data.Dataset:
+                 q_scale: int = 1 << 20) -> ray.data.Dataset:
     """Batched 'model inference' over an embedding column: score each row
-    with a broadcast linear head — the actor-pool plumbing every learned
+    with a broadcast linear head — the plain-task plumbing every learned
     scorer (quality classifier, reranker, reward model) runs on; only the
     stub model is linear.
 
@@ -220,21 +215,15 @@ def linear_score(ds: ray.data.Dataset, weights: np.ndarray,
     head must be quantized by the caller, e.g.
     ``np.floor(w * q_scale + 0.5)`` — silently truncating natural
     |w| < 1 floats would produce an all-zero scorer, round-4 advisor
-    finding; non-integral floats raise). It is ``ray.put`` once; each
-    actor ray.gets it in ``__init__`` (never per batch). Scores are an
+    finding; non-integral floats raise). It is ``ray.put`` once and
+    fetched once per worker process (``arrowio.worker_cached``, never per
+    batch). Scores are an
     EXACT int64 dot product over floor-quantized embeddings (the kmeans
     Q_SCALE discipline), so score_q is hashable against HUGEINT SQL and
     score = score_q / q_scale² is a dyadic-exact float64 on both engines.
 
     Magnitudes: |emb| ≤ 2048 and |w| ≤ 2²⁰ at q_scale 2²⁰ and dim ≤ 4096
     keep the accumulated dot far under 2⁶³."""
-    import ray
-
-    if concurrency is None:
-        # size the inference pool to the cluster, not a hardcoded 2 —
-        # scoring is the throughput stage of a curation pipeline
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        concurrency = (2, max(2, ncpu // 2))
     w = np.asarray(weights)
     if not np.issubdtype(w.dtype, np.integer):
         if not np.array_equal(w, np.rint(w)):
@@ -246,20 +235,14 @@ def linear_score(ds: ray.data.Dataset, weights: np.ndarray,
     wq = w.astype(np.int64)
     w_ref = ray.put(wq)
 
-    class Scorer:
-        def __init__(self):
-            self.w = ray.get(w_ref)
+    def score(batch: pa.Table) -> pa.Table:
+        m = _to_matrix(batch[vec_col])
+        xq = np.floor(m.astype(np.float64) * q_scale + 0.5).astype(np.int64)
+        s = xq @ arrowio.worker_cached(w_ref)
+        return pa.table({
+            id_col: batch[id_col],
+            "score_q": pa.array(s, type=pa.int64()),
+            "score": pa.array(s / (float(q_scale) ** 2)),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _to_matrix(batch[vec_col])
-            xq = np.floor(m.astype(np.float64) * q_scale + 0.5) \
-                .astype(np.int64)
-            s = xq @ self.w
-            return pa.table({
-                id_col: batch[id_col],
-                "score_q": pa.array(s, type=pa.int64()),
-                "score": pa.array(s / (float(q_scale) ** 2)),
-            })
-
-    return ds.map_batches(Scorer, batch_format="pyarrow",
-                          concurrency=concurrency)
+    return ds.map_batches(score, batch_format="pyarrow")

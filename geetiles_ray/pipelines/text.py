@@ -1,7 +1,9 @@
 """Text analysis operators for the web-page table (training-data pipeline
 extensions): language id, quality scoring, token counting, fingerprinting.
-All vectorized pandas/numpy inside map_batches; regexes compiled once per
-actor (stateful stage pattern)."""
+All vectorized pandas/numpy inside plain-task map_batches: a stage without
+broadcast state is a callable instance built (regexes compiled) on the
+driver; a stage with one reads it through ``arrowio.worker_cached``, once
+per worker process."""
 
 from __future__ import annotations
 
@@ -10,7 +12,10 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data
+
+from ..functions import arrowio
 
 STOPWORDS = {
     "en": ["the", "and", "of", "to", "a", "in", "is", "it", "you", "that"],
@@ -61,10 +66,8 @@ class LangId:
         return df
 
 
-def lang_id(ds: ray.data.Dataset, text_col: str = "text",
-            concurrency: int | tuple = 2) -> ray.data.Dataset:
-    return ds.map_batches(LangId, fn_constructor_kwargs=dict(text_col=text_col),
-                          batch_format="pandas", concurrency=concurrency)
+def lang_id(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
+    return ds.map_batches(LangId(text_col), batch_format="pandas")
 
 
 class QualityScore:
@@ -96,11 +99,9 @@ class QualityScore:
         return df
 
 
-def quality_score(ds: ray.data.Dataset, text_col: str = "text",
-                  concurrency: int | tuple = 2) -> ray.data.Dataset:
-    return ds.map_batches(QualityScore,
-                          fn_constructor_kwargs=dict(text_col=text_col),
-                          batch_format="pandas", concurrency=concurrency)
+def quality_score(ds: ray.data.Dataset,
+                  text_col: str = "text") -> ray.data.Dataset:
+    return ds.map_batches(QualityScore(text_col), batch_format="pandas")
 
 
 class TokenCount:
@@ -120,8 +121,7 @@ class TokenCount:
 
 
 def token_count(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
-    return ds.map_batches(TokenCount, fn_constructor_kwargs=dict(text_col=text_col),
-                          batch_format="pandas", concurrency=2)
+    return ds.map_batches(TokenCount(text_col), batch_format="pandas")
 
 
 FP_WINDOW = 8
@@ -169,19 +169,19 @@ class UnigramScore:
     score is its mean token log-probability under the corpus unigram
     distribution (perplexity filtering without a KenLM dependency — the
     model IS the corpus token_postings table). Stateful stage: the
-    vocabulary probability table rides the object store once and loads per
-    actor in __init__; scoring is pure map work."""
+    vocabulary count table (dict token -> count) rides the object store
+    once and loads once per worker process (``arrowio.worker_cached``);
+    scoring is pure map work."""
 
     def __init__(self, probs_ref, total_tokens: int,
                  text_col: str = "text"):
-        import ray
-        self.text_col = text_col
-        self.probs = ray.get(probs_ref)  # dict token -> count
+        self.probs_ref, self.text_col = probs_ref, text_col
         self.total = float(total_tokens)
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        probs = arrowio.worker_cached(self.probs_ref)
         toks = tokenize(df[self.text_col])
-        cnt = toks.map(self.probs).fillna(0).to_numpy(dtype=np.float64)
+        cnt = toks.map(probs).fillna(0).to_numpy(dtype=np.float64)
         # add-one smoothing keeps unseen tokens finite; same formula in SQL
         lp = np.log((cnt + 1.0) / (self.total + 1.0))
         g = pd.Series(lp).groupby(toks.index.to_numpy())
@@ -194,24 +194,17 @@ class UnigramScore:
 
 
 def unigram_logprob(ds: ray.data.Dataset, id_col: str = "doc_id",
-                    text_col: str = "text",
-                    concurrency: int | tuple = 2) -> ray.data.Dataset:
+                    text_col: str = "text") -> ray.data.Dataset:
     """Two-phase: corpus unigram counts (token_postings' combiner path)
     broadcast once, then one scoring map. Output adds n_tokens and
     mean_logprob (round 6)."""
-    import ray
-
     from .analytics import token_postings
 
     post = token_postings(ds, id_col, text_col).to_pandas()
     counts = dict(zip(post.token, post.tf.astype("int64")))
     total = int(post.tf.sum())
-    ref = ray.put(counts)
-    return ds.map_batches(
-        UnigramScore,
-        fn_constructor_kwargs=dict(probs_ref=ref, total_tokens=total,
-                                   text_col=text_col),
-        batch_format="pandas", concurrency=concurrency)
+    return ds.map_batches(UnigramScore(ray.put(counts), total, text_col),
+                          batch_format="pandas")
 
 
 class ImportanceScore:
@@ -222,16 +215,13 @@ class ImportanceScore:
     BACKGROUND corpus distribution, add-one smoothed. Docs scoring > 0
     look more target-like than background — the select flag for
     importance resampling. Stateful stage: both count tables broadcast
-    once, loaded per actor in __init__."""
+    once as one (target, background) pair, loaded once per worker process
+    (``arrowio.worker_cached``)."""
 
-    def __init__(self, target_ref, target_total: int, bg_ref,
-                 bg_total: int, text_col: str = "text"):
-        import ray
-        self.text_col = text_col
-        self.tgt = ray.get(target_ref)
-        self.tt = float(target_total)
-        self.bg = ray.get(bg_ref)
-        self.tb = float(bg_total)
+    def __init__(self, models_ref, target_total: int, bg_total: int,
+                 text_col: str = "text"):
+        self.models_ref, self.text_col = models_ref, text_col
+        self.tt, self.tb = float(target_total), float(bg_total)
 
     # per-token log-ratios are quantized to this integer grid BEFORE the
     # per-doc sum, so the fold is order-independent: pandas groupby-sum
@@ -242,9 +232,10 @@ class ImportanceScore:
     LR_SCALE = 1_000_000_000.0
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
+        tgt, bg = arrowio.worker_cached(self.models_ref)
         toks = tokenize(df[self.text_col])
-        ct = toks.map(self.tgt).fillna(0).to_numpy(dtype=np.float64)
-        cb = toks.map(self.bg).fillna(0).to_numpy(dtype=np.float64)
+        ct = toks.map(tgt).fillna(0).to_numpy(dtype=np.float64)
+        cb = toks.map(bg).fillna(0).to_numpy(dtype=np.float64)
         lr = (np.log((ct + 1.0) / (self.tt + 1.0))
               - np.log((cb + 1.0) / (self.tb + 1.0)))
         lri = np.floor(lr * self.LR_SCALE + 0.5).astype(np.int64)
@@ -263,7 +254,6 @@ class ImportanceScore:
 
 def importance_weights(ds: ray.data.Dataset, target_mask,
                        id_col: str = "doc_id", text_col: str = "text",
-                       concurrency: int | tuple = 2,
                        postings: ray.data.Dataset | None = None
                        ) -> ray.data.Dataset:
     """DSIR importance scoring: build target (rows where
@@ -276,8 +266,6 @@ def importance_weights(ds: ray.data.Dataset, target_mask,
     reuse the BACKGROUND unigram model a composed curation pipeline
     already built (tfidf / unigram_logprob / pmi all need it): the
     background corpus scan is then skipped entirely."""
-    import ray
-
     from .analytics import token_postings
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -304,11 +292,8 @@ def importance_weights(ds: ray.data.Dataset, target_mask,
     else:
         bg, tb = model(token_postings(ds, id_col, text_col).to_pandas())
     return ds.map_batches(
-        ImportanceScore,
-        fn_constructor_kwargs=dict(
-            target_ref=ray.put(tgt), target_total=tt,
-            bg_ref=ray.put(bg), bg_total=tb, text_col=text_col),
-        batch_format="pandas", concurrency=concurrency)
+        ImportanceScore(ray.put((tgt, bg)), tt, tb, text_col),
+        batch_format="pandas")
 
 
 # --------------------------------------------------- text normalization

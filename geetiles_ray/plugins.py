@@ -17,7 +17,8 @@ Hooks (all optional except the first two), mapped to engine stages:
     get_dtype()                         → storage dtype
     get_band_names()                    → band order (gee.py:357-360)
     map_values(array)                   → relabel before proportions/export
-    build()                             → one-time bootstrap → actor __init__
+    build()                             → one-time bootstrap, once per worker
+                                          process (arrowio.worker_cached)
     post_process_tile(array, meta)      → rewrite hook (gee.py:362-364)
     on_error(identifier, exc)           → '.nodata' policy
                                           (defs/s1grdobs.py:169-178)

@@ -131,8 +131,8 @@ def generate_pages(n: int, override_num_blocks: int | None = None) -> ray.data.D
 
 import re as _re
 
-# compiled once at import (workers import the module once per process —
-# the stateful-stage rule without needing an actor for stateless regex)
+# compiled once at import (workers import the module once per process, so
+# stateless regex needs no per-worker cache)
 _SCRIPT_STYLE_RE = _re.compile(
     rb"<(script|style|noscript)\b[^>]*>.*?</\1\s*>", _re.S | _re.I)
 _COMMENT_RE = _re.compile(rb"<!--.*?-->", _re.S)

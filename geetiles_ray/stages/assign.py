@@ -7,8 +7,9 @@ with two Ray-Data-native paths:
 1. **Broadcast path** (default; tiles are the small side, like the foreign
    tileset held in memory at partitions.py:474-475 — but indexed, not
    linearly scanned): the tileset's (bounds, id, center) arrays are
-   ``ray.put`` ONCE; each ``TileAssigner`` actor builds a bucketed bbox
-   index in ``__init__`` and assigns whole Arrow batches vectorized.
+   ``ray.put`` ONCE; each worker process builds a bucketed bbox index
+   once (``arrowio.worker_cached``; ``TileAssigner`` actors in
+   ``__init__``) and assigns whole Arrow batches vectorized.
    Scales to ~10^7 tiles per node (~50 B/tile); pages stream through.
 
 2. **Cell-equi-join path** (``assign_by_cell_join``; both sides large):
@@ -33,6 +34,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions import arrowio
 from ..functions import cells as cellsmod
 from ..functions import geocode as geocodemod
 
@@ -338,8 +340,8 @@ class TileIndex:
 
 def broadcast_tileset(tiles_ds: ray.data.Dataset) -> "ray.ObjectRef":
     """Collect the tileset's index columns to numpy and ``ray.put`` ONCE —
-    every assigner actor reads the same object-store copy (zero re-ship per
-    batch). ~50 B/tile."""
+    every assigner worker reads the same object-store copy (zero re-ship
+    per batch). ~50 B/tile."""
     cols = ["minx", "miny", "maxx", "maxy", "identifier", "clon", "clat"]
     parts = {c: [] for c in cols}
     for b in tiles_ds.select_columns(cols).iter_batches(batch_size=65536, batch_format="pyarrow"):
@@ -398,12 +400,6 @@ class TileAssigner:
                              self.geocode_cols, self.lonlat_cols, self.knn_k)
 
 
-# per-worker-process TileIndex cache for the task path, keyed by the
-# broadcast ObjectRef — each Ray worker builds the index at most once, later
-# tasks in the same process reuse it (ray.get of a local object is zero-copy)
-_TASK_INDEX_CACHE: dict[str, TileIndex] = {}
-
-
 def assign_pages(pages: ray.data.Dataset, tiles: ray.data.Dataset,
                  concurrency: int | tuple | None = 4, batch_size: int = 8192,
                  cell_res: int = 12, knn_k: int = 0,
@@ -415,13 +411,14 @@ def assign_pages(pages: ray.data.Dataset, tiles: ray.data.Dataset,
     - ``use_actors=True`` — actor pool (``concurrency`` actors), the right
       shape when the index is expensive (10^6+ tiles) and you want explicit
       pool sizing.
-    - ``use_actors=False`` — plain task ``map_batches`` with a per-process
-      index cache. Tasks FUSE with adjacent task stages into one operator,
-      so on deep pipelines the whole pre-shuffle chain runs full-width with
-      no per-operator resource reservation (the streaming executor reserves
-      resources per operator — on small CPU counts a 5-operator chain with
-      two actor pools starves every stage; measured 8-CPU/4M-row flagship:
-      fused tasks ~2x faster end-to-end).
+    - ``use_actors=False`` — plain task ``map_batches``; each worker
+      process builds the index once (``arrowio.worker_cached``). Tasks
+      FUSE with adjacent task stages into one operator, so on deep
+      pipelines the whole pre-shuffle chain runs full-width with no
+      per-operator resource reservation (the streaming executor reserves
+      resources per operator — on small CPU counts a 5-operator chain
+      with two actor pools starves every stage; measured 8-CPU/4M-row
+      flagship: fused tasks ~2x faster end-to-end).
     """
     ref = broadcast_tileset(tiles)
     if use_actors:
@@ -433,13 +430,8 @@ def assign_pages(pages: ray.data.Dataset, tiles: ray.data.Dataset,
             concurrency=concurrency,
         )
 
-    def assign_task(batch: pa.Table, tiles_ref=ref) -> pa.Table:
-        key = tiles_ref.hex()
-        index = _TASK_INDEX_CACHE.get(key)
-        if index is None:
-            index = TileIndex(**ray.get(tiles_ref))
-            _TASK_INDEX_CACHE.clear()   # only ever one live tileset per run
-            _TASK_INDEX_CACHE[key] = index
+    def assign_task(batch: pa.Table) -> pa.Table:
+        index = arrowio.worker_cached(ref, lambda d: TileIndex(**d))
         return _assign_batch(index, batch, cell_res, ("url", "lang"),
                              lonlat_cols, knn_k)
 

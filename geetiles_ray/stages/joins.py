@@ -14,8 +14,9 @@ dominant foreign id.
 
 Execution: the foreign side is the coarse/small one (communes vs chips in
 the reference README walk-through) → broadcast once via ``ray.put``; each
-actor builds a bbox-bucket index over it in ``__init__`` and processes fine
-tiles in vectorized-candidate batches. Intersection areas are computed in
+worker process builds a bbox-bucket index over it once
+(``arrowio.worker_cached``) and plain tasks process fine tiles in
+vectorized-candidate batches. Intersection areas are computed in
 EPSG:4326 degree space, exactly like the reference's shapely ``.area`` on
 4326 geometries.
 
@@ -34,7 +35,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions import geom
+from ..functions import arrowio, geom
 
 
 def broadcast_foreign(foreign: ray.data.Dataset,
@@ -148,24 +149,25 @@ class _ForeignIndex:
 
 
 class ForeignAssigner:
-    """Actor stage appending ``foreignid_{name}`` (J1) and optionally the
+    """Task stage appending ``foreignid_{name}`` (J1) and optionally the
     area-weighted foreign proportions map column (J2)."""
 
     def __init__(self, foreign_ref, name: str, with_proportions: bool = False,
                  proportions_out: str | None = None):
-        self.index = _ForeignIndex(ray.get(foreign_ref))
+        self.foreign_ref = foreign_ref
         self.id_col = f"foreignid_{name}"
         self.with_proportions = with_proportions
         self.proportions_out = proportions_out or "foreign_proportions"
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        index = arrowio.worker_cached(self.foreign_ref, _ForeignIndex)
         n = len(batch)
         minx = batch["minx"].to_numpy(); miny = batch["miny"].to_numpy()
         maxx = batch["maxx"].to_numpy(); maxy = batch["maxy"].to_numpy()
         # one vectorized pass over the whole batch (interior fast path in
         # weights_batch); only the flat (tile, foreign, area) pairs — a
         # handful per tile — are walked in Python below
-        rows, fidx, areas = self.index.weights_batch(minx, miny, maxx, maxy)
+        rows, fidx, areas = index.weights_batch(minx, miny, maxx, maxy)
         fids = np.full(n, "-1", dtype=object)
         props: list = [{} for _ in range(n)]
         if len(rows):
@@ -183,12 +185,12 @@ class ForeignAssigner:
                 seg = slice(s, e)
                 best = s + int(np.argmax(a_s[seg]))
                 i = int(r_s[s])
-                fids[i] = self.index.identifier[f_s[best]]
+                fids[i] = index.identifier[f_s[best]]
                 if self.with_proportions:
                     wn = a_s[seg] / a_s[seg].sum()
                     acc: dict[str, float] = {}
                     for ci, wi in zip(f_s[seg], wn):
-                        for k, v in (self.index.proportions[ci] or {}).items():
+                        for k, v in (index.proportions[ci] or {}).items():
                             acc[k] = acc.get(k, 0.0) + wi * float(v)
                     props[i] = acc
         cols = {name: batch[name] for name in batch.column_names}
@@ -201,18 +203,16 @@ class ForeignAssigner:
 
 
 def add_foreign_partition(tiles: ray.data.Dataset, foreign: ray.data.Dataset,
-                          name: str, concurrency: int | tuple = 4) -> ray.data.Dataset:
+                          name: str) -> ray.data.Dataset:
     """J1: largest-overlap foreign id per tile (broadcast join)."""
-    ref = broadcast_foreign(foreign)
     return tiles.map_batches(
-        ForeignAssigner, fn_constructor_kwargs=dict(foreign_ref=ref, name=name),
-        batch_format="pyarrow", batch_size=4096, concurrency=concurrency)
+        ForeignAssigner(broadcast_foreign(foreign), name),
+        batch_format="pyarrow", batch_size=4096)
 
 
 def add_foreign_proportions(tiles: ray.data.Dataset, foreign: ray.data.Dataset,
                             name: str, proportions_col: str,
-                            out_col: str | None = None,
-                            concurrency: int | tuple = 4) -> ray.data.Dataset:
+                            out_col: str | None = None) -> ray.data.Dataset:
     """J2: area-weighted proportions transfer + dominant foreign id.
 
     ``proportions_col`` on the foreign side is a map<string,double> column
@@ -223,10 +223,8 @@ def add_foreign_proportions(tiles: ray.data.Dataset, foreign: ray.data.Dataset,
     ref = broadcast_foreign(foreign, proportions_col=proportions_col)
     out = out_col or f"{proportions_col}_at_{name}"
     return tiles.map_batches(
-        ForeignAssigner,
-        fn_constructor_kwargs=dict(foreign_ref=ref, name=name,
-                                   with_proportions=True, proportions_out=out),
-        batch_format="pyarrow", batch_size=4096, concurrency=concurrency)
+        ForeignAssigner(ref, name, with_proportions=True, proportions_out=out),
+        batch_format="pyarrow", batch_size=4096)
 
 
 def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,

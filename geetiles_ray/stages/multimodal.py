@@ -1,14 +1,15 @@
 """Multimodal payload stages: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by actor-pool map_batches.
+with typed metadata, processed by plain-task map_batches (each stage is a
+callable instance built on the driver).
 
-The Ray-side plumbing (schema, batch sizing for large binary rows, actor
+The Ray-side plumbing (schema, batch sizing for large binary rows, stage
 signatures, output layout) is real and tested; the actual codec decode is
 STUBBED behind an import-try (PIL/soundfile are not in this container) with
 a deterministic fake decoder, clearly marked. Swap ``_decode_image_real``
 in when a codec library exists — nothing else changes.
 
 Batch-size discipline for binary payloads: default 64 rows/batch so
-batch × concurrency stays far below worker heap even at megabyte blobs
+batch × tasks in flight stays far below worker heap even at megabyte blobs
 (SURVEY.md §4 oversized-row note).
 """
 
@@ -136,29 +137,22 @@ class FrameSample:
 
 
 def decode_images(ds: ray.data.Dataset, blob_col: str = "payload",
-                  hw=(32, 32), concurrency: int | tuple = 2,
-                  batch_size: int = 64) -> ray.data.Dataset:
-    return ds.map_batches(DecodeImages,
-                          fn_constructor_kwargs=dict(blob_col=blob_col, hw=hw),
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                  hw=(32, 32), batch_size: int = 64) -> ray.data.Dataset:
+    return ds.map_batches(DecodeImages(blob_col=blob_col, hw=hw),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
-def image_features(ds: ray.data.Dataset, concurrency: int | tuple = 2,
+def image_features(ds: ray.data.Dataset,
                    batch_size: int = 64) -> ray.data.Dataset:
-    return ds.map_batches(ImageFeatures, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+    return ds.map_batches(ImageFeatures(), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 def frame_sample(ds: ray.data.Dataset, blob_col: str = "payload",
-                 frame_bytes: int = 1024, every_n: int = 10,
-                 concurrency: int | tuple = 2) -> ray.data.Dataset:
-    return ds.map_batches(FrameSample,
-                          fn_constructor_kwargs=dict(blob_col=blob_col,
-                                                     frame_bytes=frame_bytes,
-                                                     every_n=every_n),
-                          batch_format="pyarrow", batch_size=64,
-                          concurrency=concurrency)
+                 frame_bytes: int = 1024,
+                 every_n: int = 10) -> ray.data.Dataset:
+    return ds.map_batches(FrameSample(blob_col, frame_bytes, every_n),
+                          batch_format="pyarrow", batch_size=64)
 
 
 try:  # pragma: no cover - not present in this container
@@ -245,19 +239,16 @@ class AudioFeatures:
 
 
 def decode_audio(ds: ray.data.Dataset, blob_col: str = "payload",
-                 n_samples: int = 1024, concurrency: int | tuple = 2,
+                 n_samples: int = 1024,
                  batch_size: int = 64) -> ray.data.Dataset:
-    return ds.map_batches(DecodeAudio,
-                          fn_constructor_kwargs=dict(blob_col=blob_col,
-                                                     n_samples=n_samples),
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return ds.map_batches(DecodeAudio(blob_col=blob_col, n_samples=n_samples),
+                          batch_format="pyarrow", batch_size=batch_size)
 
 
-def audio_features(ds: ray.data.Dataset, concurrency: int | tuple = 2,
+def audio_features(ds: ray.data.Dataset,
                    batch_size: int = 64) -> ray.data.Dataset:
-    return ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency)
+    return ds.map_batches(AudioFeatures(), batch_format="pyarrow",
+                          batch_size=batch_size)
 
 
 try:  # pragma: no cover - not present in this container
@@ -365,11 +356,8 @@ class DecodeVideo:
 
 def decode_video(ds: ray.data.Dataset, blob_col: str = "payload",
                  id_col: str = "doc_id", hw=(8, 8), frame_bytes: int = 64,
-                 every_n: int = 2, concurrency: int | tuple = 2,
-                 batch_size: int = 64) -> ray.data.Dataset:
-    return ds.map_batches(DecodeVideo,
-                          fn_constructor_kwargs=dict(
-                              blob_col=blob_col, id_col=id_col, hw=hw,
-                              frame_bytes=frame_bytes, every_n=every_n),
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+                 every_n: int = 2, batch_size: int = 64) -> ray.data.Dataset:
+    return ds.map_batches(
+        DecodeVideo(blob_col=blob_col, id_col=id_col, hw=hw,
+                    frame_bytes=frame_bytes, every_n=every_n),
+        batch_format="pyarrow", batch_size=batch_size)

@@ -9,10 +9,10 @@ GeoTIFF directory layout is a compatibility SINK, not the interchange
 format (SURVEY.md §1.5 mapping).
 
 Stages:
-- RenderTiles (S6 analogue): actor pool; plugin.build() once per actor
-  (the reference's multiprocessing initializer, gee.py:141-150), render +
-  post_process per tile, per-row on_error → nodata rows (dead-letter,
-  not crashes).
+- RenderTiles (S6 analogue): plain tasks; plugin.build() once per worker
+  process (``arrowio.worker_cached``, the reference's multiprocessing
+  initializer, gee.py:141-150), render + post_process per tile, per-row
+  on_error → nodata rows (dead-letter, not crashes).
 - proportions (A1): raster rows → map_values → geometry mask → bincount →
   map<string,double>. No shuffle: raster bytes stay row-local.
 - mosaic (S11): bounds aggregate (A5) → place tiles in identifier-sorted
@@ -35,7 +35,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions import geom, tiff, valuemaps
+from ..functions import arrowio, geom, tiff, valuemaps
 from ..plugins import DatasetDefinition, SizeCapExceeded, load_plugin
 
 RASTER_SCHEMA_COLS = ["identifier", "band_names", "shape", "pixels", "dtype", "nodata"]
@@ -67,38 +67,45 @@ def render_byparts(plugin: DatasetDefinition, identifier: str,
     return np.concatenate(parts, axis=2)
 
 
+def _built_plugin(plugin: str | DatasetDefinition) -> DatasetDefinition:
+    p = load_plugin(plugin) if isinstance(plugin, str) else plugin
+    p.build()  # once per worker process (ST1/ST2)
+    return p
+
+
 class RenderTiles:
-    """tileset rows → raster rows. ``plugin`` may be a name or instance."""
+    """tileset rows → raster rows. ``plugin`` may be a name or instance;
+    it is broadcast once and built once per worker process."""
 
     def __init__(self, plugin: str | DatasetDefinition, pixels_hw=(100, 100)):
-        from ..state import metrics as metricsmod
-
-        self.plugin = load_plugin(plugin) if isinstance(plugin, str) else plugin
-        self.plugin.build()  # once per actor (ST1/ST2)
+        self.plugin_ref = ray.put(plugin)
         self.h, self.w = pixels_hw
-        # ST5: live progress counters (buffered, fire-and-forget)
-        self.metrics = metricsmod.StageMetrics(
-            f"render.{self.plugin.get_dataset_name()}")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..state import metrics as metricsmod
+
+        plugin = arrowio.worker_cached(self.plugin_ref, _built_plugin)
+        # ST5: live progress counters (buffered, fire-and-forget)
+        metrics = metricsmod.StageMetrics(
+            f"render.{plugin.get_dataset_name()}")
         ids = batch["identifier"].to_pylist()
         wkbs = batch["wkb"].to_pylist()
         out = {c: [] for c in RASTER_SCHEMA_COLS}
-        dt = self.plugin.get_dtype()
-        names = self.plugin.get_band_names()
+        dt = plugin.get_dtype()
+        names = plugin.get_band_names()
         for ident, w in zip(ids, wkbs):
             ring = geom.wkb_to_ring(w)
             try:
                 try:
-                    arr = self.plugin.render(ident, ring, (self.h, self.w))
+                    arr = plugin.render(ident, ring, (self.h, self.w))
                 except SizeCapExceeded as cap:
                     # S7: oversize request → band-split fetch + restitch
-                    arr = render_byparts(self.plugin, ident, ring,
+                    arr = render_byparts(plugin, ident, ring,
                                          (self.h, self.w),
                                          cap.total_size, cap.max_size)
                 if arr is None:
                     raise ValueError("plugin returned None (skip)")
-                arr = self.plugin.post_process_tile(arr, {"identifier": ident})
+                arr = plugin.post_process_tile(arr, {"identifier": ident})
                 arr = np.ascontiguousarray(arr.astype(dt))
                 out["identifier"].append(ident)
                 out["band_names"].append(names)
@@ -106,9 +113,9 @@ class RenderTiles:
                 out["pixels"].append(arr.tobytes())
                 out["dtype"].append(dt)
                 out["nodata"].append(False)
-                self.metrics.inc("rows")
+                metrics.inc("rows")
             except Exception as e:
-                if self.plugin.on_error(ident, e) != "nodata":
+                if plugin.on_error(ident, e) != "nodata":
                     raise
                 out["identifier"].append(ident)
                 out["band_names"].append(names)
@@ -116,8 +123,8 @@ class RenderTiles:
                 out["pixels"].append(b"")
                 out["dtype"].append(dt)
                 out["nodata"].append(True)
-                self.metrics.inc("nodata")
-        self.metrics.flush(wait=True)
+                metrics.inc("nodata")
+        metrics.flush(wait=True)
         return pa.table({
             "identifier": pa.array(out["identifier"], type=pa.string()),
             "band_names": pa.array(out["band_names"], type=pa.list_(pa.string())),
@@ -129,13 +136,15 @@ class RenderTiles:
 
 
 def render_tiles(tiles: ray.data.Dataset, plugin: str | DatasetDefinition,
-                 pixels_hw=(100, 100), concurrency: int | tuple = 4,
+                 pixels_hw=(100, 100), concurrency: int | None = None,
                  batch_size: int = 256) -> ray.data.Dataset:
-    """Large binary rows → small batch_size so batch × concurrency fits the
-    worker heap (a 100×100×3 uint8 tile is 30 KB; 256/batch ≈ 8 MB)."""
+    """Large binary rows → small batch_size so batch × tasks fits the
+    worker heap (a 100×100×3 uint8 tile is 30 KB; 256/batch ≈ 8 MB).
+    ``concurrency`` caps the render tasks in flight (the reference's
+    ``--n_processes`` download cap); None runs one per free CPU."""
     return tiles.select_columns(["identifier", "wkb"]).map_batches(
-        RenderTiles, fn_constructor_kwargs=dict(plugin=plugin, pixels_hw=pixels_hw),
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency)
+        RenderTiles(plugin, pixels_hw), batch_format="pyarrow",
+        batch_size=batch_size, concurrency=concurrency)
 
 
 def _decode_row(shape, pixels, dtype) -> np.ndarray:
@@ -144,14 +153,15 @@ def _decode_row(shape, pixels, dtype) -> np.ndarray:
 
 class ComputeProportions:
     """A1 (partitions.py:447-468): per raster row, map values, mask to
-    geometry (broadcast identifier→ring map), normalized class counts."""
+    geometry (broadcast identifier→ring map, loaded once per worker
+    process), normalized class counts."""
 
     def __init__(self, plugin: str | DatasetDefinition, rings_ref, out_col: str):
         self.plugin = load_plugin(plugin) if isinstance(plugin, str) else plugin
-        self.rings = ray.get(rings_ref)
-        self.out_col = out_col
+        self.rings_ref, self.out_col = rings_ref, out_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        rings = arrowio.worker_cached(self.rings_ref)
         ids = batch["identifier"].to_pylist()
         shapes = batch["shape"].to_pylist()
         pix = batch["pixels"].to_pylist()
@@ -164,7 +174,7 @@ class ComputeProportions:
                 continue
             img = _decode_row(shapes[i], pix[i], dts[i])
             img = self.plugin.map_values(img)
-            ring = self.rings.get(ids[i])
+            ring = rings.get(ids[i])
             if ring is not None:
                 mask = valuemaps.binary_mask(ring, img.shape)
                 img = img[mask == 1]
@@ -190,15 +200,12 @@ def broadcast_rings(tiles: ray.data.Dataset) -> "ray.ObjectRef":
 
 def compute_proportions(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
                         plugin: str | DatasetDefinition,
-                        out_col: str | None = None,
-                        concurrency: int | tuple = 4) -> ray.data.Dataset:
+                        out_col: str | None = None) -> ray.data.Dataset:
     p = load_plugin(plugin) if isinstance(plugin, str) else plugin
     out = out_col or f"{p.get_dataset_name()}_proportions"
-    rings_ref = broadcast_rings(tiles)
     return rasters.map_batches(
-        ComputeProportions,
-        fn_constructor_kwargs=dict(plugin=p, rings_ref=rings_ref, out_col=out),
-        batch_format="pyarrow", batch_size=256, concurrency=concurrency)
+        ComputeProportions(p, broadcast_rings(tiles), out),
+        batch_format="pyarrow", batch_size=256)
 
 
 # ------------------------------------------------------------------- sinks
@@ -217,36 +224,30 @@ def write_geotiff_layout(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
     os.makedirs(out_dir, exist_ok=True)
     bounds_ref = ray.put(_bounds_map(tiles))
 
-    class Writer:
-        def __init__(self):
-            self.bounds = ray.get(bounds_ref)
+    def write(batch: pa.Table) -> pa.Table:
+        bounds = arrowio.worker_cached(bounds_ref)
+        n_written = 0
+        for i in range(len(batch)):
+            ident = batch["identifier"][i].as_py()
+            path = os.path.join(out_dir, f"{ident}.tif")
+            if batch["nodata"][i].as_py():
+                with open(path + ".nodata", "w"):
+                    pass
+                continue
+            if skip_if_exists and os.path.exists(path) and not (
+                    plugin is not None
+                    and plugin.must_rewrite(ident, path)):
+                continue
+            arr = _decode_row(batch["shape"][i].as_py(),
+                              batch["pixels"][i].as_py(),
+                              batch["dtype"][i].as_py())
+            tiff.write_tiff(path, arr, bounds=bounds.get(ident),
+                            band_names=batch["band_names"][i].as_py())
+            n_written += 1
+        return pa.table({"written": pa.array([n_written])})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            n_written = 0
-            for i in range(len(batch)):
-                ident = batch["identifier"][i].as_py()
-                path = os.path.join(out_dir, f"{ident}.tif")
-                if batch["nodata"][i].as_py():
-                    with open(path + ".nodata", "w"):
-                        pass
-                    continue
-                if skip_if_exists and os.path.exists(path) and not (
-                        plugin is not None
-                        and plugin.must_rewrite(ident, path)):
-                    continue
-                arr = _decode_row(batch["shape"][i].as_py(),
-                                  batch["pixels"][i].as_py(),
-                                  batch["dtype"][i].as_py())
-                tiff.write_tiff(path, arr, bounds=self.bounds.get(ident),
-                                band_names=batch["band_names"][i].as_py())
-                n_written += 1
-            return pa.table({"written": pa.array([n_written])})
-
-    # (1, 2): autoscaling pool with min 1 so this stage can always place an
-    # actor even when an upstream pool already holds most session CPUs (a
-    # fixed min of 2 deadlocks a 4-CPU session against a 3-actor renderer)
-    res = rasters.map_batches(Writer, batch_format="pyarrow", batch_size=256,
-                              concurrency=(1, 2)).to_pandas()
+    res = rasters.map_batches(write, batch_format="pyarrow",
+                              batch_size=256).to_pandas()
     return int(res.written.sum())
 
 
@@ -462,7 +463,7 @@ def mosaic_blocks(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
     nbx = max(1, -(-W // B))
 
     def emit(batch: pa.Table) -> pa.Table:
-        bounds = ray.get(bounds_ref)  # zero-copy plasma after first fetch
+        bounds = arrowio.worker_cached(bounds_ref)
         out = {k: [] for k in ("block", "identifier", *BLOCK_SCHEMA, "pixels")}
         for i in range(len(batch)):
             if batch["nodata"][i].as_py():
@@ -707,14 +708,13 @@ def _nearest_resize(arr: np.ndarray, h: int, w: int) -> np.ndarray:
 def pack_chips(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
                labels: ray.data.Dataset | None = None,
                label_col: str | None = None,
-               plugin: str | DatasetDefinition | None = None,
-               concurrency: int | tuple = 2) -> ray.data.Dataset:
+               plugin: str | DatasetDefinition | None = None
+               ) -> ray.data.Dataset:
     """S10 (cmds.py:402-575): per-tile pickle payload
     {chip, chip_id, center_latlon, corners, label_proportions}, filtered by
     the plugin's include_chip hook. labels: optional Dataset with
     (identifier, label_col map column)."""
     p = load_plugin(plugin) if isinstance(plugin, str) else plugin
-    bounds_ref = ray.put(_bounds_map(tiles))
     labels_map = {}
     if labels is not None and label_col:
         for b in labels.select_columns(["identifier", label_col]).iter_batches(
@@ -722,39 +722,34 @@ def pack_chips(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
             for ident, lp in zip(b["identifier"].to_pylist(),
                                  b[label_col].to_pylist()):
                 labels_map[ident] = dict(lp) if lp else {}
-    labels_ref = ray.put(labels_map)
+    maps_ref = ray.put((_bounds_map(tiles), labels_map))
 
-    class Pack:
-        def __init__(self):
-            self.bounds = ray.get(bounds_ref)
-            self.labels = ray.get(labels_ref)
+    def pack(batch: pa.Table) -> pa.Table:
+        bounds, label_props = arrowio.worker_cached(maps_ref)
+        ids_out, blobs = [], []
+        for i in range(len(batch)):
+            if batch["nodata"][i].as_py():
+                continue
+            ident = batch["identifier"][i].as_py()
+            arr = _decode_row(batch["shape"][i].as_py(),
+                              batch["pixels"][i].as_py(),
+                              batch["dtype"][i].as_py())
+            tb = bounds.get(ident, (0, 0, 0, 0))
+            chip = {
+                "chip": arr,
+                "chip_id": ident,
+                "center_latlon": ((tb[1] + tb[3]) / 2, (tb[0] + tb[2]) / 2),
+                "corners": {"nw": (tb[3], tb[0]), "se": (tb[1], tb[2])},
+                "label_proportions": label_props.get(ident),
+            }
+            if p is not None and not p.include_chip_in_dataset(chip):
+                continue
+            ids_out.append(ident)
+            blobs.append(pickle.dumps(chip, protocol=4))
+        return pa.table({"identifier": pa.array(ids_out, type=pa.string()),
+                         "payload": pa.array(blobs, type=pa.binary())})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids_out, blobs = [], []
-            for i in range(len(batch)):
-                if batch["nodata"][i].as_py():
-                    continue
-                ident = batch["identifier"][i].as_py()
-                arr = _decode_row(batch["shape"][i].as_py(),
-                                  batch["pixels"][i].as_py(),
-                                  batch["dtype"][i].as_py())
-                tb = self.bounds.get(ident, (0, 0, 0, 0))
-                chip = {
-                    "chip": arr,
-                    "chip_id": ident,
-                    "center_latlon": ((tb[1] + tb[3]) / 2, (tb[0] + tb[2]) / 2),
-                    "corners": {"nw": (tb[3], tb[0]), "se": (tb[1], tb[2])},
-                    "label_proportions": self.labels.get(ident),
-                }
-                if p is not None and not p.include_chip_in_dataset(chip):
-                    continue
-                ids_out.append(ident)
-                blobs.append(pickle.dumps(chip, protocol=4))
-            return pa.table({"identifier": pa.array(ids_out, type=pa.string()),
-                             "payload": pa.array(blobs, type=pa.binary())})
-
-    return rasters.map_batches(Pack, batch_format="pyarrow", batch_size=256,
-                               concurrency=concurrency)
+    return rasters.map_batches(pack, batch_format="pyarrow", batch_size=256)
 
 
 def zip_chips(chips: ray.data.Dataset, zip_path: str) -> int:

@@ -33,6 +33,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..functions import arrowio
+
+
 def bucket_count() -> int:
     """Hash buckets per co-location exchange: many more buckets than
     workers, so one hot bucket is a small share of any worker's load (the
@@ -225,22 +228,11 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
     return grouped_apply((left, right), key, kernel)
 
 
-def _pool_size() -> tuple:
-    """Autoscaling actor-pool bounds for a standalone broadcast-join stage:
-    floor 2, ceiling most of the cluster (these stages run alone, not in a
-    deep chain where per-operator reservations starve each other)."""
-    import ray as _ray
-    ncpu = int(_ray.cluster_resources().get("CPU", 8)) \
-        if _ray.is_initialized() else 8
-    return (2, max(2, ncpu - 2))
-
-
 def asof_join_broadcast(left: ray.data.Dataset, right: pd.DataFrame,
                         key: str, on: str, right_on: str | None = None,
                         tiebreak: str | None = None,
                         direction: str = "backward",
-                        broadcast_limit: int = 5_000_000,
-                        concurrency: int | tuple | None = None
+                        broadcast_limit: int = 5_000_000
                         ) -> ray.data.Dataset:
     """Exchange-free as-of join for a small (dimension-sized) right side:
     the right table ships to the object store ONCE (``ray.put``) and every
@@ -272,18 +264,14 @@ def asof_join_broadcast(left: ray.data.Dataset, right: pd.DataFrame,
     r_dtypes = {c: rsorted[c].dtype for c in r_payload}
     probe = r_payload[0]
 
-    class Kernel:
-        def __init__(self):
-            self.r = ray.get(r_ref)  # one fetch per actor, zero-copy local
+    def kernel(lg: pd.DataFrame) -> pd.DataFrame:
+        m = pd.merge_asof(lg.sort_values(on, kind="mergesort"),
+                          arrowio.worker_cached(r_ref),
+                          on=on, by=key, direction=direction)
+        m = m.dropna(subset=[probe])
+        return m.astype(r_dtypes, copy=False)
 
-        def __call__(self, lg: pd.DataFrame) -> pd.DataFrame:
-            m = pd.merge_asof(lg.sort_values(on, kind="mergesort"), self.r,
-                              on=on, by=key, direction=direction)
-            m = m.dropna(subset=[probe])
-            return m.astype(r_dtypes, copy=False)
-
-    return left.map_batches(Kernel, batch_format="pandas",
-                            concurrency=concurrency or _pool_size())
+    return left.map_batches(kernel, batch_format="pandas")
 
 
 def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
@@ -352,8 +340,7 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
 def interval_join_broadcast(points: ray.data.Dataset,
                             intervals: pd.DataFrame, key: str, ts: str,
                             lo: str, hi: str, bin_width: int,
-                            broadcast_limit: int = 2_000_000,
-                            concurrency: int | tuple | None = None
+                            broadcast_limit: int = 2_000_000
                             ) -> ray.data.Dataset:
     """Exchange-free interval join for a small interval set (campaign
     windows, rollout ranges): intervals are bin-exploded ONCE driver-side,
@@ -381,49 +368,45 @@ def interval_join_broadcast(points: ray.data.Dataset,
     i_ref = ray.put(exploded)
     i_names = list(intervals.columns)
 
-    class Kernel:
-        def __init__(self):
-            # build a sorted composite (key, bin) int64 index ONCE per
-            # actor; each batch is then pure searchsorted — no per-batch
-            # hash-table build (a pandas merge rebuilds the broadcast
-            # side's hash every batch: measured 2.8x slower than the
-            # exchange plan at 1.6M exploded rows, and join-on-MultiIndex
-            # is slower still on non-unique keys)
-            e = ray.get(i_ref)
-            self.e = e
-            self.keys = pd.Index(pd.unique(e[key]))
-            kcodes = self.keys.get_indexer(e[key]).astype(np.int64)
-            b = e["__bin"].to_numpy()
-            self.bmin = int(b.min()) if len(b) else 0
-            self.span = int(b.max()) - self.bmin + 1 if len(b) else 1
-            comp = kcodes * self.span + (b - self.bmin)
-            self.order = np.argsort(comp, kind="stable")
-            self.comp = comp[self.order]
-            self.lo_s = e[lo].to_numpy()[self.order]
-            self.hi_s = e[hi].to_numpy()[self.order]
+    def build(e: pd.DataFrame) -> dict:
+        # a sorted composite (key, bin) int64 index, built ONCE per worker
+        # process; each batch is then pure searchsorted — no per-batch
+        # hash-table build (a pandas merge rebuilds the broadcast side's
+        # hash every batch: measured 2.8x slower than the exchange plan at
+        # 1.6M exploded rows, and join-on-MultiIndex is slower still on
+        # non-unique keys)
+        keys = pd.Index(pd.unique(e[key]))
+        kcodes = keys.get_indexer(e[key]).astype(np.int64)
+        b = e["__bin"].to_numpy()
+        bmin = int(b.min()) if len(b) else 0
+        span = int(b.max()) - bmin + 1 if len(b) else 1
+        comp = kcodes * span + (b - bmin)
+        order = np.argsort(comp, kind="stable")
+        return dict(e=e, keys=keys, bmin=bmin, span=span, order=order,
+                    comp=comp[order], lo_s=e[lo].to_numpy()[order],
+                    hi_s=e[hi].to_numpy()[order])
 
-        def __call__(self, pg: pd.DataFrame) -> pd.DataFrame:
-            t = pg[ts].to_numpy()
-            kc = self.keys.get_indexer(pg[key]).astype(np.int64)
-            pb = t // w - self.bmin
-            ok = (kc >= 0) & (pb >= 0) & (pb < self.span)
-            comp_p = kc[ok] * self.span + pb[ok]
-            s = np.searchsorted(self.comp, comp_p, side="left")
-            e_ = np.searchsorted(self.comp, comp_p, side="right")
-            cnt = e_ - s
-            prow = np.repeat(np.nonzero(ok)[0], cnt)
-            tot = int(cnt.sum())
-            islot = np.repeat(s, cnt) + \
-                (np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt))
-            keep = (self.lo_s[islot] <= t[prow]) & (t[prow] < self.hi_s[islot])
-            prow, islot = prow[keep], islot[keep]
-            left = self.e.iloc[self.order[islot]].reset_index(drop=True)
-            right = pg.iloc[prow].reset_index(drop=True) \
-                .drop(columns=[key])
-            return pd.concat([left[i_names], right], axis=1)
+    def kernel(pg: pd.DataFrame) -> pd.DataFrame:
+        x = arrowio.worker_cached(i_ref, build)
+        t = pg[ts].to_numpy()
+        kc = x["keys"].get_indexer(pg[key]).astype(np.int64)
+        pb = t // w - x["bmin"]
+        ok = (kc >= 0) & (pb >= 0) & (pb < x["span"])
+        comp_p = kc[ok] * x["span"] + pb[ok]
+        s = np.searchsorted(x["comp"], comp_p, side="left")
+        e_ = np.searchsorted(x["comp"], comp_p, side="right")
+        cnt = e_ - s
+        prow = np.repeat(np.nonzero(ok)[0], cnt)
+        tot = int(cnt.sum())
+        islot = np.repeat(s, cnt) + \
+            (np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt))
+        keep = (x["lo_s"][islot] <= t[prow]) & (t[prow] < x["hi_s"][islot])
+        prow, islot = prow[keep], islot[keep]
+        left = x["e"].iloc[x["order"][islot]].reset_index(drop=True)
+        right = pg.iloc[prow].reset_index(drop=True).drop(columns=[key])
+        return pd.concat([left[i_names], right], axis=1)
 
-    return points.map_batches(Kernel, batch_format="pandas",
-                              concurrency=concurrency or _pool_size())
+    return points.map_batches(kernel, batch_format="pandas")
 
 
 def hopping_windows(ds: ray.data.Dataset, ts: str, length: int, hop: int,

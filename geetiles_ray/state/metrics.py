@@ -51,7 +51,7 @@ def _handle():
     # OWNERSHIP CAVEAT: a named non-detached actor is owned by whichever
     # process creates it, and dies with that owner or once the owner holds
     # no handle to it; if the owner is a transient Ray worker (a stage
-    # actor calling StageMetrics first), the counters die with it. Driver
+    # task calling StageMetrics first), the counters die with it. Driver
     # entry points therefore create it up front (reset()/snapshot() before
     # the pipeline) and keep their handle (_driver_handles).
     return _MetricsActor.options(
@@ -59,9 +59,10 @@ def _handle():
 
 
 class StageMetrics:
-    """Per-worker buffered counter client. Create once per actor/stage
-    (``__init__``), call ``inc`` per batch, rely on ``flush_every``
-    batching — increments reach the actor as fire-and-forget RPCs."""
+    """Per-worker buffered counter client. Create one per stage (or per
+    batch in a task), call ``inc`` per row or batch, rely on
+    ``flush_every`` batching — increments reach the actor as
+    fire-and-forget RPCs."""
 
     def __init__(self, stage: str, flush_every: int = 16):
         self.stage = stage
@@ -85,7 +86,7 @@ class StageMetrics:
         applied them — and every earlier flush, since one caller's calls
         run in order. Use it at the end of a batch: the counts then arrive
         before the batch does, and cannot be dropped by Ray Data tearing
-        the pool actor down before a fire-and-forget call is sent."""
+        the worker down before a fire-and-forget call is sent."""
         if self.buf:
             ref = self.actor.inc.remote(dict(self.buf))
             self.buf.clear()

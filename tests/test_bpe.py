@@ -103,8 +103,7 @@ class TestStage:
             "doc_id": [1, 2, 3],
             "text": ["The THE the!", "ingesting bananas", "   "],
         })
-        out = bpemod.bpe_token_counts(ray.data.from_pandas(df),
-                                      concurrency=2) \
+        out = bpemod.bpe_token_counts(ray.data.from_pandas(df)) \
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         assert out.n_words.tolist() == [3, 2, 0]
         # 'the'→1 each; 'ingesting'→4, 'bananas'→len('b an an a s')=5
@@ -116,8 +115,7 @@ class TestStage:
         texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 9)))
                  for _ in range(40)]
         df = pd.DataFrame({"doc_id": range(40), "text": texts})
-        out = bpemod.bpe_token_counts(ray.data.from_pandas(df),
-                                      concurrency=2) \
+        out = bpemod.bpe_token_counts(ray.data.from_pandas(df)) \
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         exp = [sum(len(bpe_reference(w, bpemod.MERGES))
                    for w in t.split()) for t in texts]

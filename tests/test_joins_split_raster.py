@@ -33,8 +33,8 @@ def foreign(aoi_ring):
 
 class TestForeignJoins:
     def test_j1_matches_brute_force(self, tiles, foreign):
-        j1 = joins.add_foreign_partition(tiles, foreign, "communes",
-                                         concurrency=2).to_pandas()
+        j1 = joins.add_foreign_partition(tiles, foreign,
+                                         "communes").to_pandas()
         fdf = foreign.to_pandas()
         frings = {r.identifier: geom.wkb_to_ring(r.wkb) for _, r in fdf.iterrows()}
         for _, r in j1.sample(30, random_state=0).iterrows():
@@ -49,7 +49,7 @@ class TestForeignJoins:
         far = grid.make_random_partitions(
             np.array([[10.0, 45.0], [10.5, 45.0], [10.5, 45.5],
                       [10.0, 45.5], [10.0, 45.0]]), 30000.0, seed=1).materialize()
-        j1 = joins.add_foreign_partition(tiles, far, "far", concurrency=1).to_pandas()
+        j1 = joins.add_foreign_partition(tiles, far, "far").to_pandas()
         assert (j1.foreignid_far == "-1").all()
 
     def test_j2_weighted_proportions(self, tiles, foreign):
@@ -60,8 +60,8 @@ class TestForeignJoins:
                 props, type=pa.map_(pa.string(), pa.float64())))
 
         f2 = foreign.map_batches(add_props, batch_format="pyarrow").materialize()
-        j2 = joins.add_foreign_proportions(tiles, f2, "communes", "lp",
-                                           concurrency=2).to_pandas()
+        j2 = joins.add_foreign_proportions(tiles, f2, "communes",
+                                           "lp").to_pandas()
         sums = j2.lp_at_communes.map(
             lambda m: sum(v for _, v in m) if m else None).dropna()
         assert np.allclose(sums, 1.0)
@@ -72,7 +72,7 @@ class TestForeignJoins:
         f = f.map_batches(lambda b: b.append_column("lp", pa.array(
             [[("x", 1.0)], [("y", 1.0)]],
             type=pa.map_(pa.string(), pa.float64()))), batch_format="pyarrow")
-        out = joins.add_foreign_proportions(t, f, "f", "lp", concurrency=1).to_pandas()
+        out = joins.add_foreign_proportions(t, f, "f", "lp").to_pandas()
         got = dict(out.lp_at_f.iloc[0])
         assert got == pytest.approx({"x": 0.5, "y": 0.5})
 
@@ -245,8 +245,8 @@ class TestSplit:
             splitmod.compute_band_ids(np.zeros(3), np.arange(3.0), 3, 2.0)
 
     def test_split_per_partitions_constant_within_group(self, tiles, foreign):
-        j1 = joins.add_foreign_partition(tiles, foreign, "communes",
-                                         concurrency=2).materialize()
+        j1 = joins.add_foreign_partition(tiles, foreign,
+                                         "communes").materialize()
         out = splitmod.split_per_partitions(j1, 8, 0.0, 0.5, 0.3, 0.2,
                                             "communes").to_pandas()
         per_group = out.groupby("foreignid_communes").split_communes.nunique()
@@ -311,8 +311,8 @@ class TestRaster:
         assert a.dtype.eq("uint8").all()
 
     def test_proportions_sum_to_one(self, rasters, tiles):
-        props = raster.compute_proportions(rasters, tiles, "worldcoverlike",
-                                           concurrency=2).to_pandas()
+        props = raster.compute_proportions(rasters, tiles,
+                                           "worldcoverlike").to_pandas()
         sums = props.iloc[:, 1].map(lambda m: sum(v for _, v in m))
         assert np.allclose(sums, 1.0, atol=1e-9)
 
@@ -322,8 +322,8 @@ class TestRaster:
         one = ray.data.from_arrow(_tileset_of_boxes([(0.0, 0.0, 1.0, 1.0)]))
         r = raster.render_tiles(one, ElevationLike(), pixels_hw=(100, 100),
                                 concurrency=1).materialize()
-        props = raster.compute_proportions(r, one, ElevationLike(),
-                                           concurrency=1).to_pandas()
+        props = raster.compute_proportions(r, one,
+                                           ElevationLike()).to_pandas()
         got = dict(props.iloc[0, 1])
         assert abs(sum(got.values()) - 1.0) < 1e-9
         assert set(got) <= {"1", "2", "3", "4"}
@@ -362,8 +362,8 @@ class TestRaster:
         assert (canvas != 0).mean() > 0.3  # AOI interior covered
 
     def test_pack_and_zip_chips(self, rasters, tiles, tmp_path):
-        props = raster.compute_proportions(rasters, tiles, "worldcoverlike",
-                                           concurrency=1).materialize()
+        props = raster.compute_proportions(rasters, tiles,
+                                           "worldcoverlike").materialize()
         chips = raster.pack_chips(rasters, tiles, labels=props,
                                   label_col="worldcoverlike_proportions")
         zp = str(tmp_path / "chips.zip")
