@@ -134,8 +134,8 @@ def run_bench(only: list[str] | None = None) -> dict:
     t0 = time.time()
     # flagship.run materializes the assignment once and derives the
     # per-tile counts from the materialized blocks (single execution)
-    assigned, counts = flagship.run(
-        pagesmod.generate_pages(N_PAGES), tiles=tiles, batch_size=8192)
+    assigned, counts = flagship.run(pagesmod.generate_pages(N_PAGES),
+                                    tiles=tiles)
     n_assigned = assigned.count()
     tile_counts = counts.materialize()
     n_join = tile_counts.count()

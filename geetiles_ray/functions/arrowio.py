@@ -1,17 +1,21 @@
 """Arrow/pandas block-schema utilities shared by the exchange kernels,
 and the per-worker cache every stateful stage reads its broadcast from.
 
-Four recurring needs, one home (round-4 review: the idiom was growing
-copies in joins.py and dedup.py):
+Two-sided co-location kernels (``temporal.grouped_apply`` on a pair) work
+on Arrow tables in each side's own schema, so their blocks need no
+conversion; what pandas kernels still need lives here:
 
 - ``pa_type``: normalize whatever ``Dataset.schema().types`` yields
   (Arrow DataType for arrow-block datasets, numpy dtypes / python
   classes for pandas-block ones) to a ``pyarrow.DataType``.
-- ``pandas_to_arrow_normalizer``: a map_batches fn that converts pandas
-  kernel output to Arrow under ONE explicit schema — without it, an
-  empty or all-null batch infers ``null``-typed columns and the blocks
-  of a union/fold diverge (observed crashing schema unification on
-  multi-core hosts where some hash ranges are empty).
+- ``_NULLABLE``: the pandas nullable dtype per Arrow integer/boolean
+  type, for kernels that must convert an Arrow table to pandas (the
+  as-of join's ``merge_asof``) without turning nullable ints into floats.
+- ``pandas_to_arrow_normalizer``: a map_batches fn that converts a
+  one-sided pandas kernel's output to Arrow under ONE explicit schema —
+  without it, an empty or all-null batch infers ``null``-typed columns
+  and the blocks of a union/fold diverge (observed crashing schema
+  unification on multi-core hosts where some hash ranges are empty).
 - ``key_hash``: the engine's one routing hash — every exchange, hash
   range and Bloom probe places a row by it, so a key lands in one place
   whatever block, null mask or integer width it arrives with.

@@ -110,21 +110,6 @@ def points_in_ring(px: np.ndarray, py: np.ndarray, coords: np.ndarray) -> np.nda
     return (crossings % 2).astype(bool)
 
 
-def points_in_boxes(
-    px: np.ndarray, py: np.ndarray,
-    minx: np.ndarray, miny: np.ndarray, maxx: np.ndarray, maxy: np.ndarray,
-) -> np.ndarray:
-    """For each point, index of first containing box (sorted caller order)
-    or -1. O(P·B) — use only for small B; the scale path buckets by cell."""
-    inside = (
-        (px[:, None] >= minx[None, :]) & (px[:, None] <= maxx[None, :])
-        & (py[:, None] >= miny[None, :]) & (py[:, None] <= maxy[None, :])
-    )
-    any_hit = inside.any(axis=1)
-    idx = inside.argmax(axis=1)
-    return np.where(any_hit, idx, -1)
-
-
 # -------------------------------------------------- clipping & intersections
 
 def clip_ring_to_box(coords: np.ndarray, minx, miny, maxx, maxy) -> np.ndarray | None:
@@ -176,32 +161,6 @@ def box_clip_area(coords: np.ndarray, minx, miny, maxx, maxy) -> float:
     """Area of ring ∩ box (0.0 when disjoint)."""
     clipped = clip_ring_to_box(coords, minx, miny, maxx, maxy)
     return 0.0 if clipped is None else shoelace_area(clipped)
-
-
-def rings_intersect_ring(
-    ring: np.ndarray, other_bounds: np.ndarray, others: list[np.ndarray]
-) -> np.ndarray:
-    """Bool mask: which of ``others`` intersect ``ring``. bbox prefilter then
-    exact test: any vertex containment either way, else box-clip area > 0
-    (reference ``intersects`` semantics on area-touching polygons)."""
-    rminx, rminy, rmaxx, rmaxy = bounds(ring)
-    ob = np.asarray(other_bounds, dtype=np.float64)
-    cand = ~(
-        (ob[:, 2] < rminx) | (ob[:, 0] > rmaxx)
-        | (ob[:, 3] < rminy) | (ob[:, 1] > rmaxy)
-    )
-    out = np.zeros(len(others), dtype=bool)
-    for i in np.nonzero(cand)[0]:
-        o = others[i]
-        if points_in_ring(o[:, 0], o[:, 1], ring).any() or points_in_ring(
-            ring[:, 0], ring[:, 1], o
-        ).any():
-            out[i] = True
-            continue
-        # edge-crossing without vertex containment: sample clip area
-        if box_clip_area(o, rminx, rminy, rmaxx, rmaxy) > 0 and _convex_clip_area(ring, o) > 0:
-            out[i] = True
-    return out
 
 
 def _convex_clip_area(subject: np.ndarray, clip: np.ndarray) -> float:

@@ -80,28 +80,3 @@ def flatten_geom(polys) -> list[np.ndarray]:
         else:
             out.extend(flatten_geom(p))
     return out
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain convex hull (closed CCW ring). Stands in for
-    the reference's alphashape concave hull (utils.py:45-92) — alphashape is
-    unavailable here; the hull is used only as a region boundary for
-    make_random_partitions, where convex vs concave changes katana's input
-    envelope marginally. Deviation documented."""
-    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
-    if len(pts) < 3:
-        return np.vstack([pts, pts[:1]])
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def half(iterable):
-        h = []
-        for p in iterable:
-            while len(h) >= 2 and np.cross(h[-1] - h[-2], p - h[-2]) <= 0:
-                h.pop()
-            h.append(p)
-        return h
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    return np.vstack([hull, hull[:1]])

@@ -553,44 +553,33 @@ def upsert_patch(base: ray.data.Dataset, updates: ray.data.Dataset,
 
     Physical plan: both sides co-locate by key hash in ONE exchange
     (``temporal.grouped_apply`` on the pair; update rows with a null key
-    patch nothing and are dropped); the per-bucket kernel is a vectorized
-    pandas latest-per-key + left-merge + combine_first. Output blocks are
-    normalized to one explicit Arrow schema (int/bool columns nullable)
-    so patched and pass-through blocks never diverge."""
+    patch nothing and are dropped); the per-bucket Arrow kernel takes the
+    latest update row per key, matches it to the base rows
+    (``joins._index_join``) and coalesces. Base columns keep their type
+    (a patch column is cast to it); new columns take the update side's."""
+    from ..stages.joins import _index_join
+    from ..stages.temporal import grouped_apply
+
     keys = [key] if isinstance(key, str) else list(key)
     orders = [] if order_col is None else (
         [order_col] if isinstance(order_col, str) else list(order_col))
+    patch_cols = [c for c in updates.schema().names
+                  if c not in keys and c not in orders]
 
-    from ..functions.arrowio import pa_type as _pa_type
-
-    base_names = list(base.schema().names)
-    base_types = {n: _pa_type(t) for n, t in
-                  zip(base.schema().names, base.schema().types)}
-    upd_names = list(updates.schema().names)
-    upd_types = {n: _pa_type(t) for n, t in
-                 zip(updates.schema().names, updates.schema().types)}
-    patch_cols = [c for c in upd_names if c not in keys and c not in orders]
-    new_cols = [c for c in patch_cols if c not in base_types]
-    out_names = base_names + new_cols
-    target = pa.schema([(n, base_types.get(n) or upd_types[n])
-                        for n in out_names])
-
-    def kern(g: pd.DataFrame) -> pd.DataFrame:
-        side = g["__side"].to_numpy()
-        b = g[side == 0][out_names]
-        u = g[side == 1][keys + orders + patch_cols]
-        if not len(b) or not len(u):
-            return b
+    def kern(b: pa.Table, u: pa.Table) -> pa.Table:
+        # the latest update per key: its last row in order_col order
         if orders:
-            u = u.sort_values(keys + orders, kind="mergesort")
-        u = u.drop_duplicates(subset=keys, keep="last")[keys + patch_cols]
-        m = b.merge(u, on=keys, how="left", suffixes=("", "__u"))
+            u = u.sort_by([(c, "ascending") for c in orders])
+        u = u.append_column("__i", pa.array(np.arange(len(u))))
+        u = u.take(u.group_by(keys).aggregate([("__i", "max")])["__i_max"])
+        u = u.select(keys + patch_cols).rename_columns(
+            keys + [c + "__u" for c in patch_cols])
+        m = _index_join(b, u, keys, u.column_names[len(keys):], "left outer")
+        out = {c: m[c] for c in b.column_names}
         for c in patch_cols:
-            m[c] = m[c + "__u"].combine_first(m[c])
-        return m[out_names]
+            p = m[c + "__u"]
+            out[c] = pc.coalesce(p.cast(out[c].type), out[c]) \
+                if c in out else p
+        return pa.table(out)
 
-    from ..functions.arrowio import pandas_to_arrow_normalizer
-    from ..stages.temporal import grouped_apply
-    out = grouped_apply((base, updates), keys, kern)
-    return out.map_batches(pandas_to_arrow_normalizer(target),
-                           batch_format="pandas", zero_copy_batch=True)
+    return grouped_apply((base, updates), keys, kern)

@@ -84,10 +84,7 @@ def run(
     pages: ray.data.Dataset,
     tiles: ray.data.Dataset | None = None,
     chip_size_meters: float = DEFAULT_CHIP_METERS,
-    concurrency: int | tuple = 8,
-    batch_size: int = 8192,
     dedup_buckets: int | None = None,
-    use_actors: bool = False,
     checkpoint_dir: str | None = None,
     mode: str = "single",
 ):
@@ -150,13 +147,9 @@ def run(
         tiles = build_fixture_tileset(chip_size_meters)
 
     extracted = pages.map_batches(pagesmod.extract_text_batch, batch_format="pyarrow")
-    # task path (default): fuses generate→extract→assign→pre-dedup into ONE
-    # full-width operator (see assign_pages docstring); `concurrency` only
-    # sizes the pool when use_actors=True
-    assigned_all = assignmod.assign_pages(extracted, tiles,
-                                          concurrency=concurrency,
-                                          batch_size=batch_size,
-                                          use_actors=use_actors)
+    # plain tasks in 8,192-row batches: generate→extract→assign fuse into
+    # ONE full-width operator (see assign_pages docstring)
+    assigned_all = assignmod.assign_pages(extracted, tiles, use_actors=False)
     slim = assigned_all.drop_columns(["html", "text"])
     if checkpoint_dir is not None:
         from ..state import manifest as manifestmod

@@ -285,8 +285,7 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
 
     def shingle(batch: pa.Table) -> pa.Table:
         sh = _hash_char_shingles(batch[text_col].to_pylist(), k)
-        # binary, not list<uint64>: a single buffer survives the pandas
-        # bucket-merge join untouched and round-trips via np.frombuffer
+        # one binary buffer per doc, read back with np.frombuffer
         return pa.table({
             "id": batch[id_col],
             "sh": pa.array([s.tobytes() for s in sh], type=pa.binary()),
@@ -300,12 +299,10 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
     pairs = pairs.repartition(num_partitions)
     sh_a = _rename(sh_tbl, {"id": "id_a", "sh": "sh_a"})
     sh_b = _rename(sh_tbl, {"id": "id_b", "sh": "sh_b"})
+    # materialized: the second join reads half.schema(), which on an
+    # unexecuted exchange runs the whole first join once more
     half = joinsmod.join_on_identifier(pairs, sh_a, key="id_a",
-                                       right_cols=["sh_a"])
-    # re-block to Arrow between the joins: join_on_identifier pads from
-    # Dataset.schema() types, which are numpy dtypes for pandas-backed
-    # blocks (map_groups output) and would break pa.nulls
-    half = half.map_batches(lambda b: b, batch_format="pyarrow").materialize()
+                                       right_cols=["sh_a"]).materialize()
     joined = joinsmod.join_on_identifier(half, sh_b, key="id_b",
                                          right_cols=["sh_b"])
 

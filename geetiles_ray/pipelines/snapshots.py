@@ -24,13 +24,12 @@ Scale shape (the whole point at 100 TB):
 
 from __future__ import annotations
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.arrowio import (dataset_arrow_schema, key_hash,
-                                 pandas_to_arrow_normalizer)
+from ..functions.arrowio import key_hash
 from ..stages.joins import bloom_member, key_bloom
 from ..stages.temporal import grouped_apply
 
@@ -69,8 +68,6 @@ def dedup_against_snapshots(
         return ds
     keys_ds = prior_keys(prior_dirs, key)
     bloom_ref = key_bloom(keys_ds, key, nbits=nbits, nhashes=nhashes)
-    target = dataset_arrow_schema(ds, ds.schema().names)
-    out_names = list(target.names)
 
     def split(want_hit: bool):
         # plain tasks, like join_on_identifier_bloom's split: a fixed
@@ -88,33 +85,10 @@ def dedup_against_snapshots(
 
     # exact verify: co-locate candidates (left, full rows) with the prior
     # keys (right, key only) and anti-filter per bucket
-    to_arrow = pandas_to_arrow_normalizer(target)
-
-    def per_bucket(group: pd.DataFrame) -> pa.Table:
-        side = group["__side"].to_numpy()
-        seen = group.loc[side == 1, key]
-        return to_arrow(group[(side == 0) & ~group[key].isin(seen)])
+    def per_bucket(cand: pa.Table, prior: pa.Table) -> pa.Table:
+        seen = prior[key].combine_chunks().cast(cand[key].type)
+        return cand.filter(pc.invert(pc.is_in(cand[key], value_set=seen)))
 
     survivors = grouped_apply((candidates, keys_ds), key, per_bucket)
     return new_for_sure.union(survivors)
 
-
-def ingest_snapshot(
-    ds: ray.data.Dataset,
-    dest_dir: str,
-    prior_dirs: list[str] | None = None,
-    key: str = "url",
-    n_partitions: int | None = None,
-    nbits: int = 1 << 23,
-) -> dict:
-    """Checkpointed snapshot ingest: drop keys already in ``prior_dirs``
-    (if any), then durable partitioned write with per-partition manifests
-    — so BOTH resume layers hold: a killed run of THIS snapshot skips its
-    finished partitions on re-run, and the next snapshot dedups against
-    this one's record without rescanning it."""
-    from ..state import manifest as manifestmod
-
-    if prior_dirs:
-        ds = dedup_against_snapshots(ds, prior_dirs, key=key, nbits=nbits)
-    return manifestmod.checkpointed_write(
-        ds, dest_dir, key_col=key, n_partitions=n_partitions)

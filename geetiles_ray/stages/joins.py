@@ -22,8 +22,11 @@ EPSG:4326 degree space, exactly like the reference's shapely ``.area`` on
 
 Key joins take one of two plans. Both sides large: ``hash_join`` (inner)
 and ``join_on_identifier`` (left) co-locate the pair by key hash with
-``temporal.grouped_apply``. One side a small dimension table:
-``broadcast_lookup`` (inner, left, semi and anti, run as plain tasks).
+``temporal.grouped_apply`` and join each bucket's two Arrow tables with
+``_index_join``: Acero's ``Table.join`` matches the keys and row ids
+only, then the payload columns are taken by row id (so list-typed
+payloads pass). One side a small dimension table: ``broadcast_lookup``
+(inner, left, semi and anti, run as plain tasks).
 """
 
 from __future__ import annotations
@@ -234,37 +237,17 @@ def join_on_identifier(left: ray.data.Dataset, right: ray.data.Dataset,
     """J4 (tiles ⋈ rasters by identifier — the reference does a filesystem
     lookup {dir}/{identifier}.tif, partitions.py:450-453): explicit
     partitioned hash LEFT join. Both sides co-locate by key hash
-    (``temporal.grouped_apply`` on the pair) and merge per bucket with
-    vectorized pandas; a null key matches nothing. Use when BOTH sides are
-    large; when one side is small, use ``broadcast_lookup``."""
-    from .temporal import _empty, _pd_dtypes, _sides, grouped_apply
-    from ..functions.arrowio import _NULLABLE, pa_type
+    (``temporal.grouped_apply`` on the pair) and each bucket is joined by
+    ``_index_join``: unmatched left rows get typed nulls in ``right_cols``
+    (an int column stays int64) and a null key matches nothing. Use when
+    BOTH sides are large; when one side is small, use
+    ``broadcast_lookup``."""
+    from .temporal import grouped_apply
 
     rcols = right_cols or [c for c in right.schema().names if c != key]
-    right = right.select_columns([key] + rcols)
-    l_dtypes = _pd_dtypes(left)
-    r_dtypes = _pd_dtypes(right)
-    # post-merge dtype contract: unmatched left rows put NaN in the right
-    # columns, which silently upcasts int64→float64 in SOME blocks (the
-    # ones with non-matches) but not others — and diverges from the Arrow
-    # typed-null blocks the Bloom bypass emits. Cast merged int/bool right
-    # columns to the pandas nullable twin so every block round-trips to
-    # the same Arrow type (Int64+NA → int64 with nulls).
-    r_arrow = {n: pa_type(t) for n, t in
-               zip(right.schema().names, right.schema().types)}
-    r_nullable = {c: _NULLABLE[r_arrow[c]] for c in rcols
-                  if r_arrow[c] in _NULLABLE}
-    out_dtypes = {**l_dtypes, **{c: r_nullable.get(c, r_dtypes[c])
-                                 for c in rcols}}
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _sides(group, l_dtypes, r_dtypes)
-        if not len(lg):
-            return _empty(out_dtypes)
-        out = lg.merge(rg, on=key, how="left")
-        return out.astype(r_nullable, copy=False) if r_nullable else out
-
-    return grouped_apply((left, right), key, merge)
+    return grouped_apply(
+        (left, right.select_columns([key] + rcols)), key,
+        lambda lt, rt: _index_join(lt, rt, [key], rcols, "left outer"))
 
 
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
@@ -272,25 +255,50 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
     """Large-large INNER equi-join ``left.on = right.right_on``: the same
     co-location plan as ``join_on_identifier`` (``grouped_apply`` on the
     pair, width ``bucket_count()``, no actor pool, so it runs at one CPU),
-    merged per bucket with pandas. The right key is renamed to ``on``, so
-    the output carries the key once, under the left name; the payload
-    columns of the two sides must not collide. A null key matches
+    each bucket joined by ``_index_join``. The right key is renamed to
+    ``on``, so the output carries the key once, under the left name; the
+    payload columns of the two sides must not collide. A null key matches
     nothing. The engine has no ``Dataset.join`` call: its hash
     aggregators deadlocked at one CPU and cost about 2.7 s per join."""
-    from .temporal import _pd_dtypes, _sides, grouped_apply
+    from .temporal import grouped_apply
 
     if right_on and right_on != on:
         # in a task: Ray's rename_columns fails on pandas blocks
         right = right.map_batches(lambda t: t.rename_columns(
             [on if c == right_on else c for c in t.column_names]),
             batch_format="pyarrow")
-    l_dtypes, r_dtypes = _pd_dtypes(left), _pd_dtypes(right)
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _sides(group, l_dtypes, r_dtypes)
-        return lg.merge(rg, on=on)
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return _index_join(lt, rt, [on],
+                           [c for c in rt.column_names if c != on])
 
     return grouped_apply((left, right), on, merge)
+
+
+def _index_join(left: pa.Table, right: pa.Table, keys: list[str],
+                cols: list[str], how: str = "inner") -> pa.Table:
+    """``left`` with ``right[cols]`` appended, one row per pair of rows
+    with equal ``keys`` (``how`` "inner", or "left outer": unmatched left
+    rows get typed nulls), in left row order. A null key matches nothing.
+    Acero's ``Table.join`` sees only the keys and row ids; the payload
+    columns are then taken by row id, as Acero rejects list-typed payload
+    columns. It also rejects keys of two integer widths, so each key pair
+    is first cast to its promoted type."""
+    lk, rk = {}, {}
+    for i, k in enumerate(keys):
+        t = pa.unify_schemas([pa.schema([(k, left[k].type)]),
+                              pa.schema([(k, right[k].type)])],
+                             promote_options="permissive").field(k).type
+        lk[f"__k{i}"], rk[f"__k{i}"] = left[k].cast(t), right[k].cast(t)
+    lk["__l"] = np.arange(len(left), dtype=np.int64)
+    rk["__r"] = np.arange(len(right), dtype=np.int64)
+    ids = pa.table(lk).join(pa.table(rk), list(lk)[:-1], join_type=how,
+                            use_threads=False) \
+        .sort_by([("__l", "ascending"), ("__r", "ascending")])
+    out = left.take(ids["__l"])
+    for c in cols:
+        out = out.append_column(c, right[c].take(ids["__r"]))
+    return out
 
 
 def _plain(t: pa.Table) -> pa.Table:
@@ -426,9 +434,9 @@ def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
     and deterministic re-reads are the norm for Parquet-rooted pipelines
     (dedup_exact_broadcast documents the same contract).
 
-    Schema: the merged path casts right int/bool columns to pandas
-    nullable twins (→ Arrow int64+null) and the bypass pads the same
-    Arrow types, so every block of the union shares one schema.
+    Schema: the merged path's unmatched rows and the bypass both pad
+    the right columns with typed nulls of the right side's Arrow types,
+    so every block of the union shares one schema.
 
     The 100-TB case this exists for: a crawl joined against a
     much-smaller-than-the-crawl (but too big to broadcast as values)
@@ -464,21 +472,9 @@ def join_on_identifier_bloom(left: ray.data.Dataset, right: ray.data.Dataset,
         return pa.table(out)
 
     joined = join_on_identifier(maybe, right, key, rcols)
-    # the merge kernel emits exactly left-columns + rcols; order the
-    # bypass identically WITHOUT joined.schema() (which would execute)
+    # the kernel emits exactly left-columns + rcols; order the bypass
+    # identically WITHOUT joined.schema() (which would execute)
     out_names = list(left.schema().names) + rcols
-    # the merge kernel yields pandas blocks, the bypass Arrow blocks —
-    # mixed block types break cross-block batching downstream. Convert
-    # the merged path to Arrow under ONE explicit schema (an all-null
-    # batch would otherwise infer pa.null and diverge from the bypass).
-    from ..functions.arrowio import pandas_to_arrow_normalizer
-    l_schema = {n: pa_type(t) for n, t in
-                zip(left.schema().names, left.schema().types)}
-    target = pa.schema([(n, l_schema.get(n) or r_schema[n])
-                        for n in out_names])
-    joined = joined.map_batches(pandas_to_arrow_normalizer(target),
-                                batch_format="pandas",
-                                zero_copy_batch=True)
     bypass = never.map_batches(pad_right, batch_format="pyarrow") \
         .select_columns(out_names)
     return joined.union(bypass)

@@ -7,10 +7,12 @@ This module also holds the engine's one co-location step,
 (``functions/arrowio.key_hash``) modulo ``bucket_count()`` and exchanged
 by one Ray ``groupby``/``map_groups`` on that tag (ONE exchange whose
 traffic is the pruned columns, never the payload), then a vectorized
-pandas/numpy kernel runs per bucket. Two-sided operators pass it a (left, right) pair. No
-global sort, no driver-side row loops; a bucket holds about 1/64 of the
-keys or less, and the interval join also splits a hot key across time
-bins.
+kernel runs per bucket. A one-sided kernel gets the bucket as pandas (or
+Arrow); a two-sided one gets a (left, right) pair of Arrow tables, each
+in its side's own schema, and returns an Arrow table (equi-joins match
+through ``joins._index_join``). No global sort, no driver-side row loops;
+a bucket holds about 1/64 of the keys or less, and the interval join also
+splits a hot key across time bins.
 
 Partitioning assumptions (documented per the custom-operator contract):
 - asof_join: all rows of one key land in one bucket → per-key time order is
@@ -34,6 +36,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions import arrowio
+from .joins import _index_join
 
 
 def bucket_count() -> int:
@@ -75,51 +78,44 @@ def grouped_apply(ds, keys: str | list[str], kernel,
 
     ``ds`` is one dataset, or the (left, right) pair of a two-sided
     operator: ``_union_bucketed`` then tags each side before the union,
-    and the kernel splits a group with ``_sides``."""
+    and the kernel is called as ``kernel(left, right)`` with each side's
+    rows of the bucket as a ``pa.Table`` in that side's own schema (one
+    side may be empty); it returns a ``pa.Table``."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(ds, tuple):
-        tagged = _union_bucketed(*ds, keys)
+        tagged, schemas = _union_bucketed(*ds, keys)
+        batch_format = "pyarrow"
+
+        def untagged(group: pa.Table) -> pa.Table:
+            right = pc.equal(group["__side"], 1)
+            return kernel(*(group.filter(m).select(s.names).cast(s)
+                            for m, s in zip((pc.invert(right), right),
+                                            schemas)))
     else:
         tagged = ds.map_batches(_bucket_tag(keys), batch_format="pyarrow")
 
-    def untagged(group):
-        if isinstance(group, pa.Table):
-            return kernel(group.drop_columns(["__bucket"]))
-        return kernel(group.drop(columns=["__bucket"]))
+        def untagged(group):
+            if isinstance(group, pa.Table):
+                return kernel(group.drop_columns(["__bucket"]))
+            return kernel(group.drop(columns=["__bucket"]))
 
     return tagged.groupby("__bucket").map_groups(untagged,
                                                  batch_format=batch_format)
 
 
-def _pd_dtypes(ds: ray.data.Dataset) -> dict:
-    """Pandas dtype per column of ``ds`` (pandas-block datasets already
-    report dtypes)."""
-    out = {}
-    for n, t in zip(ds.schema().names, ds.schema().types):
-        try:
-            out[n] = t.to_pandas_dtype() if isinstance(t, pa.DataType) else t
-        except (NotImplementedError, pa.ArrowNotImplementedError):
-            out[n] = object
-    return out
-
-
 def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
-                    keys: list[str]) -> ray.data.Dataset:
+                    keys: list[str]) -> tuple[ray.data.Dataset, list]:
     """The engine's one two-sided tag, pad and union step, behind
     ``grouped_apply((left, right), keys, kernel)``: pad both sides to ONE
     schema with typed nulls (a column both sides carry takes the promoted
     type, so an int32 key meets an int64 one), tag each row with
     ``__side`` (0 left, 1 right) and its ``__bucket``, and union. Right
-    rows with a null key are dropped — no join matches a null key."""
-    from ..functions.arrowio import pa_type
-
-    l_schema = {n: pa_type(t) for n, t in
-                zip(left.schema().names, left.schema().types)}
-    r_schema = {n: pa_type(t) for n, t in
-                zip(right.schema().names, right.schema().types)}
-    target = pa.unify_schemas(
-        [pa.schema(l_schema.items()), pa.schema(r_schema.items())],
-        promote_options="permissive").append(pa.field("__side", pa.int8()))
+    rows with a null key are dropped — no join matches a null key.
+    Returns the union and the two sides' own Arrow schemas."""
+    sides = [arrowio.dataset_arrow_schema(d, d.schema().names)
+             for d in (left, right)]
+    target = pa.unify_schemas(sides, promote_options="permissive") \
+        .append(pa.field("__side", pa.int8()))
     tag = _bucket_tag(keys)
 
     def pad(side: int):
@@ -135,37 +131,7 @@ def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
         return f
 
     return left.map_batches(pad(0), batch_format="pyarrow").union(
-        right.map_batches(pad(1), batch_format="pyarrow"))
-
-
-def _restore(df: pd.DataFrame, dtypes: dict) -> pd.DataFrame:
-    """``df`` with ``dtypes`` restored. Null padding upcasts integer
-    columns to float64 (booleans to object) when a two-sided group lands
-    in pandas; a column that holds real nulls takes its nullable twin."""
-    from ..functions.arrowio import _NULLABLE
-
-    out = {}
-    for c, t in dtypes.items():
-        if df[c].dtype == t:
-            continue
-        if pd.api.types.pandas_dtype(t).kind in "iub" and df[c].hasnans:
-            t = _NULLABLE[pa.from_numpy_dtype(t)]
-        out[c] = t
-    return df.astype(out, copy=False) if out else df
-
-
-def _sides(g: pd.DataFrame, l_dtypes: dict, r_dtypes: dict):
-    """(left rows, right rows) of a ``_union_bucketed`` group, each side
-    with its own columns and dtypes."""
-    side = g["__side"].to_numpy()
-    return (_restore(g[side == 0][list(l_dtypes)], l_dtypes),
-            _restore(g[side == 1][list(r_dtypes)], r_dtypes))
-
-
-def _empty(dtypes: dict) -> pd.DataFrame:
-    """Typed zero-row frame: an object-dtype empty would make Ray's schema
-    unification treat the block as a new schema."""
-    return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in dtypes.items()})
+        right.map_batches(pad(1), batch_format="pyarrow")), sides
 
 
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
@@ -200,78 +166,33 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
                          "(to carry the matched right timestamp, duplicate "
                          "it into a new column upstream)")
 
-    l_dtypes = _pd_dtypes(left)
-    r_dtypes = _pd_dtypes(right)
-    # typed empty frame for one-sided buckets
-    empty = _empty({**l_dtypes, **{c: r_dtypes[c] for c in r_payload}})
+    sort_cols = [right_on] + ([tiebreak] if tiebreak else [])
+    # ties on right_on break to the GREATEST tiebreak in both directions:
+    # merge_asof takes the LAST equal-on row backward but the FIRST
+    # forward, so the tiebreak sort flips with direction
+    asc = [True] + ([direction == "backward"] if tiebreak else [])
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        lg, rg = _sides(g, l_dtypes, r_dtypes)
+    def kernel(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        out = pa.schema(list(lt.schema) + [rt.schema.field(c)
+                                           for c in r_payload])
         # a null key never matches (right ones never reach the kernel)
-        lg = lg[lg[key].notna()]
-        if not len(lg) or not len(rg):
-            return empty.copy()
-        lg = lg.astype({key: l_dtypes[key]}).sort_values(on, kind="mergesort")
-        # ties on right_on break to the GREATEST tiebreak in both
-        # directions: merge_asof takes the LAST equal-on row backward but
-        # the FIRST forward, so the tiebreak sort flips with direction
-        sort_cols = [right_on] + ([tiebreak] if tiebreak else [])
-        asc = [True] + ([direction == "backward"] if tiebreak else [])
-        rg = rg.sort_values(sort_cols, ascending=asc, kind="mergesort")
+        lt = lt.filter(pc.is_valid(lt[key]))
+        if not len(lt) or not len(rt):
+            return out.empty_table()
+        # nullable dtypes: an int column keeps its values, nulls or not
+        lg = lt.to_pandas(types_mapper=arrowio._NULLABLE.get) \
+            .sort_values(on, kind="mergesort")
+        rg = rt.to_pandas(types_mapper=arrowio._NULLABLE.get) \
+            .sort_values(sort_cols, ascending=asc, kind="mergesort")
         if right_on != on:
             rg = rg.rename(columns={right_on: on})
         m = pd.merge_asof(lg, rg, on=on, by=key, direction=direction)
-        m = m.dropna(subset=[probe])
-        # NaN rows (now dropped) upcast int right columns to float64
-        return m.astype({c: r_dtypes[c] for c in r_payload}, copy=False)
+        # without the pandas metadata, which would restore nullable dtypes
+        return pa.Table.from_pandas(m.dropna(subset=[probe]), schema=out,
+                                    preserve_index=False) \
+            .replace_schema_metadata(None)
 
     return grouped_apply((left, right), key, kernel)
-
-
-def asof_join_broadcast(left: ray.data.Dataset, right: pd.DataFrame,
-                        key: str, on: str, right_on: str | None = None,
-                        tiebreak: str | None = None,
-                        direction: str = "backward",
-                        broadcast_limit: int = 5_000_000
-                        ) -> ray.data.Dataset:
-    """Exchange-free as-of join for a small (dimension-sized) right side:
-    the right table ships to the object store ONCE (``ray.put``) and every
-    left batch runs ``merge_asof`` against it map-side — the left side
-    never shuffles, the same broadcast duality dedup has
-    (dedup_exact_broadcast vs the exchange plans). Same match contract as
-    ``asof_join``; raises above ``broadcast_limit`` rows (beyond that, use
-    the exchange plan — a broadcast table must fit every worker's heap)."""
-    if len(right) > broadcast_limit:
-        raise ValueError(
-            f"right side has {len(right)} rows > broadcast_limit="
-            f"{broadcast_limit}; use asof_join (the exchange plan)")
-    right_on = right_on or on
-    if direction not in ("backward", "forward"):
-        raise ValueError(direction)
-    r_payload = [c for c in right.columns if c not in (key, right_on)]
-    if not r_payload:
-        raise ValueError("right side needs at least one payload column")
-    clash = (set(left.schema().names) & set(r_payload))
-    if clash:
-        raise ValueError(f"right payload columns collide with left: {clash}")
-    sort_cols = [right_on] + ([tiebreak] if tiebreak else [])
-    asc = [True] + ([direction == "backward"] if tiebreak else [])
-    rsorted = right.sort_values(sort_cols, ascending=asc, kind="mergesort") \
-        .reset_index(drop=True)
-    if right_on != on:
-        rsorted = rsorted.rename(columns={right_on: on})
-    r_ref = ray.put(rsorted[[key, on] + r_payload])
-    r_dtypes = {c: rsorted[c].dtype for c in r_payload}
-    probe = r_payload[0]
-
-    def kernel(lg: pd.DataFrame) -> pd.DataFrame:
-        m = pd.merge_asof(lg.sort_values(on, kind="mergesort"),
-                          arrowio.worker_cached(r_ref),
-                          on=on, by=key, direction=direction)
-        m = m.dropna(subset=[probe])
-        return m.astype(r_dtypes, copy=False)
-
-    return left.map_batches(kernel, batch_format="pandas")
 
 
 def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
@@ -299,8 +220,6 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
     if clash:
         raise ValueError(f"interval columns collide with point columns: "
                          f"{clash}; rename upstream")
-    p_dtypes = _pd_dtypes(points)
-    i_dtypes = _pd_dtypes(intervals)
 
     def with_bin_points(batch: pa.Table) -> pa.Table:
         b = batch[ts].to_numpy() // w
@@ -320,93 +239,14 @@ def interval_join(points: ray.data.Dataset, intervals: ray.data.Dataset,
 
     p_binned = points.map_batches(with_bin_points, batch_format="pyarrow")
     i_binned = intervals.map_batches(explode_intervals, batch_format="pyarrow")
-    out_cols = i_names + [c for c in p_names if c != key]
-    empty = _empty({**i_dtypes, **{c: p_dtypes[c] for c in out_cols
-                                   if c not in i_dtypes}})
-    binned = {"__bin": np.dtype(np.int64)}
+    p_payload = [c for c in p_names if c != key]
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        pg, ig = _sides(g, {**p_dtypes, **binned}, {**i_dtypes, **binned})
-        pg = pg[pg[key].notna()]
-        if not len(pg) or not len(ig):
-            return empty.copy()
-        m = ig.merge(pg.astype({key: p_dtypes[key]}), on=[key, "__bin"])
-        m = m[(m[lo] <= m[ts]) & (m[ts] < m[hi])]
-        return m[out_cols]
+    def kernel(pt: pa.Table, it: pa.Table) -> pa.Table:
+        m = _index_join(it, pt, [key, "__bin"], p_payload)
+        inside = pc.and_(pc.less_equal(m[lo], m[ts]), pc.less(m[ts], m[hi]))
+        return m.filter(inside).select(i_names + p_payload)
 
     return grouped_apply((p_binned, i_binned), [key, "__bin"], kernel)
-
-
-def interval_join_broadcast(points: ray.data.Dataset,
-                            intervals: pd.DataFrame, key: str, ts: str,
-                            lo: str, hi: str, bin_width: int,
-                            broadcast_limit: int = 2_000_000
-                            ) -> ray.data.Dataset:
-    """Exchange-free interval join for a small interval set (campaign
-    windows, rollout ranges): intervals are bin-exploded ONCE driver-side,
-    broadcast via ``ray.put``, and every point batch equi-merges on
-    (key, bin) map-side + the exact containment filter. Point traffic:
-    zero shuffle. Raises above ``broadcast_limit`` exploded rows."""
-    w = int(bin_width)
-    if w <= 0:
-        raise ValueError("bin_width must be positive")
-    clash = (set(points.schema().names) & set(intervals.columns)) - {key}
-    if clash:
-        raise ValueError(f"interval columns collide with point columns: "
-                         f"{clash}; rename upstream")
-    lo_v = intervals[lo].to_numpy()
-    hi_v = intervals[hi].to_numpy()
-    n = np.maximum((hi_v - 1) // w - lo_v // w + 1, 0)
-    if n.sum() > broadcast_limit:
-        raise ValueError(
-            f"intervals explode to {int(n.sum())} bin rows > "
-            f"broadcast_limit={broadcast_limit}; use interval_join")
-    idx = np.repeat(np.arange(len(intervals)), n)
-    off = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-    exploded = intervals.iloc[idx].reset_index(drop=True)
-    exploded["__bin"] = (lo_v // w)[idx] + off
-    i_ref = ray.put(exploded)
-    i_names = list(intervals.columns)
-
-    def build(e: pd.DataFrame) -> dict:
-        # a sorted composite (key, bin) int64 index, built ONCE per worker
-        # process; each batch is then pure searchsorted — no per-batch
-        # hash-table build (a pandas merge rebuilds the broadcast side's
-        # hash every batch: measured 2.8x slower than the exchange plan at
-        # 1.6M exploded rows, and join-on-MultiIndex is slower still on
-        # non-unique keys)
-        keys = pd.Index(pd.unique(e[key]))
-        kcodes = keys.get_indexer(e[key]).astype(np.int64)
-        b = e["__bin"].to_numpy()
-        bmin = int(b.min()) if len(b) else 0
-        span = int(b.max()) - bmin + 1 if len(b) else 1
-        comp = kcodes * span + (b - bmin)
-        order = np.argsort(comp, kind="stable")
-        return dict(e=e, keys=keys, bmin=bmin, span=span, order=order,
-                    comp=comp[order], lo_s=e[lo].to_numpy()[order],
-                    hi_s=e[hi].to_numpy()[order])
-
-    def kernel(pg: pd.DataFrame) -> pd.DataFrame:
-        x = arrowio.worker_cached(i_ref, build)
-        t = pg[ts].to_numpy()
-        kc = x["keys"].get_indexer(pg[key]).astype(np.int64)
-        pb = t // w - x["bmin"]
-        ok = (kc >= 0) & (pb >= 0) & (pb < x["span"])
-        comp_p = kc[ok] * x["span"] + pb[ok]
-        s = np.searchsorted(x["comp"], comp_p, side="left")
-        e_ = np.searchsorted(x["comp"], comp_p, side="right")
-        cnt = e_ - s
-        prow = np.repeat(np.nonzero(ok)[0], cnt)
-        tot = int(cnt.sum())
-        islot = np.repeat(s, cnt) + \
-            (np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt))
-        keep = (x["lo_s"][islot] <= t[prow]) & (t[prow] < x["hi_s"][islot])
-        prow, islot = prow[keep], islot[keep]
-        left = x["e"].iloc[x["order"][islot]].reset_index(drop=True)
-        right = pg.iloc[prow].reset_index(drop=True).drop(columns=[key])
-        return pd.concat([left[i_names], right], axis=1)
-
-    return points.map_batches(kernel, batch_format="pandas")
 
 
 def hopping_windows(ds: ray.data.Dataset, ts: str, length: int, hop: int,
@@ -566,8 +406,8 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
     (cohort, offset, partial-count) rows into ``dedup.fold_partials``."""
     from ..pipelines.dedup import fold_partials
 
-    empty = _empty({"cohort_week": np.int64, "week_offset": np.int64,
-                    "__n": np.int64})
+    empty = pd.DataFrame({c: pd.Series([], dtype=np.int64)
+                          for c in ("cohort_week", "week_offset", "__n")})
 
     def kernel(df: pd.DataFrame) -> pd.DataFrame:
         t64 = df[ts].astype("datetime64[us]").astype("int64")

@@ -1,11 +1,12 @@
 """The engine's one key-hash co-location plan (stages/temporal.grouped_apply
 and _union_bucketed): every row of a key meets in one bucket whatever block,
-null mask or integer width it arrives with; kernels emit typed blocks; and
-no public function asks its caller for a bucket count."""
+null mask or integer width it arrives with; two-sided kernels emit typed
+Arrow blocks; and no public function asks its caller for a bucket count."""
 
 import importlib
 import inspect
 import pkgutil
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,9 @@ import ray
 import ray.data
 
 import geetiles_ray
-from geetiles_ray.pipelines import dedup
+from geetiles_ray.pipelines import dedup, snapshots
 from geetiles_ray.stages import joins, temporal
+from geetiles_ray.state import manifest
 
 
 # two int64 blocks; only the second has a null in ``k``, so a numpy-dtype
@@ -96,6 +98,45 @@ def _join_widths():
                  ["k", "r"])
 
 
+def _hash_join():
+    right = ray.data.from_arrow(pa.table({"k": pa.array([5, None], pa.int64()),
+                                          "r": pa.array([10, 20], pa.int64())}))
+    return _rows(joins.hash_join(_split_key_blocks(), right, on="k")
+                 .to_pandas(), ["k", "ts", "r"])
+
+
+def _interval():
+    windows = ray.data.from_arrow(pa.table({
+        "k": pa.array([5], pa.int64()), "lo": pa.array([0], pa.int64()),
+        "hi": pa.array([10], pa.int64()), "iid": pa.array([0], pa.int64())}))
+    return _rows(temporal.interval_join(_split_key_blocks(), windows, key="k",
+                                        ts="ts", lo="lo", hi="hi",
+                                        bin_width=100).to_pandas(),
+                 ["k", "ts", "iid"])
+
+
+def _upsert_patch():
+    patch = ray.data.from_arrow(pa.table({"k": pa.array([5], pa.int64()),
+                                          "v": pa.array([9], pa.int64())}))
+    return _rows(dedup.upsert_patch(_split_key_blocks(), patch, "k")
+                 .to_pandas(), ["k", "ts", "v"])
+
+
+def _prior_snapshot(keys: pa.Array, out: str) -> list[str]:
+    manifest.checkpointed_write(ray.data.from_arrow(pa.table({"k": keys})),
+                                out, key_col="k", n_partitions=2)
+    return [out]
+
+
+def _snapshot_dedup():
+    with tempfile.TemporaryDirectory() as d:
+        prior = _prior_snapshot(pa.array([5], pa.int64()), d)
+        # 64 bits: every key is a Bloom hit, so all rows take the exchange
+        return _rows(snapshots.dedup_against_snapshots(
+            _split_key_blocks(), prior, key="k", nbits=64).to_pandas(),
+            ["k", "ts"])
+
+
 @pytest.mark.parametrize("run,want", [
     (_dedup, [(5, 1), (7, 1), (None, 2)]),
     (_dedup_ranges, [(5, 1), (7, 1), (None, 2)]),
@@ -106,9 +147,14 @@ def _join_widths():
     (_upsert, [(5, 2), (7, 1), (None, 2)]),
     (_asof, [(5, 1, 100), (5, 2, 100)]),
     (_join_widths, [(-1, 10)]),
+    (_hash_join, [(5, 1, 10), (5, 2, 10)]),
+    (_interval, [(5, 1, 0), (5, 2, 0)]),
+    (_upsert_patch, [(5, 1, 9), (5, 2, 9), (7, 1, None), (None, 2, None)]),
+    (_snapshot_dedup, [(7, 1), (None, 2)]),
 ], ids=["dedup_exact", "dedup_exact_ranges", "dedup_exact_broadcast",
         "lag_deltas", "session_windows", "join_on_identifier", "upsert",
-        "asof_join", "join_int32_int64"])
+        "asof_join", "join_int32_int64", "hash_join", "interval_join",
+        "upsert_patch", "dedup_against_snapshots"])
 def test_key_meets_itself_across_blocks(run, want):
     """A key lands in one bucket whatever block, null mask or integer
     width it arrives with, so every operator sees all of its rows."""
@@ -130,22 +176,80 @@ def test_string_key_hashes_as_before():
         np.testing.assert_array_equal(new_h, old_h)
 
 
-def test_join_blocks_typed_when_buckets_hold_only_right_rows():
-    """Most buckets hold right rows only; their empty outputs keep the
-    output dtypes, so no block carries an object or null-typed column."""
-    left = ray.data.from_pandas(pd.DataFrame({"k": np.arange(3)}))
-    right = ray.data.from_pandas(pd.DataFrame({"k": np.arange(300),
-                                               "r": np.arange(300) * 2}))
-    out = joins.join_on_identifier(left, right, key="k").materialize()
-    blocks = [pa.Table.from_pandas(b, preserve_index=False)
-              if isinstance(b, pd.DataFrame) else b
-              for b in ray.get(out.get_internal_block_refs())]
-    types = {(str(b.schema.field("k").type), str(b.schema.field("r").type))
-             for b in blocks}
-    assert types == {("int64", "int64")}
-    got = out.to_pandas().sort_values("k")
-    assert got["k"].tolist() == [0, 1, 2]
-    assert got["r"].tolist() == [0, 2, 4]
+# left keys 0, 1, 2 match; 1000 does not. The right side holds keys
+# 0..299, so most buckets hold right rows only.
+_LEFT = pd.DataFrame({"k": np.array([0, 1, 2, 1000]), "ts": np.full(4, 5)})
+_RIGHT = pa.table({"k": np.arange(300), "r": np.arange(300) * 2})
+
+
+def _typed_join_on_identifier():
+    right = _RIGHT.append_column("sh", pa.array(
+        [[i, i + 1] for i in range(300)], pa.list_(pa.uint64())))
+    return joins.join_on_identifier(ray.data.from_pandas(_LEFT),
+                                    ray.data.from_arrow(right), key="k")
+
+
+def _typed_hash_join():
+    return joins.hash_join(ray.data.from_pandas(_LEFT),
+                           ray.data.from_arrow(_RIGHT), on="k")
+
+
+def _typed_asof():
+    right = _RIGHT.append_column("rts", pa.array(np.zeros(300, np.int64)))
+    return temporal.asof_join(ray.data.from_pandas(_LEFT),
+                              ray.data.from_arrow(right), key="k", on="ts",
+                              right_on="rts")
+
+
+def _typed_interval():
+    windows = _RIGHT.append_column("lo", pa.array(np.zeros(300, np.int64))) \
+        .append_column("hi", pa.array(np.full(300, 10)))
+    return temporal.interval_join(ray.data.from_pandas(_LEFT),
+                                  ray.data.from_arrow(windows), key="k",
+                                  ts="ts", lo="lo", hi="hi", bin_width=100)
+
+
+def _typed_upsert_patch():
+    return dedup.upsert_patch(ray.data.from_pandas(_LEFT),
+                              ray.data.from_arrow(_RIGHT), "k")
+
+
+def _typed_snapshot_dedup(tmp_path):
+    prior = _prior_snapshot(_RIGHT["k"], str(tmp_path / "prior"))
+    return snapshots.dedup_against_snapshots(ray.data.from_pandas(_LEFT),
+                                             prior, key="k", nbits=64)
+
+
+@pytest.mark.parametrize("run,rows,null_col", [
+    (_typed_join_on_identifier, 4, "r"),
+    (_typed_hash_join, 3, None),
+    (_typed_asof, 3, None),
+    (_typed_interval, 3, None),
+    (_typed_upsert_patch, 4, "r"),
+    (_typed_snapshot_dedup, 1, None),
+], ids=["join_on_identifier", "hash_join", "asof_join", "interval_join",
+        "upsert_patch", "dedup_against_snapshots"])
+def test_join_blocks_typed_when_buckets_hold_only_right_rows(
+        run, rows, null_col, tmp_path):
+    """Most buckets hold right rows only. Every two-sided operator still
+    emits Arrow blocks of one schema; an int column the unmatched left
+    key leaves empty stays int64 with a null; and a list payload (which
+    Acero's join rejects) rides through join_on_identifier."""
+    args = (tmp_path,) if run is _typed_snapshot_dedup else ()
+    blocks = ray.get(run(*args).materialize().get_internal_block_refs())
+    assert all(isinstance(b, pa.Table) for b in blocks)
+    schema = blocks[0].schema
+    assert all(b.schema.equals(schema) for b in blocks)
+    assert sum(len(b) for b in blocks) == rows
+    for c in ("k", "ts", "r"):
+        if c in schema.names:
+            assert schema.field(c).type == pa.int64()
+    if null_col:
+        assert sum(b[null_col].null_count for b in blocks) == 1
+    if run is _typed_join_on_identifier:
+        assert schema.field("sh").type == pa.list_(pa.uint64())
+        got = pa.concat_tables(blocks).sort_by("k")
+        assert got["sh"].to_pylist() == [[0, 1], [1, 2], [2, 3], None]
 
 
 def _public_functions():

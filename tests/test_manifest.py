@@ -153,8 +153,8 @@ class TestFlagshipCheckpointResume:
         ckpt = str(tmp_path / "ckpt")
         pages = pagesmod.generate_pages(3000)
         tiles = flagship.build_fixture_tileset(5000.0)
-        assigned, _ = flagship.run(pages, tiles=tiles, concurrency=2,
-                                   dedup_buckets=8, checkpoint_dir=ckpt)
+        assigned, _ = flagship.run(pages, tiles=tiles, dedup_buckets=8,
+                                   checkpoint_dir=ckpt)
         h1 = result_hash(assigned)
         rep1 = flagship.run.last_checkpoint_report
         assert rep1["skipped"] == [] and len(rep1["written"]) == 8
@@ -165,8 +165,8 @@ class TestFlagshipCheckpointResume:
             os.remove(os.path.join(ckpt, f"part={pid:05d}", "data.parquet"))
 
         pages2 = pagesmod.generate_pages(3000)  # deterministic regeneration
-        assigned2, _ = flagship.run(pages2, tiles=tiles, concurrency=2,
-                                    dedup_buckets=8, checkpoint_dir=ckpt)
+        assigned2, _ = flagship.run(pages2, tiles=tiles, dedup_buckets=8,
+                                    checkpoint_dir=ckpt)
         rep2 = flagship.run.last_checkpoint_report
         assert rep2["written"] == [2, 5]
         assert len(rep2["skipped"]) == 6
@@ -191,10 +191,9 @@ class TestFlagshipClusterMode:
                 df[cols].to_csv(index=False).encode()).hexdigest()
 
         tiles = flagship.build_fixture_tileset(5000.0)
-        a1, c1 = flagship.run(pagesmod.generate_pages(2000), tiles=tiles,
-                              concurrency=2)
+        a1, c1 = flagship.run(pagesmod.generate_pages(2000), tiles=tiles)
         a2, c2 = flagship.run(pagesmod.generate_pages(2000), tiles=tiles,
-                              concurrency=2, mode="cluster",
+                              mode="cluster",
                               checkpoint_dir=str(tmp_path / "ckpt"))
         assert result_hash(a1) == result_hash(a2)
         pd1 = c1.to_pandas().sort_values(["tile_id", "lang"]) \

@@ -87,20 +87,6 @@ class TestAsofJoin:
             tmp.asof_join(_ds(L), _ds(R.rename(columns={"rv": "lid"})),
                           key="k", on="ts", right_on="rts")
 
-    def test_broadcast_matches_exchange(self, sides):
-        # the exchange-free broadcast plan must produce the same join
-        L, R = sides
-        want = tmp.asof_join(_ds(L), _ds(R), key="k", on="ts",
-                             right_on="rts", tiebreak="rid").to_pandas() \
-            .sort_values("lid").reset_index(drop=True)
-        got = tmp.asof_join_broadcast(_ds(L), R, key="k", on="ts",
-                                      right_on="rts", tiebreak="rid") \
-            .to_pandas().sort_values("lid").reset_index(drop=True)
-        pd.testing.assert_frame_equal(got[want.columns], want)
-        with pytest.raises(ValueError, match="broadcast_limit"):
-            tmp.asof_join_broadcast(_ds(L), R, key="k", on="ts",
-                                    right_on="rts", broadcast_limit=10)
-
 
 class TestIntervalJoin:
     def test_matches_brute_across_bin_widths(self):
@@ -121,28 +107,6 @@ class TestIntervalJoin:
                 .to_pandas().sort_values(["iid", "pid"]).reset_index(drop=True)
             pd.testing.assert_frame_equal(out[want.columns], want,
                                           check_dtype=False)
-
-    def test_broadcast_matches_exchange(self):
-        r = _rng(23)
-        P = pd.DataFrame({"k": r.integers(0, 5, 200),
-                          "t": r.integers(0, 5_000, 200).astype("int64"),
-                          "pid": np.arange(200, dtype="int64")})
-        I = pd.DataFrame({"k": r.integers(0, 5, 25),
-                          "lo": r.integers(0, 4_500, 25).astype("int64"),
-                          "iid": np.arange(25, dtype="int64")})
-        I["hi"] = I.lo + r.integers(0, 1_500, 25)
-        want = tmp.interval_join(_ds(P), _ds(I), key="k", ts="t", lo="lo",
-                                 hi="hi", bin_width=500).to_pandas() \
-            .sort_values(["iid", "pid"]).reset_index(drop=True)
-        got = tmp.interval_join_broadcast(_ds(P), I, key="k", ts="t",
-                                          lo="lo", hi="hi", bin_width=500) \
-            .to_pandas().sort_values(["iid", "pid"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got[want.columns], want,
-                                      check_dtype=False)
-        with pytest.raises(ValueError, match="broadcast_limit"):
-            tmp.interval_join_broadcast(_ds(P), I, key="k", ts="t",
-                                        lo="lo", hi="hi", bin_width=500,
-                                        broadcast_limit=3)
 
     def test_boundary_semantics(self):
         # lo inclusive, hi exclusive — checked exactly on the boundary

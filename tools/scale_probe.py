@@ -10,7 +10,9 @@ Usage:
     python tools/scale_probe.py --list
 
 With no ``--case`` every case runs. Three tables, built once per run and
-only when a chosen case needs them:
+only when a chosen case needs them (two-sided cases derive their sides
+from them; ``snapshot_dedup`` first checkpoints the crawl rows with even
+``n_chars`` as its prior snapshot, in a temporary directory):
 - events: ``rows`` events (event_id, user_id over rows/400 users, ts_us
   over 30 days, etype of 5, value float, cents int);
 - docs: ``rows`` texts of 24 words from a 1,000-word vocabulary; every
@@ -25,11 +27,14 @@ The flagship ingest is measured by perfbench, not here.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import json
 import os
 import resource
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -143,8 +148,25 @@ def inputs(n: int, nblocks: int) -> dict:
         return left, ray.data.from_arrow(pa.table({"identifier": rkeys,
                                                    "rv": rkeys * 2}))
 
+    def patch():
+        ev = built["events"]()
+        return (ev.select_columns(["event_id", "user_id", "cents"]),
+                ev.filter(expr="event_id % 10 == 0")
+                .select_columns(["event_id", "ts_us", "cents"]).materialize())
+
+    def snapshot():
+        from geetiles_ray.state import manifest
+
+        prior = tempfile.mkdtemp(prefix="scale_probe_prior_")
+        atexit.register(shutil.rmtree, prior, True)
+        manifest.checkpointed_write(
+            built["crawl"]().filter(expr="n_chars % 2 == 0"), prior,
+            key_col="url", n_partitions=8)
+        return built["crawl"](), [prior]
+
     built = {f.__name__: functools.cache(f)
-             for f in (events, docs, crawl, asof, interval, join)}
+             for f in (events, docs, crawl, asof, interval, join, patch,
+                       snapshot)}
     return built
 
 
@@ -155,7 +177,7 @@ def cases() -> dict:
     from geetiles_ray.functions import pii, url
     from geetiles_ray.pipelines import analytics as an
     from geetiles_ray.pipelines import dedup
-    from geetiles_ray.pipelines import lines, pyramid
+    from geetiles_ray.pipelines import lines, pyramid, snapshots
     from geetiles_ray.stages import joins
     from geetiles_ray.stages import temporal as tmp
 
@@ -185,14 +207,8 @@ def cases() -> dict:
 
     return {
         "asof_join": ("asof", lambda lr: tmp.asof_join(*lr, **asof).count()),
-        "asof_join_bcast": ("asof", lambda lr: tmp.asof_join_broadcast(
-            lr[0], lr[1].to_pandas(), **asof).count()),
         "interval_join": ("interval", lambda pw: tmp.interval_join(
             *pw, **interval).count()),
-        "interval_join_bcast": ("interval", lambda pw:
-                                tmp.interval_join_broadcast(
-                                    pw[0], pw[1].to_pandas(),
-                                    **interval).count()),
         "hopping_3x": ("events", lambda ev: tmp.hopping_windows(
             ev, ts="ts_us", length=6 * HOUR_US, hop=2 * HOUR_US).count()),
         "rolling_active": ("events", lambda ev: tmp.rolling_active(
@@ -221,6 +237,12 @@ def cases() -> dict:
         "join_on_identifier_bloom": ("join", lambda lr:
                                      joins.join_on_identifier_bloom(
                                          *lr).count()),
+        "hash_join": ("join", lambda lr: joins.hash_join(
+            *lr, on="identifier").count()),
+        "upsert_patch": ("patch", lambda bu: dedup.upsert_patch(
+            *bu, key="event_id", order_col="ts_us").count()),
+        "snapshot_dedup": ("snapshot", lambda cp: snapshots
+                           .dedup_against_snapshots(*cp, key="url").count()),
         "segment_dedup": ("docs", lambda d: lines.segment_dedup(
             d, "text", mode="words", width=3, min_docs=2).count()),
         "repetition_stats": ("docs", lambda d: lines.repetition_stats(
