@@ -1,21 +1,19 @@
 """Arrow/pandas block-schema utilities shared by the exchange kernels,
 and the per-worker cache every stateful stage reads its broadcast from.
 
-Two-sided co-location kernels (``temporal.grouped_apply`` on a pair) work
-on Arrow tables in each side's own schema, so their blocks need no
-conversion; what pandas kernels still need lives here:
+Co-location kernels (``temporal.grouped_apply``) take and return Arrow
+tables, so their blocks need no conversion. Shared here:
 
+- ``run_starts`` / ``run_rank`` / ``run_cumsum``: group boundaries and
+  per-group counters over a table sorted on its group columns — what a
+  sorted kernel uses in place of pandas' ``groupby().cumcount()`` and
+  ``groupby().cumsum()``.
 - ``pa_type``: normalize whatever ``Dataset.schema().types`` yields
   (Arrow DataType for arrow-block datasets, numpy dtypes / python
   classes for pandas-block ones) to a ``pyarrow.DataType``.
 - ``_NULLABLE``: the pandas nullable dtype per Arrow integer/boolean
   type, for kernels that must convert an Arrow table to pandas (the
   as-of join's ``merge_asof``) without turning nullable ints into floats.
-- ``pandas_to_arrow_normalizer``: a map_batches fn that converts a
-  one-sided pandas kernel's output to Arrow under ONE explicit schema —
-  without it, an empty or all-null batch infers ``null``-typed columns
-  and the blocks of a union/fold diverge (observed crashing schema
-  unification on multi-core hosts where some hash ranges are empty).
 - ``key_hash``: the engine's one routing hash — every exchange, hash
   range and Bloom probe places a row by it, so a key lands in one place
   whatever block, null mask or integer width it arrives with.
@@ -87,17 +85,33 @@ def dataset_arrow_schema(ds, names: list[str]) -> pa.Schema:
     return pa.schema([(n, types[n]) for n in names])
 
 
-def pandas_to_arrow_normalizer(target: pa.Schema):
-    """Returns f(pd.DataFrame) -> pa.Table that selects the target's
-    columns and converts under the explicit schema (NaN→typed null; an
-    empty frame yields a typed empty table, never null columns)."""
-    names = list(target.names)
+def run_starts(t: pa.Table, cols: list[str]) -> np.ndarray:
+    """Boolean mask of the rows of ``t`` (sorted on ``cols``) that open a
+    run of equal ``cols`` values; a null equals a null, as in a SQL
+    ``GROUP BY``."""
+    new = np.ones(len(t), dtype=bool)
+    if len(t) > 1:
+        new[1:] = False
+        for c in cols:
+            a, b = t[c].slice(1), t[c].slice(0, len(t) - 1)
+            differ = pc.and_not(pc.fill_null(pc.not_equal(a, b), True),
+                                pc.and_(pc.is_null(a), pc.is_null(b)))
+            new[1:] |= differ.to_numpy()
+    return new
 
-    def to_arrow(df: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(df[names], schema=target,
-                                    preserve_index=False)
 
-    return to_arrow
+def run_rank(new: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run (``run_starts``)."""
+    i = np.arange(len(new))
+    return i - np.maximum.accumulate(np.where(new, i, 0))
+
+
+def run_cumsum(v: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Running sum of ``v`` that restarts at each run (``run_starts``)."""
+    cs = np.cumsum(v)
+    starts = np.flatnonzero(new)
+    return cs - np.repeat(cs[starts] - v[starts],
+                          np.diff(starts, append=len(v)))
 
 
 # per-worker-process cache of built broadcasts, oldest first; a few

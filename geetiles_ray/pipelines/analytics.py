@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -36,19 +37,19 @@ def cms_row_multipliers(depth: int) -> np.ndarray:
 
 # ------------------------------------------------------------ grouped top-N
 
-def _topn_kernel(df: pd.DataFrame, keys: list[str], order_col: str, n: int,
+def _topn_kernel(t: pa.Table, keys: list[str], order_col: str, n: int,
                  ascending: bool, tiebreak: str | None,
-                 with_rank: bool) -> pd.DataFrame:
-    """Vectorized per-frame top-N per key: one stable sort + cumcount.
+                 with_rank: bool) -> pa.Table:
+    """Vectorized per-table top-N per key: one stable sort + run rank.
     Deterministic: ties on ``order_col`` break by ascending ``tiebreak``."""
-    sort_cols = keys + [order_col] + ([tiebreak] if tiebreak else [])
-    asc = [True] * len(keys) + [ascending] + ([True] if tiebreak else [])
-    d = df.sort_values(sort_cols, ascending=asc, kind="mergesort")
-    r = d.groupby(keys, sort=False, dropna=False).cumcount().to_numpy()
+    d = t.sort_by([(k, "ascending") for k in keys]
+                  + [(order_col, "ascending" if ascending else "descending")]
+                  + ([(tiebreak, "ascending")] if tiebreak else []))
+    r = arrowio.run_rank(arrowio.run_starts(d, keys))
     keep = r < n
-    d = d[keep]
+    d = d.filter(keep)
     if with_rank:
-        d = d.assign(rank=(r[keep] + 1).astype("int64"))
+        d = d.append_column("rank", pa.array(r[keep] + 1))
     return d
 
 
@@ -66,15 +67,15 @@ def grouped_topn(ds: ray.data.Dataset, keys: list[str], order_col: str,
     No global sort, no window shuffle."""
     from ..stages.temporal import grouped_apply
 
-    def prune(df: pd.DataFrame) -> pd.DataFrame:
-        return _topn_kernel(df, keys, order_col, n, ascending, tiebreak,
+    def prune(t: pa.Table) -> pa.Table:
+        return _topn_kernel(t, keys, order_col, n, ascending, tiebreak,
                             with_rank=False)
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        return _topn_kernel(df, keys, order_col, n, ascending, tiebreak,
+    def final(t: pa.Table) -> pa.Table:
+        return _topn_kernel(t, keys, order_col, n, ascending, tiebreak,
                             with_rank=True)
 
-    return grouped_apply(ds.map_batches(prune, batch_format="pandas"), keys,
+    return grouped_apply(ds.map_batches(prune, batch_format="pyarrow"), keys,
                          final)
 
 
@@ -330,16 +331,19 @@ def running_total(ds: ray.data.Dataset, key: str, order_cols: list[str],
     SUM(value) OVER (PARTITION BY key ORDER BY order ROWS UNBOUNDED
     PRECEDING)). One key-hash exchange co-locates each key's rows
     (stages/temporal.grouped_apply), the kernel is one vectorized sort +
-    groupby-cumsum per bucket. Integer ``value_col`` gives engine-exact
-    results (cumulative FLOAT sums are order-defined and match only
-    engines replaying the same order — which the kernel does, but keep
-    ints where the oracle must hash)."""
+    per-key running sum per bucket (a null value adds 0). Integer
+    ``value_col`` gives engine-exact results (cumulative FLOAT sums are
+    order-defined and match only engines replaying the same order — which
+    the kernel does, but keep ints where the oracle must hash)."""
     from ..stages.temporal import grouped_apply
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values([key] + order_cols, kind="mergesort")
-        d[out_col] = d.groupby(key, sort=False)[value_col].cumsum()
-        return d
+    order = [(c, "ascending") for c in [key] + order_cols]
+
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by(order)
+        v = pc.fill_null(d[value_col], 0).to_numpy()
+        return d.append_column(out_col, pa.array(
+            arrowio.run_cumsum(v, arrowio.run_starts(d, [key]))))
 
     return grouped_apply(ds, key, kernel)
 
@@ -364,14 +368,25 @@ def pack_plan(ds: ray.data.Dataset, stream_cols: list[str], order_col: str,
     map-side."""
     from ..stages.temporal import grouped_apply
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values(stream_cols + [order_col], kind="mergesort")
-        cum = d.groupby(stream_cols, sort=False, dropna=False)[tokens_col] \
-            .cumsum()
-        d[out_col] = (cum.to_numpy() - d[tokens_col].to_numpy()) // budget
-        return d
+    order = [(c, "ascending") for c in stream_cols + [order_col]]
+
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by(order)
+        tok = d[tokens_col].to_numpy()
+        cum = arrowio.run_cumsum(tok, arrowio.run_starts(d, stream_cols))
+        return d.append_column(out_col, pa.array((cum - tok) // budget))
 
     return grouped_apply(ds, stream_cols, kernel)
+
+
+def _range_offsets(counts: ray.data.Dataset, nranges: int) -> np.ndarray:
+    """Global row number at which each of ``nranges`` hash ranges starts:
+    the exclusive prefix sum of per-block (``__range``, ``n``) counts,
+    summed on the driver (at most ``nranges`` rows per block)."""
+    n = np.zeros(nranges, dtype=np.int64)
+    for b in counts.iter_batches(batch_format="pyarrow", batch_size=None):
+        np.add.at(n, b["__range"].to_numpy(), b["n"].to_numpy())
+    return np.cumsum(n) - n
 
 
 def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
@@ -389,22 +404,20 @@ def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
 
     1. tag every row with a range by the hash's high bits (``nranges``
        ordered ranges — high bits ⇒ range order IS hash order), count
-       rows per range with a map-side combiner + tiny groupby
-       (≤ nranges rows);
+       rows per range with a map-side combiner (≤ nranges rows per
+       block);
     2. prefix-sum those counts on the driver (nranges ints), broadcast
        the offsets in the kernel closure, and assign
        ``rn = offset[range] + rank_within_range`` after one exchange
        co-locating each range (stages/temporal.grouped_apply keyed on
        ``__range``), sorting each range locally by ``h``.
 
-    Scales as: one exchange of the slim (key, h) table + an nranges-row
-    aggregate; no task ever sees more than one hash bucket's ranges. ``ds``
+    Scales as: one exchange of the slim (key, h) table + per-block range
+    counts summed on the driver; no task ever sees more than one hash bucket's ranges. ``ds``
     is scanned twice — pass a column-pruned or materialized slim table
     when the upstream is expensive. ``key_col`` must be integer-valued
     and unique (doc ids); hash strings to int upstream
     (functions/hashing)."""
-    from ray.data.aggregate import Sum
-
     from ..stages.temporal import grouped_apply
     if not (nranges >= 2 and (nranges & (nranges - 1)) == 0):
         raise ValueError("nranges must be a power of two >= 2")
@@ -426,24 +439,17 @@ def shard_plan(ds: ray.data.Dataset, key_col: str, shard_size: int,
         return pa.table({"__range": pa.array(b),
                          "n": pa.array(n.astype(np.int64))})
 
-    counts = tagged.map_batches(count, batch_format="pyarrow") \
-        .groupby("__range").aggregate(Sum("n")).to_pandas() \
-        .sort_values("__range")
-    cum = counts["sum(n)"].to_numpy().cumsum()
-    offsets = dict(zip(counts["__range"].to_numpy(),
-                       np.concatenate(([0], cum[:-1])).astype(np.int64)))
+    offsets = _range_offsets(tagged.map_batches(count,
+                                                batch_format="pyarrow"),
+                             nranges)
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({key_col: pd.Series([], dtype="int64"),
-                                 "shard": pd.Series([], dtype="int64"),
-                                 "pos": pd.Series([], dtype="int64")})
-        d = df.sort_values(["__range", "__h"], kind="mergesort")
-        rank = d.groupby("__range", sort=False).cumcount().to_numpy()
-        rn = d["__range"].map(offsets).to_numpy() + rank
-        return pd.DataFrame({key_col: d[key_col].to_numpy(),
-                             "shard": (rn // shard_size).astype(np.int64),
-                             "pos": (rn % shard_size).astype(np.int64)})
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by([("__range", "ascending"), ("__h", "ascending")])
+        rn = offsets[d["__range"].to_numpy()] \
+            + arrowio.run_rank(arrowio.run_starts(d, ["__range"]))
+        return pa.table({key_col: d[key_col],
+                         "shard": pa.array(rn // shard_size),
+                         "pos": pa.array(rn % shard_size)})
 
     return grouped_apply(tagged, "__range", kernel)
 
@@ -469,8 +475,6 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     Returns (key_col, strata_col, rank) — rank is the 0-based position
     in the stratum's hash order, < k[stratum] by construction (the
     audit column a resumable pipeline re-verifies quotas with)."""
-    import pyarrow.compute as pc
-
     from ..stages.temporal import grouped_apply
     if not (nranges >= 2 and (nranges & (nranges - 1)) == 0):
         raise ValueError("nranges must be a power of two >= 2")
@@ -490,16 +494,10 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     tagged = slim.map_batches(tag, batch_format="pyarrow")
 
     def count(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({strata_col: batch[strata_col].to_pandas(),
-                           "__range": batch["__range"].to_numpy()})
-        g = df.groupby([strata_col, "__range"], sort=False,
-                       dropna=False).size().reset_index(name="n")
-        return pa.table({strata_col: pa.array(
-                             g[strata_col],
-                             type=batch.schema.field(strata_col).type),
-                         "__range": pa.array(g["__range"].to_numpy()),
-                         "n": pa.array(g["n"].to_numpy()
-                                       .astype(np.int64))})
+        return batch.group_by([strata_col, "__range"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .select([strata_col, "__range", "count_all"]) \
+            .rename_columns([strata_col, "__range", "n"])
 
     from ray.data.aggregate import Sum
     cnt = tagged.map_batches(count, batch_format="pyarrow") \
@@ -509,31 +507,22 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     offsets = {(s, b): int(o) for s, b, o in
                zip(cnt[strata_col], cnt["__range"], cnt["off"])}
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({key_col: [], strata_col: [], "rank": []})
-        d = df.sort_values([strata_col, "__range", "__h"],
-                           kind="mergesort")
-        pos = d.groupby([strata_col, "__range"], sort=False).cumcount() \
-            .to_numpy()
-        off = np.array([offsets[(s, b)] for s, b in
-                        zip(d[strata_col], d["__range"])],
-                       dtype=np.int64)
-        rank = off + pos
-        quota = d[strata_col].map(k).fillna(0).astype(np.int64).to_numpy()
-        keep = rank < quota
-        return pd.DataFrame({key_col: d[key_col].to_numpy()[keep],
-                             strata_col: d[strata_col].to_numpy()[keep],
-                             "rank": rank[keep]})
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by([(strata_col, "ascending"), ("__range", "ascending"),
+                       ("__h", "ascending")])
+        new = arrowio.run_starts(d, [strata_col, "__range"])
+        # one offset and quota lookup per (stratum, range) run
+        starts = np.flatnonzero(new)
+        runs = list(zip(d[strata_col].take(starts).to_pylist(),
+                        d["__range"].take(starts).to_pylist()))
+        size = np.diff(starts, append=len(d))
+        rank = np.repeat([offsets[r] for r in runs], size) \
+            + arrowio.run_rank(new)
+        keep = rank < np.repeat([k.get(s, 0) for s, _ in runs], size)
+        return d.select([key_col, strata_col]).filter(keep) \
+            .append_column("rank", pa.array(rank[keep]))
 
-    # empty buckets (all ranks >= quota) would infer null-typed columns
-    # and crash block unification — normalize under one explicit schema
-    from ..functions.arrowio import (dataset_arrow_schema,
-                                     pandas_to_arrow_normalizer)
-    target = dataset_arrow_schema(slim, [key_col, strata_col]) \
-        .append(pa.field("rank", pa.int64()))
-    return grouped_apply(tagged, "__range", kernel).map_batches(
-        pandas_to_arrow_normalizer(target), batch_format="pandas")
+    return grouped_apply(tagged, "__range", kernel)
 
 
 def _string_byte_layout(arr):
@@ -603,8 +592,9 @@ def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
     Distributed: the weight table never lands on the driver — remainders
     are ranked with the same two-pass range plan as shard_plan, ordered
     by (remainder desc, key asc) via the order-preserving range map
-    ``(W−1−rem)·nranges // W``; only the nranges-row count table and two
-    scalar aggregates reach the driver. SQL twin:
+    ``(W−1−rem)·nranges // W``; only the per-block range counts
+    (≤ nranges rows each) and two scalar aggregates reach the driver.
+    SQL twin:
     ``ROW_NUMBER() OVER (ORDER BY rem DESC, key)``."""
     from ray.data.aggregate import Sum
 
@@ -635,31 +625,19 @@ def apportion_budget(ds: ray.data.Dataset, key_col: str, weight_col: str,
         return pa.table({"__range": pa.array(b),
                          "n": pa.array(n.astype(np.int64))})
 
-    cnt = tagged.map_batches(count, batch_format="pyarrow") \
-        .groupby("__range").aggregate(Sum("n")).to_pandas() \
-        .sort_values("__range")
-    cum = cnt["sum(n)"].to_numpy().cumsum()
-    offsets = dict(zip(cnt["__range"].to_numpy(),
-                       np.concatenate(([0], cum[:-1])).astype(np.int64)))
+    offsets = _range_offsets(tagged.map_batches(count,
+                                                batch_format="pyarrow"),
+                             nranges)
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({key_col: [], "quota": []})
-        d = df.sort_values(["__range", "rem", key_col],
-                           ascending=[True, False, True],
-                           kind="mergesort")
-        pos = d.groupby("__range", sort=False).cumcount().to_numpy()
-        rank = d["__range"].map(offsets).to_numpy() + pos
-        quota = d["base"].to_numpy() + (rank < R)
-        return pd.DataFrame({key_col: d[key_col].to_numpy(),
-                             "quota": quota.astype(np.int64)})
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by([("__range", "ascending"), ("rem", "descending"),
+                       (key_col, "ascending")])
+        rank = offsets[d["__range"].to_numpy()] \
+            + arrowio.run_rank(arrowio.run_starts(d, ["__range"]))
+        return pa.table({key_col: d[key_col], "quota": pa.array(
+            d["base"].to_numpy() + (rank < R))})
 
-    from ..functions.arrowio import (dataset_arrow_schema,
-                                     pandas_to_arrow_normalizer)
-    target = dataset_arrow_schema(t, [key_col]) \
-        .append(pa.field("quota", pa.int64()))
-    return grouped_apply(tagged, "__range", kernel).map_batches(
-        pandas_to_arrow_normalizer(target), batch_format="pandas")
+    return grouped_apply(tagged, "__range", kernel)
 
 
 def _chunk_spans(off: np.ndarray, data: np.ndarray, n: int,
@@ -912,22 +890,16 @@ def grouped_quantiles(ds: ray.data.Dataset, key: str, col: str,
     so the driver collect is a report, not a corpus."""
     from ..stages.temporal import grouped_apply
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values([key, col], kind="mergesort")
-        kk = d[key].to_numpy()
-        vv = d[col].to_numpy()
-        new = np.empty(len(kk), dtype=bool)
-        new[0] = True
-        new[1:] = kk[1:] != kk[:-1]
-        starts = np.nonzero(new)[0]
-        counts = np.diff(np.append(starts, len(kk)))
-        frames = []
-        for q in qs:
-            ranks = np.maximum(np.ceil(q * counts).astype(np.int64), 1) - 1
-            frames.append(pd.DataFrame({key: kk[starts],
-                                        "q": np.full(len(starts), q),
-                                        "value": vv[starts + ranks]}))
-        return pd.concat(frames, ignore_index=True)
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by([(key, "ascending"), (col, "ascending")])
+        starts = np.flatnonzero(arrowio.run_starts(d, [key]))
+        counts = np.diff(starts, append=len(d))
+        kk = d[key].take(starts)
+        return pa.concat_tables([pa.table({
+            key: kk, "q": pa.array(np.full(len(starts), q)),
+            "value": d[col].take(
+                starts + np.maximum(np.ceil(q * counts).astype(np.int64), 1)
+                - 1)}) for q in qs])
 
     out = grouped_apply(ds.select_columns([key, col]), key, kernel).to_pandas()
     return out.sort_values([key, "q"]).reset_index(drop=True)
@@ -1114,7 +1086,6 @@ def pmi_pairs(ds: ray.data.Dataset, id_col: str = "doc_id",
     # candidate pairs reference are pulled to the driver. Pass
     # ``postings`` to reuse a table the pipeline already built (tfidf's
     # df_map pattern) and save the second corpus scan.
-    import pyarrow.compute as pc
     if postings is not None:
         names = set(postings.schema().names)
         if not {"token", "tf"} <= names:

@@ -23,7 +23,18 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions import arrowio
+
 _MERSENNE = (1 << 61) - 1
+
+
+# Blocks the pair-sized tables (≪ corpus) are coalesced to before their
+# joins and groupbys. They typically arrive fragmented into hundreds of
+# tiny blocks (filter/map_groups lineage), and a sort-groupby pays
+# per-BLOCK constants — measured 24 s for a 2k-row groupby over ~1k blocks
+# and 400+ s per join iteration at 32 CPUs. Coalescing makes each round
+# O(seconds). Not an exchange width: the joins take bucket_count().
+COALESCE_BLOCKS = 8
 
 
 def _perm_params(num_perm: int, seed: int = 42):
@@ -183,15 +194,13 @@ def lsh_candidate_pairs_ds(band_rows: ray.data.Dataset) -> ray.data.Dataset:
     from . import dedup as dedupmod
     from ..stages.temporal import grouped_apply
 
-    sch = band_rows.schema()
-    id_type = dict(zip(sch.names, sch.types))["doc_id"]
-
-    def kernel_df(df: pd.DataFrame) -> pa.Table:
-        got = _pairs_from_frame(df)
+    def kernel(t: pa.Table) -> pa.Table:
+        got = _pairs_from_frame(t.to_pandas())
+        id_type = t.schema.field("doc_id").type
         return pa.table({"id_a": pa.array(got["id_a"], type=id_type),
                          "id_b": pa.array(got["id_b"], type=id_type)})
 
-    pairs = grouped_apply(band_rows, ["band", "band_hash"], kernel_df)
+    pairs = grouped_apply(band_rows, ["band", "band_hash"], kernel)
     # a pair found by band 0 and band 3 emerges from two partitions
     return dedupmod.dedup_exact(pairs, key=["id_a", "id_b"])
 
@@ -259,8 +268,8 @@ def _hash_char_shingles(texts: list[str], k: int) -> list[np.ndarray]:
 
 
 def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
-                    id_col: str, text_col: str, k: int = 5,
-                    num_partitions: int = 8) -> ray.data.Dataset:
+                    id_col: str, text_col: str, k: int = 5
+                    ) -> ray.data.Dataset:
     """Distributed exact-Jaccard verification: semi-join candidate texts
     out of the corpus (a ``joins.broadcast_lookup`` of the ids only — the
     candidate ID list is the one thing small enough for the driver by the
@@ -291,12 +300,10 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
             "sh": pa.array([s.tobytes() for s in sh], type=pa.binary()),
         })
 
-    # coalesce the candidate-sized tables before the joins: fragmented tiny
-    # blocks make the bucket-groupby pay per-block constants (see the
-    # connected_components_minlabel note)
+    # coalesce the candidate-sized tables before the joins (COALESCE_BLOCKS)
     sh_tbl = texts.map_batches(shingle, batch_format="pyarrow") \
-        .repartition(num_partitions).materialize()
-    pairs = pairs.repartition(num_partitions)
+        .repartition(COALESCE_BLOCKS).materialize()
+    pairs = pairs.repartition(COALESCE_BLOCKS)
     sh_a = _rename(sh_tbl, {"id": "id_a", "sh": "sh_a"})
     sh_b = _rename(sh_tbl, {"id": "id_b", "sh": "sh_b"})
     # materialized: the second join reads half.schema(), which on an
@@ -322,8 +329,7 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
 
 
 def connected_components_minlabel(edges: ray.data.Dataset,
-                                  max_iter: int = 50,
-                                  num_partitions: int = 8) -> ray.data.Dataset:
+                                  max_iter: int = 50) -> ray.data.Dataset:
     """(id_a, id_b) edge list → (id, label) with label = min node id of the
     connected component, for every node with ≥1 edge. Iterative min-label
     propagation: each round every node takes the min label over itself and
@@ -343,16 +349,10 @@ def connected_components_minlabel(edges: ray.data.Dataset,
 
     from ..stages import joins as joinsmod
 
-    # COALESCE BLOCKS AGGRESSIVELY: the edge/label tables are pair-sized
-    # (≪ corpus) but typically arrive fragmented into hundreds of tiny
-    # blocks (filter/map_groups lineage), and a sort-groupby pays per-BLOCK
-    # constants — measured 24 s for a 2k-row groupby over ~1k blocks and
-    # 400+ s per join iteration at 32 CPUs. Repartitioning every
-    # materialized iteration state to num_partitions blocks makes each
-    # round O(seconds).
+    # every materialized iteration state is coalesced (COALESCE_BLOCKS)
     es = edges.select_columns(["id_a", "id_b"]) \
         .map_batches(sym, batch_format="pyarrow") \
-        .repartition(num_partitions).materialize()
+        .repartition(COALESCE_BLOCKS).materialize()
 
     # round 0: label(id) = min(id, min neighbor)
     def self_edge(batch: pa.Table) -> pa.Table:
@@ -364,7 +364,7 @@ def connected_components_minlabel(edges: ray.data.Dataset,
     cand = es.map_batches(self_edge, batch_format="pyarrow") \
         .union(es.map_batches(neigh, batch_format="pyarrow"))
     labels = cand.groupby("id").aggregate(Min("label", alias_name="label")) \
-        .repartition(num_partitions).materialize()
+        .repartition(COALESCE_BLOCKS).materialize()
     n_nodes = labels.count()
 
     for _ in range(max_iter):
@@ -377,7 +377,7 @@ def connected_components_minlabel(edges: ray.data.Dataset,
         prop = _rename(prop, {"dst": "id", "src_label": "label"})
         new_labels = labels.union(prop).groupby("id") \
             .aggregate(Min("label", alias_name="label")) \
-            .repartition(num_partitions).materialize()
+            .repartition(COALESCE_BLOCKS).materialize()
         # join-free convergence check: labels only ever decrease, so any
         # change strictly grows the distinct-(id, label) count of old ∪ new
         distinct = labels.union(new_labels).groupby(["id", "label"]).count() \
@@ -596,31 +596,22 @@ def simhash_candidates(ds: ray.data.Dataset, id_col: str,
             "sh": pa.concat_arrays(out_sh),
         })
 
-    def pairs_kernel(df: pd.DataFrame) -> pd.DataFrame:
+    def pairs_kernel(t: pa.Table) -> pa.Table:
         """Vectorized run-length pair expansion over co-located band rows:
-        sort by (band, val, doc_id), detect buckets with ≥2 members, expand
-        pairs per run (slabbed Hamming for huge runs), one XOR+popcount
-        pass over ALL pairs — per-BUCKET Python cost is zero for the ~all
-        singleton buckets (the map_groups-per-bucket trap: 2.8M tiny
-        groups at 50k docs × 56 bands)."""
-        empty = pd.DataFrame({
-            "id_a": np.array([], dtype=df["doc_id"].dtype),
-            "id_b": np.array([], dtype=df["doc_id"].dtype),
-            "hamming": np.array([], dtype=np.int64)})
-        if len(df) == 0:
-            return empty
-        df = df.drop_duplicates(["band", "val", "doc_id"]) \
-            .sort_values(["band", "val", "doc_id"], kind="stable")
-        band = df["band"].to_numpy()
-        val = df["val"].to_numpy()
-        ids = df["doc_id"].to_numpy()
-        shs = df["sh"].to_numpy().astype(np.uint64)
-        new = np.empty(len(df), dtype=bool)
-        new[0] = True
-        new[1:] = (band[1:] != band[:-1]) | (val[1:] != val[:-1])
-        starts = np.nonzero(new)[0]
-        ends = np.append(starts[1:], len(df))
-        aa, bb, hh = [], [], []
+        sort by (band, val, doc_id), detect buckets with ≥2 members,
+        expand pairs per run (slabbed Hamming for huge runs), one
+        XOR+popcount pass over ALL pairs — per-BUCKET Python cost is zero
+        for the ~all singleton buckets (the map_groups-per-bucket trap:
+        2.8M tiny groups at 50k docs × 56 bands). Within a run ids ascend,
+        so every pair comes out as (smaller, larger) id."""
+        d = t.sort_by([("band", "ascending"), ("val", "ascending"),
+                       ("doc_id", "ascending")])
+        d = d.filter(arrowio.run_starts(d, ["band", "val", "doc_id"]))
+        shs = d["sh"].to_numpy().astype(np.uint64)
+        starts = np.flatnonzero(arrowio.run_starts(d, ["band", "val"]))
+        ends = np.append(starts[1:], len(d))
+        aa, bb, hh = [np.empty(0, np.int64)], [np.empty(0, np.int64)], \
+            [np.empty(0, np.int64)]
 
         def emit(ia, ib):
             ham = _popcount64_2d(shs[ia] ^ shs[ib])
@@ -642,15 +633,13 @@ def simhash_candidates(ds: ray.data.Dataset, id_col: str,
                     i1 = min(i0 + step, m - 1)
                     r, c = np.nonzero(jj > np.arange(i0, i1)[:, None])
                     emit(r + i0 + s, c + s)
-        if not aa:
-            return empty
-        out = pd.DataFrame({"id_a": ids[np.concatenate(aa)],
-                            "id_b": ids[np.concatenate(bb)],
-                            "hamming": np.concatenate(hh).astype(np.int64)})
-        swap = out["id_a"] > out["id_b"]
-        out.loc[swap, ["id_a", "id_b"]] = \
-            out.loc[swap, ["id_b", "id_a"]].to_numpy()
-        return out.drop_duplicates(["id_a", "id_b"])
+        return pa.table({"id_a": d["doc_id"].take(np.concatenate(aa)),
+                         "id_b": d["doc_id"].take(np.concatenate(bb)),
+                         "hamming": np.concatenate(hh)}) \
+            .group_by(["id_a", "id_b"], use_threads=False) \
+            .aggregate([("hamming", "min")]) \
+            .select(["id_a", "id_b", "hamming_min"]) \
+            .rename_columns(["id_a", "id_b", "hamming"])
 
     from ..stages.temporal import grouped_apply
 

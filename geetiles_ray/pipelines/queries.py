@@ -3076,14 +3076,14 @@ def q_tile_top_tokens(sf_dir: str):
     # receives the ≤ 3·tiles result rows, never tiles × vocab
     from .analytics import _topn_kernel
     folded = dedupmod.fold_partials(partial, ["tile_key", "token"],
-                                    [("__n", "sum")], range_by=["tile_key"])
+                                    [("__n", "sum")], range_by=["tile_key"],
+                                    out_names=["tile_key", "token", "n"])
 
-    def local_rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.rename(columns={"__n": "n"})
-        return _topn_kernel(df, ["tile_key"], "n", 3, ascending=False,
+    def local_rank(t: pa.Table) -> pa.Table:
+        return _topn_kernel(t, ["tile_key"], "n", 3, ascending=False,
                             tiebreak="token", with_rank=True)
 
-    out = folded.map_batches(local_rank, batch_format="pandas") \
+    out = folded.map_batches(local_rank, batch_format="pyarrow") \
         .to_pandas().sort_values(["tile_key", "rank"]).reset_index(drop=True)
     return out[["tile_key", "token", "n", "rank"]] \
         .astype({"tile_key": "int64", "n": "int64", "rank": "int64"})
@@ -3501,13 +3501,11 @@ def q_canonical_urls(sf_dir: str):
     identically. Map-side (host, canon) partials are catalog-sized
     (hosts × canonical variants), so the final fold is tiny."""
     from ..functions import url as urlmod
-    from ..functions.arrowio import pandas_to_arrow_normalizer
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id"])
     schema = pa.schema([("host", pa.string()), ("canon", pa.string()),
                         ("__n", pa.int64())])
-    to_arrow = pandas_to_arrow_normalizer(schema)
 
     def partial(df: pd.DataFrame) -> pa.Table:
         d = df["doc_id"].to_numpy()
@@ -3517,7 +3515,7 @@ def q_canonical_urls(sf_dir: str):
             .groupby(["host", "canon"], sort=False).size() \
             .reset_index(name="__n")
         g["__n"] = g["__n"].astype("int64")
-        return to_arrow(g)
+        return pa.Table.from_pandas(g, schema=schema, preserve_index=False)
 
     part = docs.map_batches(partial, batch_format="pandas").to_pandas()
     out = part.groupby("host").agg(

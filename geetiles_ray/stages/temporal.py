@@ -7,10 +7,12 @@ This module also holds the engine's one co-location step,
 (``functions/arrowio.key_hash``) modulo ``bucket_count()`` and exchanged
 by one Ray ``groupby``/``map_groups`` on that tag (ONE exchange whose
 traffic is the pruned columns, never the payload), then a vectorized
-kernel runs per bucket. A one-sided kernel gets the bucket as pandas (or
-Arrow); a two-sided one gets a (left, right) pair of Arrow tables, each
-in its side's own schema, and returns an Arrow table (equi-joins match
-through ``joins._index_join``). No global sort, no driver-side row loops;
+kernel runs per bucket. Every kernel returns an Arrow table. A one-sided
+kernel gets the bucket as one Arrow table and works with ``sort_by``,
+``group_by`` and numpy over columns (group boundaries from
+``arrowio.run_starts``); a two-sided one gets a (left, right) pair of
+Arrow tables, each in its side's own schema (equi-joins match through
+``joins._index_join``). No global sort, no driver-side row loops;
 a bucket holds about 1/64 of the keys or less, and the interval join also
 splits a hot key across time bins.
 
@@ -67,24 +69,23 @@ def _bucket_tag(keys: list[str]):
     return tag
 
 
-def grouped_apply(ds, keys: str | list[str], kernel,
-                  batch_format: str = "pandas") -> ray.data.Dataset:
+def grouped_apply(ds, keys: str | list[str], kernel) -> ray.data.Dataset:
     """Run ``kernel`` once per co-located bucket of ``ds``: rows are
     tagged with ``key_hash(keys) mod bucket_count()`` and exchanged by
     ``groupby("__bucket").map_groups`` — the engine's one co-location
     plan. The kernel sees every row of a bucket, hence every row of each
-    key, together (without the ``__bucket`` tag), in ``batch_format``,
-    and is never called on an empty group.
+    key, together, and is never called on an empty group. It returns a
+    ``pa.Table``.
 
-    ``ds`` is one dataset, or the (left, right) pair of a two-sided
-    operator: ``_union_bucketed`` then tags each side before the union,
-    and the kernel is called as ``kernel(left, right)`` with each side's
-    rows of the bucket as a ``pa.Table`` in that side's own schema (one
-    side may be empty); it returns a ``pa.Table``."""
+    ``ds`` is one dataset, and the kernel gets the bucket as a
+    ``pa.Table`` without the ``__bucket`` tag; or it is the (left, right)
+    pair of a two-sided operator: ``_union_bucketed`` then tags each side
+    before the union, and the kernel is called as ``kernel(left, right)``
+    with each side's rows of the bucket as a ``pa.Table`` in that side's
+    own schema (one side may be empty)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     if isinstance(ds, tuple):
         tagged, schemas = _union_bucketed(*ds, keys)
-        batch_format = "pyarrow"
 
         def untagged(group: pa.Table) -> pa.Table:
             right = pc.equal(group["__side"], 1)
@@ -94,13 +95,11 @@ def grouped_apply(ds, keys: str | list[str], kernel,
     else:
         tagged = ds.map_batches(_bucket_tag(keys), batch_format="pyarrow")
 
-        def untagged(group):
-            if isinstance(group, pa.Table):
-                return kernel(group.drop_columns(["__bucket"]))
-            return kernel(group.drop(columns=["__bucket"]))
+        def untagged(group: pa.Table) -> pa.Table:
+            return kernel(group.drop_columns(["__bucket"]))
 
     return tagged.groupby("__bucket").map_groups(untagged,
-                                                 batch_format=batch_format)
+                                                 batch_format="pyarrow")
 
 
 def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -287,26 +286,16 @@ def session_windows(ds: ray.data.Dataset, key: str, ts: str,
     no state actor (the exchange co-locates each key's whole timeline,
     which is the partitioning assumption — a key's events must fit one
     task, true for user/host timelines at any corpus size)."""
-    tb = [order_tiebreak] if order_tiebreak else []
+    order = [(c, "ascending") for c in
+             [key, ts] + ([order_tiebreak] if order_tiebreak else [])]
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values([key, ts] + tb, kind="mergesort")
-        kk = d[key].to_numpy()
-        tt = d[ts].to_numpy()
-        new_key = np.empty(len(d), dtype=bool)
-        new_key[0] = True
-        new_key[1:] = kk[1:] != kk[:-1]
-        brk = np.empty(len(d), dtype=np.int64)
-        brk[0] = 0
-        brk[1:] = ((tt[1:] - tt[:-1]) > gap).astype(np.int64)
-        brk[new_key] = 0
-        sid = np.cumsum(brk)
-        # restart the running count at each key boundary
-        base = np.zeros(len(d), dtype=np.int64)
-        starts = np.nonzero(new_key)[0]
-        base[starts] = sid[starts]
-        d[out_col] = sid - np.maximum.accumulate(base)
-        return d
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by(order)
+        brk = np.zeros(len(d), dtype=np.int64)
+        brk[1:] = np.diff(d[ts].to_numpy()) > gap
+        new = arrowio.run_starts(d, [key])
+        brk[new] = 0
+        return d.append_column(out_col, pa.array(arrowio.run_cumsum(brk, new)))
 
     return grouped_apply(ds, key, kernel)
 
@@ -323,23 +312,32 @@ def lag_deltas(ds: ray.data.Dataset, key: str, ts: str,
     Same plan as session_windows: one key-hash exchange co-locating each
     key's whole timeline, then a vectorized sort + diff kernel per bucket
     (keep ``ts`` integer so the subtraction is engine-exact)."""
-    tb = [order_tiebreak] if order_tiebreak else []
+    order = [(c, "ascending") for c in
+             [key, ts] + ([order_tiebreak] if order_tiebreak else [])]
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values([key, ts] + tb, kind="mergesort")
-        kk = d[key].to_numpy()
-        tt = d[ts].to_numpy()
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by(order)
         delta = np.empty(len(d), dtype=np.int64)
-        delta[0] = first_value
-        delta[1:] = tt[1:] - tt[:-1]
-        new_key = np.empty(len(d), dtype=bool)
-        new_key[0] = True
-        new_key[1:] = kk[1:] != kk[:-1]
-        delta[new_key] = first_value
-        d[out_col] = delta
-        return d
+        delta[1:] = np.diff(d[ts].to_numpy())
+        delta[arrowio.run_starts(d, [key])] = first_value
+        return d.append_column(out_col, pa.array(delta))
 
     return grouped_apply(ds, key, kernel)
+
+
+def _key_codes(col: pa.ChunkedArray) -> tuple[pa.Array, np.ndarray]:
+    """The distinct values of ``col`` (a null is one value) and each
+    row's index into them."""
+    enc = col.combine_chunks().dictionary_encode(null_encoding="encode")
+    return enc.dictionary, enc.indices.to_numpy()
+
+
+def _epoch_us(col: pa.ChunkedArray) -> np.ndarray:
+    """An integer or timestamp column as int64 numpy, timestamps as epoch
+    microseconds (finer units truncate)."""
+    if pa.types.is_timestamp(col.type):
+        col = pc.cast(col, pa.timestamp("us", col.type.tz), safe=False)
+    return pc.cast(col, pa.int64()).to_numpy()
 
 
 def funnel_steps(ds: ray.data.Dataset, steps: list[str],
@@ -355,35 +353,27 @@ def funnel_steps(ds: ray.data.Dataset, steps: list[str],
     do NOT advance (strict >), identically in both engines.
 
     One key-hash exchange; the kernel is vectorized across keys (one
-    filtered groupby-min per funnel step, no per-user loop). Output:
+    masked per-key min per funnel step, no per-user loop). Output:
     (key, steps_reached) for EVERY key present — the zeros are the
     funnel's drop-off report."""
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        t64 = df[ts].astype("int64")
-        reached = pd.Series(0, index=pd.Index(df[key].unique(), name=key),
-                            dtype="int64")
-        frontier = pd.Series(np.iinfo(np.int64).min, index=reached.index)
+    def kernel(t: pa.Table) -> pa.Table:
+        keys, k = _key_codes(t[key])
+        t64 = _epoch_us(t[ts])
+        etype = t[type_col]
+        reached = np.zeros(len(keys), dtype=np.int64)
+        # each key's chosen previous-step time; int64 min: every key may
+        # take step 0, int64 max: the key dropped out
+        frontier = np.full(len(keys), np.iinfo(np.int64).min)
         for i, step in enumerate(steps):
-            sub = df[df[type_col] == step]
-            if not len(sub):
+            m = pc.fill_null(pc.equal(etype, step), False).to_numpy() \
+                & (t64 > frontier[k])
+            if not m.any():
                 break
-            # stay on exact int64: .map() with missing keys coerces to
-            # float64, whose ~256 µs resolution at 2020s epochs can flip
-            # strict comparisons near boundaries
-            sub = sub[sub[key].isin(frontier.index)]
-            if not len(sub):
-                break
-            tp = frontier.loc[sub[key]].to_numpy()
-            sub = sub[t64[sub.index].to_numpy() > tp]
-            if not len(sub):
-                break
-            first = t64[sub.index].groupby(sub[key].to_numpy()).min()
-            reached.loc[first.index] = i + 1
-            frontier = first
-        out = reached.reset_index()
-        out.columns = [key, "steps_reached"]
-        return out
+            frontier = np.full(len(keys), np.iinfo(np.int64).max)
+            np.minimum.at(frontier, k[m], t64[m])
+            reached[frontier < np.iinfo(np.int64).max] = i + 1
+        return pa.table({key: keys, "steps_reached": reached})
 
     return grouped_apply(ds.select_columns([key, ts, type_col]), key, kernel)
 
@@ -406,33 +396,27 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
     (cohort, offset, partial-count) rows into ``dedup.fold_partials``."""
     from ..pipelines.dedup import fold_partials
 
-    empty = pd.DataFrame({c: pd.Series([], dtype=np.int64)
-                          for c in ("cohort_week", "week_offset", "__n")})
-
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        t64 = df[ts].astype("datetime64[us]").astype("int64")
-        anchors = t64[df[type_col] == anchor_type] \
-            .groupby(df.loc[df[type_col] == anchor_type, key].to_numpy()) \
-            .min()
-        # exact int64 path — .map() with missing keys coerces to float64,
-        # whose ~256 µs resolution at 2020s epochs can shift a boundary
-        sub = df[df[key].isin(anchors.index)]
-        if not len(sub):
-            return empty.copy()
-        t0v = anchors.loc[sub[key]].to_numpy()
-        t64s = t64[sub.index].to_numpy()
-        m = t64s >= t0v
-        sub, t0v, t64s = sub[m], t0v[m], t64s[m]
-        if not len(sub):
-            return empty.copy()
-        out = pd.DataFrame({
-            key: sub[key].to_numpy(),
-            "cohort_week": t0v // week_us,
-            "week_offset": (t64s - t0v) // week_us}).drop_duplicates()
-        g = out.groupby(["cohort_week", "week_offset"], sort=False) \
-            .size().reset_index(name="__n")
-        return g.astype({"cohort_week": "int64", "week_offset": "int64",
-                         "__n": "int64"})
+    def kernel(t: pa.Table) -> pa.Table:
+        # a null user never joins its anchor (SQL JOIN semantics)
+        t = t.filter(pc.is_valid(t[key]))
+        keys, k = _key_codes(t[key])
+        t64 = _epoch_us(t[ts])
+        anchor = pc.fill_null(pc.equal(t[type_col], anchor_type),
+                              False).to_numpy()
+        t0 = np.full(len(keys), np.iinfo(np.int64).max)
+        np.minimum.at(t0, k[anchor], t64[anchor])
+        t0 = t0[k]
+        m = t64 >= t0
+        # distinct (user, offset) — the cohort is a function of the user
+        users = pa.table({"k": k[m], "cohort_week": t0[m] // week_us,
+                          "week_offset": (t64[m] - t0[m]) // week_us}) \
+            .group_by(["k", "cohort_week", "week_offset"],
+                      use_threads=False).aggregate([])
+        return users.group_by(["cohort_week", "week_offset"],
+                              use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .select(["cohort_week", "week_offset", "count_all"]) \
+            .rename_columns(["cohort_week", "week_offset", "__n"])
 
     partial = grouped_apply(ds.select_columns([key, ts, type_col]), key,
                             kernel)
@@ -457,20 +441,20 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
 
     day_us = 86400 * 1_000_000
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        day = (df[ts].astype("datetime64[us]").astype("int64")
-               // day_us).to_numpy()
-        kd = pd.DataFrame({key: df[key].to_numpy(), "d": day}) \
-            .drop_duplicates()
-        n = len(kd)
-        off = np.tile(np.arange(window_days, dtype=np.int64), n)
-        kw = pd.DataFrame({
-            key: np.repeat(kd[key].to_numpy(), window_days),
-            "w": np.repeat(kd["d"].to_numpy(), window_days) + off}) \
-            .drop_duplicates()
-        g = kw.groupby("w", sort=False).size().reset_index(name="__n")
-        g.columns = ["window_end_day", "__n"]
-        return g.astype({"window_end_day": "int64", "__n": "int64"})
+    def kernel(t: pa.Table) -> pa.Table:
+        kd = pa.table({"k": t[key], "d": _epoch_us(t[ts]) // day_us}) \
+            .group_by(["k", "d"], use_threads=False).aggregate([])
+        rep = np.repeat(np.arange(len(kd)), window_days)
+        off = np.tile(np.arange(window_days, dtype=np.int64), len(kd))
+        kw = pa.table({"k": kd["k"].take(rep),
+                       "window_end_day": kd["d"].to_numpy()[rep] + off}) \
+            .group_by(["k", "window_end_day"], use_threads=False) \
+            .aggregate([])
+        # a null key is no active user (SQL COUNT(DISTINCT) skips it)
+        return kw.group_by("window_end_day", use_threads=False) \
+            .aggregate([("k", "count")]) \
+            .select(["window_end_day", "k_count"]) \
+            .rename_columns(["window_end_day", "__n"])
 
     partial = grouped_apply(ds.select_columns([key, ts]), key, kernel)
     return fold_partials(partial, ["window_end_day"], [("__n", "sum")],
@@ -490,27 +474,21 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
     window."""
     from ..pipelines.dedup import fold_partials
 
-    def kernel(df: pd.DataFrame) -> pd.DataFrame:
-        d = df.sort_values([key, ts, order_col], kind="mergesort")
-        nxt = d[type_col].shift(-1)
-        same = d[key].to_numpy()[:-1] == d[key].to_numpy()[1:]
-        pairs = pd.DataFrame({
-            "cur_type": d[type_col].to_numpy()[:-1],
-            "next_type": nxt.to_numpy()[:-1]})[same]
-        g = pairs.groupby(["cur_type", "next_type"], sort=False) \
-            .size().reset_index(name="__n")
-        return g.astype({"__n": "int64"})
+    order = [(c, "ascending") for c in (key, ts, order_col)]
 
-    # an all-single-event bucket yields an empty pandas frame whose
-    # object columns would infer null-typed Arrow blocks — normalize
-    from ..functions.arrowio import pandas_to_arrow_normalizer
-    target = pa.schema([("cur_type", pa.string()),
-                        ("next_type", pa.string()), ("__n", pa.int64())])
+    def kernel(t: pa.Table) -> pa.Table:
+        d = t.sort_by(order)
+        cur, nxt = d[type_col].slice(0, len(d) - 1), d[type_col].slice(1)
+        # LEAD() within the key; a null next type is no transition
+        same = ~arrowio.run_starts(d, [key])[1:] & pc.is_valid(nxt).to_numpy()
+        return pa.table({"cur_type": cur, "next_type": nxt}).filter(same) \
+            .group_by(["cur_type", "next_type"], use_threads=False) \
+            .aggregate([([], "count_all")]) \
+            .select(["cur_type", "next_type", "count_all"]) \
+            .rename_columns(["cur_type", "next_type", "__n"])
+
     partial = grouped_apply(
-        ds.select_columns([key, ts, type_col, order_col]), key, kernel
-    ).map_batches(
-        pandas_to_arrow_normalizer(target), batch_format="pandas")
+        ds.select_columns([key, ts, type_col, order_col]), key, kernel)
     return fold_partials(partial, ["cur_type", "next_type"],
                          [("__n", "sum")],
-                         out_names=["cur_type", "next_type", "n"],
-                         fallback_schema=target)
+                         out_names=["cur_type", "next_type", "n"])

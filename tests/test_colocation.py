@@ -1,7 +1,8 @@
 """The engine's one key-hash co-location plan (stages/temporal.grouped_apply
 and _union_bucketed): every row of a key meets in one bucket whatever block,
-null mask or integer width it arrives with; two-sided kernels emit typed
-Arrow blocks; and no public function asks its caller for a bucket count."""
+null mask or integer width it arrives with; one- and two-sided kernels emit
+typed Arrow blocks; and no public function asks its caller for a bucket
+count."""
 
 import importlib
 import inspect
@@ -12,12 +13,13 @@ from unittest import mock
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data
 
 import geetiles_ray
-from geetiles_ray.pipelines import dedup, snapshots
+from geetiles_ray.pipelines import analytics, dedup, snapshots
 from geetiles_ray.stages import joins, temporal
 from geetiles_ray.state import manifest
 
@@ -65,6 +67,30 @@ def _sessions():
     return _rows(temporal.session_windows(_split_key_blocks(), key="k",
                                           ts="ts", gap=0).to_pandas(),
                  ["k", "ts", "session_id"])
+
+
+def _running_total():
+    return _rows(analytics.running_total(_split_key_blocks(), key="k",
+                                         order_cols=["ts"], value_col="ts")
+                 .to_pandas(), ["k", "ts", "running_sum"])
+
+
+def _topn():
+    return _rows(analytics.grouped_topn(_split_key_blocks(), keys=["k"],
+                                        order_col="ts", n=1).to_pandas(),
+                 ["k", "ts", "rank"])
+
+
+def _transitions():
+    # event type "a" at ts 1, "b" at ts 2: only key 5 has a transition
+    def typed(t: pa.Table) -> pa.Table:
+        return t.append_column("etype", pc.if_else(
+            pc.equal(t["ts"], 1), "a", "b")).append_column("eid", t["ts"])
+
+    ds = _split_key_blocks().map_batches(typed, batch_format="pyarrow")
+    return _rows(temporal.event_transitions(
+        ds, key="k", ts="ts", type_col="etype", order_col="eid")
+        .to_pandas(), ["cur_type", "next_type", "n"])
 
 
 def _join():
@@ -143,6 +169,9 @@ def _snapshot_dedup():
     (_dedup_broadcast, [(5, 1), (7, 1), (None, 2)]),
     (_lag, [(5, 1, -1), (5, 2, 1), (7, 1, -1), (None, 2, -1)]),
     (_sessions, [(5, 1, 0), (5, 2, 1), (7, 1, 0), (None, 2, 0)]),
+    (_running_total, [(5, 1, 1), (5, 2, 3), (7, 1, 1), (None, 2, 2)]),
+    (_topn, [(5, 2, 1), (7, 1, 1), (None, 2, 1)]),
+    (_transitions, [("a", "b", 1)]),
     (_join, [(5, 10), (7, None)]),
     (_upsert, [(5, 2), (7, 1), (None, 2)]),
     (_asof, [(5, 1, 100), (5, 2, 100)]),
@@ -152,7 +181,8 @@ def _snapshot_dedup():
     (_upsert_patch, [(5, 1, 9), (5, 2, 9), (7, 1, None), (None, 2, None)]),
     (_snapshot_dedup, [(7, 1), (None, 2)]),
 ], ids=["dedup_exact", "dedup_exact_ranges", "dedup_exact_broadcast",
-        "lag_deltas", "session_windows", "join_on_identifier", "upsert",
+        "lag_deltas", "session_windows", "running_total", "grouped_topn",
+        "event_transitions", "join_on_identifier", "upsert",
         "asof_join", "join_int32_int64", "hash_join", "interval_join",
         "upsert_patch", "dedup_against_snapshots"])
 def test_key_meets_itself_across_blocks(run, want):
@@ -250,6 +280,61 @@ def test_join_blocks_typed_when_buckets_hold_only_right_rows(
         assert schema.field("sh").type == pa.list_(pa.uint64())
         got = pa.concat_tables(blocks).sort_by("k")
         assert got["sh"].to_pylist() == [[0, 1], [1, 2], [2, 3], None]
+
+
+# 200 keys with one event each, so most buckets hold a few keys and
+# kernels that keep nothing of a bucket (transitions, quota-0 strata)
+# return empty tables
+_EVENTS = pa.table({"k": np.arange(200), "ts": np.arange(200) * 10,
+                    "eid": np.arange(200),
+                    "etype": np.full(200, "view"),
+                    "lang": np.take(["en", "es", "de", "fr", "zh"],
+                                    np.arange(200) % 5)})
+
+
+def _one_sided_outputs(run) -> list:
+    """The materialized ``grouped_apply`` outputs of ``run()``: the
+    kernel's blocks, before any fold or driver collect."""
+    real, got = temporal.grouped_apply, []
+
+    def spy(*args, **kwargs):
+        got.append(real(*args, **kwargs).materialize())
+        return got[-1]
+
+    with mock.patch.object(temporal, "grouped_apply", spy):
+        run(ray.data.from_arrow(_EVENTS))
+    return got
+
+
+@pytest.mark.parametrize("run", [
+    lambda ds: temporal.session_windows(ds, key="k", ts="ts", gap=5),
+    lambda ds: analytics.running_total(ds, key="k", order_cols=["ts"],
+                                       value_col="ts"),
+    lambda ds: analytics.grouped_topn(ds, keys=["lang"], order_col="ts",
+                                      n=2),
+    lambda ds: analytics.grouped_quantiles(ds, "lang", "ts", [0.5]),
+    lambda ds: temporal.event_transitions(ds, key="k", ts="ts",
+                                          type_col="etype", order_col="eid"),
+    lambda ds: analytics.stratified_take(ds, "k", "lang", {"en": 3}),
+    lambda ds: analytics.apportion_budget(ds, "k", "ts", budget=1000),
+], ids=["session_windows", "running_total", "grouped_topn",
+        "grouped_quantiles", "event_transitions", "stratified_take",
+        "apportion_budget"])
+def test_one_sided_blocks_typed(run):
+    """Every one-sided kernel emits Arrow blocks of one schema, ints as
+    int64 and no null-typed column, also from buckets whose output is
+    empty (every key has one event; most strata have quota 0)."""
+    outputs = _one_sided_outputs(run)
+    assert outputs
+    for out in outputs:
+        blocks = ray.get(out.get_internal_block_refs())
+        assert blocks and all(isinstance(b, pa.Table) for b in blocks)
+        schema = blocks[0].schema
+        assert all(b.schema.equals(schema) for b in blocks)
+        for f in schema:
+            assert not pa.types.is_null(f.type), f
+            if pa.types.is_integer(f.type):
+                assert f.type == pa.int64(), f
 
 
 def _public_functions():

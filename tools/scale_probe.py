@@ -185,6 +185,7 @@ def cases() -> dict:
                 tiebreak="click_id")
     interval = dict(key="user_id", ts="ts_us", lo="lo_us", hi="hi_us",
                     bin_width=HOUR_US)
+    events = dict(key="user_id", ts="ts_us", type_col="etype")
     quota = {lg: 1000 * (i + 1)
              for i, lg in enumerate(["en", "es", "de", "fr", "zh"])}
 
@@ -213,6 +214,18 @@ def cases() -> dict:
             ev, ts="ts_us", length=6 * HOUR_US, hop=2 * HOUR_US).count()),
         "rolling_active": ("events", lambda ev: tmp.rolling_active(
             ev, key="user_id", ts="ts_us", window_days=7).count()),
+        "session_windows": ("events", lambda ev: tmp.session_windows(
+            ev, key="user_id", ts="ts_us", gap=HOUR_US // 2,
+            order_tiebreak="event_id").count()),
+        "lag_deltas": ("events", lambda ev: tmp.lag_deltas(
+            ev, key="user_id", ts="ts_us", order_tiebreak="event_id")
+            .count()),
+        "funnel_steps": ("events", lambda ev: tmp.funnel_steps(
+            ev, ["view", "click", "purchase"], **events).count()),
+        "cohort_retention": ("events", lambda ev: tmp.cohort_retention(
+            ev, **events).count()),
+        "event_transitions": ("events", lambda ev: tmp.event_transitions(
+            ev, order_col="event_id", **events).count()),
         "grouped_topn": ("events", lambda ev: an.grouped_topn(
             ev, keys=["user_id"], order_col="value", n=3,
             tiebreak="event_id").count()),
