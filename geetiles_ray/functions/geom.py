@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+import pyarrow as pa
 
 # ---------------------------------------------------------------- WKB codecs
 
@@ -32,6 +33,22 @@ def ring_to_wkb(coords: np.ndarray) -> bytes:
         c = np.vstack([c, c[:1]])
     header = struct.pack("<BII", 1, _WKB_POLYGON, 1) + struct.pack("<I", len(c))
     return header + c.tobytes()
+
+
+def rings_to_wkb(xy: np.ndarray, lens: np.ndarray) -> pa.BinaryArray:
+    """``ring_to_wkb`` of each closed ring, from the rings' concatenated
+    coordinates ``xy`` (sum(lens), 2) and their point counts ``lens``: the
+    13-byte headers are inserted into the coordinate bytes in one call."""
+    lens = np.asarray(lens, dtype=np.int64)
+    head = np.zeros(len(lens), dtype=[("order", "u1"), ("type", "<u4"),
+                                      ("nrings", "<u4"), ("npts", "<u4")])
+    head["order"], head["type"], head["nrings"], head["npts"] = 1, _WKB_POLYGON, 1, lens
+    at = np.repeat(16 * (np.cumsum(lens) - lens), 13)
+    data = np.insert(np.ascontiguousarray(xy, dtype="<f8").view(np.uint8).ravel(),
+                     at, head.view(np.uint8))
+    offsets = np.concatenate([[0], np.cumsum(13 + 16 * lens)]).astype(np.int32)
+    return pa.Array.from_buffers(pa.binary(), len(lens), [
+        None, pa.py_buffer(offsets), pa.py_buffer(data)])
 
 
 def wkb_to_ring(wkb: bytes) -> np.ndarray:
@@ -68,6 +85,18 @@ def shoelace_area(coords: np.ndarray) -> float:
     return 0.5 * abs(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
 
 
+def shoelace_areas(rings: np.ndarray) -> np.ndarray:
+    """``shoelace_area`` of each ring of a C-ordered (n, m, 2) stack, bit
+    for bit: each (1, m-1) @ (m-1, 1) product runs the dot kernel
+    ``np.dot`` runs on a C-ordered ring. On 1 km cells in UTM metres the
+    two sums lose about nine of their sixteen digits to cancellation, so
+    summing in another order would move the area far past its last ulp."""
+    x, y = rings[..., 0], rings[..., 1]
+    d1 = np.matmul(x[:, None, :-1], y[:, 1:, None])
+    d2 = np.matmul(x[:, None, 1:], y[:, :-1, None])
+    return 0.5 * np.abs(d1 - d2).reshape(-1)
+
+
 def envelope_centroid(coords: np.ndarray) -> tuple[float, float]:
     """Mean of the 5 envelope-boundary corner points — the reference's
     "centroid" for split banding (partitions.py:323: envelope boundary
@@ -97,17 +126,23 @@ def ring_centroid(coords: np.ndarray) -> tuple[float, float]:
 
 def points_in_ring(px: np.ndarray, py: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Vectorized ray-casting PIP: bool mask over (px, py) for one ring.
-    Boundary points count as inside (even-odd with >= on one side)."""
+    Boundary points count as inside (even-odd with >= on one side). Points
+    go through in chunks of about 2**20 point-edge pairs, so the temporary
+    matrices stay bounded for rings with many vertices."""
     c = np.asarray(coords, dtype=np.float64)
     x0, y0 = c[:-1, 0], c[:-1, 1]
     x1, y1 = c[1:, 0], c[1:, 1]
-    px = np.asarray(px, dtype=np.float64)[:, None]
-    py = np.asarray(py, dtype=np.float64)[:, None]
-    cond = (y0 > py) != (y1 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xin = x0 + (py - y0) * (x1 - x0) / (y1 - y0)
-    crossings = (cond & (px < xin)).sum(axis=1)
-    return (crossings % 2).astype(bool)
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    out = np.empty(len(px), dtype=bool)
+    step = max(1, (1 << 20) // max(len(x0), 1))
+    for s in range(0, len(px), step):
+        qx, qy = px[s:s + step, None], py[s:s + step, None]
+        cond = (y0 > qy) != (y1 > qy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xin = x0 + (qy - y0) * (x1 - x0) / (y1 - y0)
+        out[s:s + step] = (cond & (qx < xin)).sum(axis=1) % 2 == 1
+    return out
 
 
 # -------------------------------------------------- clipping & intersections

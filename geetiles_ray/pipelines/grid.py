@@ -2,10 +2,13 @@
 select-by-AOI (O4) — reference semantics, Ray-Data execution.
 
 The reference fans each grid cell out with joblib (cmds.py:364-365); here the
-cell index space is a ``ray.data.range(gridx*gridy)`` and each block computes
-its cells fully vectorized (UTM math over whole arrays), then filters to
-AOI-intersecting cells. Scale: a planet-wide 1 km grid is ~5e8 cells → a few
-thousand blocks; no driver loop, no shuffle.
+cell index space is a ``ray.data.range(gridx*gridy)`` and each block of 4096
+cells is built array-at-a-time: UTM math over whole arrays, one
+point-in-polygon pass and a bbox test that settle the interior and exterior
+cells, the exact clip only on the cells of the AOI's boundary band, then
+bounds, areas, WKB and identifiers for the whole block
+(``sources/tileset.tile_batch_from_rings``). Scale: a planet-wide 1 km grid
+is ~5e8 cells → a few thousand blocks; no driver loop, no shuffle.
 """
 
 from __future__ import annotations
@@ -54,7 +57,13 @@ def _cell_rings(spec: GridSpec, idx: np.ndarray):
     Reference iterates ``itertools.product(range(gridx), range(gridy))`` so
     flat index i → gx = i // gridy, gy = i % gridy.
 
-    Returns (rings list, keep mask) where keep = intersects AOI.
+    Returns ((k, 5, 2) rings, kept indices) for the cells that intersect
+    the AOI: the AOI clipped to the cell box has positive area, or the
+    box's lower-left or upper-right corner or its centre lies inside the
+    AOI (which covers a cell fully inside it). Filter, then refine: one
+    point-in-ring pass settles every cell with such a point, a cell whose
+    box misses the AOI's bbox clips to nothing, and only the boundary band
+    left runs the exact clip.
     """
     gx = idx // spec.gridy
     gy = idx % spec.gridy
@@ -64,22 +73,24 @@ def _cell_rings(spec: GridSpec, idx: np.ndarray):
     mplon, mplat = crsmod.meters_per_degree(clon, clat, spec.zone, spec.north)
     dlon = ((spec.m - 1) / 2.0) / mplon
     dlat = ((spec.m - 1) / 2.0) / mplat
+    x0, x1 = clon - dlon, clon + dlon
+    y0, y1 = clat - dlat, clat + dlat
 
-    rings, keep_idx = [], []
     a = spec.aoi_ring
-    for i in range(len(idx)):
-        x0, x1 = clon[i] - dlon[i], clon[i] + dlon[i]
-        y0, y1 = clat[i] - dlat[i], clat[i] + dlat[i]
-        # intersects test: AOI clipped to the cell box non-empty, or a cell
-        # corner inside AOI (covers cell-fully-inside-AOI)
-        if geom.box_clip_area(a, x0, y0, x1, y1) > 0 or geom.points_in_ring(
-            np.array([x0, x1, clon[i]]), np.array([y0, y1, clat[i]]), a
-        ).any():
-            # reference ring order (cmds.py:352-357): ll, ul, ur, lr, ll
-            rings.append(np.array(
-                [[x0, y0], [x0, y1], [x1, y1], [x1, y0], [x0, y0]], dtype=np.float64))
-            keep_idx.append(idx[i])
-    return rings, np.asarray(keep_idx, dtype=np.int64)
+    keep = geom.points_in_ring(np.concatenate([x0, x1, clon]),
+                               np.concatenate([y0, y1, clat]), a) \
+        .reshape(3, -1).any(axis=0)
+    # a box strictly outside the AOI's bbox clips to nothing (area 0); one
+    # that only touches it still takes the exact clip, whose degenerate
+    # polygon's shoelace can round above zero
+    aminx, aminy, amaxx, amaxy = geom.bounds(a)
+    band = ~keep & (x0 <= amaxx) & (x1 >= aminx) & (y0 <= amaxy) & (y1 >= aminy)
+    for i in np.nonzero(band)[0]:
+        keep[i] = geom.box_clip_area(a, x0[i], y0[i], x1[i], y1[i]) > 0
+    # reference ring order (cmds.py:352-357): ll, ul, ur, lr, ll
+    rings = np.stack([np.stack([x0, x0, x1, x1, x0], axis=1),
+                      np.stack([y0, y1, y1, y0, y0], axis=1)], axis=-1)
+    return rings[keep], idx[keep].astype(np.int64)
 
 
 def build_grid(

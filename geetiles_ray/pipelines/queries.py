@@ -665,6 +665,31 @@ ORDER BY id_a, id_b
 """
 
 
+def _box_tiles(nx, ny, x0, y0, dx, dy, prefix, with_score=False) -> pa.Table:
+    """An nx × ny grid of dx × dy boxes from (x0, y0), x-major, as foreign
+    tile rows: identifier ``{prefix}{i:02d}{j:02d}``, WKB, bounds and, with
+    ``with_score``, a one-key proportions map {"s": 10 i + j}."""
+    from ..functions import geom as geommod
+
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    minx, maxx = x0 + i * dx, x0 + (i + 1) * dx
+    miny, maxy = y0 + j * dy, y0 + (j + 1) * dy
+    rings = np.stack([minx, miny, maxx, miny, maxx, maxy, minx, maxy, minx, miny],
+                     axis=1).reshape(-1, 2)
+    ij = list(zip(i.tolist(), j.tolist()))
+    t = {
+        "identifier": pa.array([f"{prefix}{a:02d}{b:02d}" for a, b in ij],
+                               type=pa.string()),
+        "wkb": geommod.rings_to_wkb(rings, np.full(nx * ny, 5)),
+        "minx": pa.array(minx), "miny": pa.array(miny),
+        "maxx": pa.array(maxx), "maxy": pa.array(maxy),
+    }
+    if with_score:
+        t["props"] = pa.array([[("s", float(a * 10 + b))] for a, b in ij],
+                              type=pa.map_(pa.string(), pa.float64()))
+    return pa.table(t)
+
+
 def q_foreign_overlap(sf_dir: str):
     """J1 largest-overlap spatial join with a FULL SQL oracle: both tilesets
     are axis-aligned box grids generated arithmetically (fine 20x20 over the
@@ -673,32 +698,10 @@ def q_foreign_overlap(sf_dir: str):
     exactly (ties broken area DESC then foreign id ASC = the assigner's
     first-max in foreign row order). Exercises the REAL join code path
     (broadcast_foreign + ForeignAssigner), not a SQL-shaped re-derivation."""
-    from ..functions import geom as geommod
-
-    def boxes(nx, ny, x0, y0, dx, dy, prefix):
-        ids, rings = [], []
-        minx = np.empty(nx * ny); miny = np.empty(nx * ny)
-        maxx = np.empty(nx * ny); maxy = np.empty(nx * ny)
-        k = 0
-        for i in range(nx):
-            for j in range(ny):
-                ids.append(f"{prefix}{i:02d}{j:02d}")
-                minx[k] = x0 + i * dx; maxx[k] = x0 + (i + 1) * dx
-                miny[k] = y0 + j * dy; maxy[k] = y0 + (j + 1) * dy
-                rings.append(geommod.box_ring(minx[k], miny[k], maxx[k], maxy[k]))
-                k += 1
-        return pa.table({
-            "identifier": pa.array(ids, type=pa.string()),
-            "wkb": pa.array([geommod.ring_to_wkb(r) for r in rings],
-                            type=pa.binary()),
-            "minx": pa.array(minx), "miny": pa.array(miny),
-            "maxx": pa.array(maxx), "maxy": pa.array(maxy),
-        })
-
-    fine = ray.data.from_arrow(boxes(20, 20, 5.8, 49.4, 0.04, 0.04, "t"))
+    fine = ray.data.from_arrow(_box_tiles(20, 20, 5.8, 49.4, 0.04, 0.04, "t"))
     # 0.143 is incommensurate with the fine 0.04 grid: no coarse boundary
     # ever bisects a fine tile exactly, so argmax areas have no float ties
-    coarse = ray.data.from_arrow(boxes(5, 6, 5.77, 49.37, 0.143, 0.143, "f"))
+    coarse = ray.data.from_arrow(_box_tiles(5, 6, 5.77, 49.37, 0.143, 0.143, "f"))
     out = joinsmod.add_foreign_partition(fine, coarse, "coarse")
     return out.select_columns(["identifier", "foreignid_coarse"]).to_pandas() \
         .sort_values("identifier").reset_index(drop=True)
@@ -740,36 +743,9 @@ def q_foreign_weighted(sf_dir: str):
     index), and the output is each fine tile's weighted score = Σ wᵢ·sᵢ
     with wᵢ = intersection-area share — through the REAL J2 path
     (add_foreign_proportions). Rounded to 7 decimals on both sides."""
-    from ..functions import geom as geommod
-
-    def boxes(nx, ny, x0, y0, dx, dy, prefix, with_score=False):
-        ids, rings, scores = [], [], []
-        minx = np.empty(nx * ny); miny = np.empty(nx * ny)
-        maxx = np.empty(nx * ny); maxy = np.empty(nx * ny)
-        k = 0
-        for i in range(nx):
-            for j in range(ny):
-                ids.append(f"{prefix}{i:02d}{j:02d}")
-                minx[k] = x0 + i * dx; maxx[k] = x0 + (i + 1) * dx
-                miny[k] = y0 + j * dy; maxy[k] = y0 + (j + 1) * dy
-                rings.append(geommod.box_ring(minx[k], miny[k], maxx[k], maxy[k]))
-                scores.append(float(i * 10 + j))
-                k += 1
-        t = {
-            "identifier": pa.array(ids, type=pa.string()),
-            "wkb": pa.array([geommod.ring_to_wkb(r) for r in rings],
-                            type=pa.binary()),
-            "minx": pa.array(minx), "miny": pa.array(miny),
-            "maxx": pa.array(maxx), "maxy": pa.array(maxy),
-        }
-        if with_score:
-            t["props"] = pa.array([[("s", s)] for s in scores],
-                                  type=pa.map_(pa.string(), pa.float64()))
-        return pa.table(t)
-
-    fine = ray.data.from_arrow(boxes(20, 20, 5.8, 49.4, 0.04, 0.04, "t"))
+    fine = ray.data.from_arrow(_box_tiles(20, 20, 5.8, 49.4, 0.04, 0.04, "t"))
     coarse = ray.data.from_arrow(
-        boxes(5, 6, 5.77, 49.37, 0.143, 0.143, "f", with_score=True))
+        _box_tiles(5, 6, 5.77, 49.37, 0.143, 0.143, "f", with_score=True))
     out = joinsmod.add_foreign_proportions(fine, coarse, "coarse", "props",
                                            out_col="w").to_pandas()
     # round 7: the assigner's areas come from the generic polygon-clip

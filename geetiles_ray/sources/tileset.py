@@ -43,29 +43,41 @@ TILESET_COLUMNS = [
 
 
 def tile_batch_from_rings(
-    rings: list[np.ndarray], grid_idx: np.ndarray, zone: int, north: bool, cell_res: int
+    rings: np.ndarray | list[np.ndarray], grid_idx: np.ndarray, zone: int,
+    north: bool, cell_res: int,
 ) -> pa.Table:
-    """Vectorized construction of tileset rows from polygon rings.
+    """Tileset rows from polygon rings, array-at-a-time: ``rings`` is an
+    (n, m, 2) stack of closed rings, or a list of (m_i, 2) rings (one not
+    closed is closed first, as ``geom.ring_to_wkb`` does).
 
     area_km2 reproduces partitions.py:38-46: reproject the (4326) polygon to
-    the tileset's UTM CRS and take its planar area / 1e6.
+    the tileset's UTM CRS and take its planar area / 1e6. All rings go
+    through one projection call; the areas run per ring length.
     """
-    n = len(rings)
-    minx = np.empty(n); miny = np.empty(n); maxx = np.empty(n); maxy = np.empty(n)
-    area = np.empty(n)
-    wkbs = []
-    for i, r in enumerate(rings):
-        minx[i], miny[i], maxx[i], maxy[i] = geom.bounds(r)
-        e, no = crsmod.lonlat_to_utm(r[:, 0], r[:, 1], zone, north)
-        area[i] = geom.shoelace_area(np.column_stack([e, no])) / 1e6
-        wkbs.append(geom.ring_to_wkb(r))
+    if isinstance(rings, np.ndarray):
+        lens = np.full(len(rings), rings.shape[1], dtype=np.int64)
+        xy = rings.reshape(-1, 2)
+    else:
+        rings = [r if (r[0] == r[-1]).all() else np.vstack([r, r[:1]])
+                 for r in map(np.asarray, rings)]
+        lens = np.array([len(r) for r in rings], dtype=np.int64)
+        xy = np.concatenate(rings) if rings else np.empty((0, 2))
+    xy = np.asarray(xy, dtype=np.float64)
+    starts = np.cumsum(lens) - lens
+    (minx, miny), (maxx, maxy) = (f.reduceat(xy, starts).T
+                                  for f in (np.minimum, np.maximum))
+    utm = np.column_stack(crsmod.lonlat_to_utm(xy[:, 0], xy[:, 1], zone, north))
+    area = np.empty(len(lens))
+    for m in np.unique(lens).tolist():
+        sel = np.nonzero(lens == m)[0]
+        area[sel] = geom.shoelace_areas(utm[starts[sel, None] + np.arange(m)]) / 1e6
     ids = hashing.region_hashes_from_bounds_arrays(minx, miny, maxx, maxy)
     clon = (minx + maxx) / 2.0
     clat = (miny + maxy) / 2.0
     cell = cellsmod.cell_of(clon, clat, cell_res)
     return pa.table({
         "identifier": pa.array(list(ids), type=pa.string()),
-        "wkb": pa.array(wkbs, type=pa.binary()),
+        "wkb": geom.rings_to_wkb(xy, lens),
         "minx": minx, "miny": miny, "maxx": maxx, "maxy": maxy,
         "clon": clon, "clat": clat,
         "area_km2": area,

@@ -34,6 +34,35 @@ class TestHashing:
         assert hashing.regionlist_hash(["abc", "def"]) == "05b6d02f79f62"
 
 
+    EDGE_ROWS = [
+        (1.0, 2.0, 3.0, 4.0), (10.0, 20.0, 100.0, 200.0),       # integers
+        (0.0, 49.5, 6.5, 50.0), (-0.0, 49.5, 6.5, 50.0),        # zero, -0.0
+        (-6.5, -50.25, -0.5, -49.75), (-179.99999, -89.5, -179.5, -89.25),
+        (5e-5, 49.5, 6.5, 50.0), (1e-7, 49.5, 6.5, 50.0),       # |v| < 1e-4
+        (1e8, 2.0, 3.0, 4.0), (99999999.999999, 1.0, 2.0, 3.0), (2.5e8, 3e8, 4e8, 5e8),
+        (0.01, 80.0, 0.02, 80.5), (0.0999, 99.9, 0.1, 100.0),    # ratio > 1e3
+        (0.123455, 49.000005, 1.000015, 2.5000050000000001),     # 5-decimal ties
+        (4.999999, 49.999996, 5.000004, 50.000001),              # round to integers
+        (float("inf"), 1.0, 2.0, 3.0), (1.0, float("-inf"), 2.0, 3.0),
+        (float("nan"), 1.0, 2.0, 3.0),
+    ]
+
+    def test_bulk_matches_per_row_definition(self):
+        """The bulk identifier path equals a region_hash_from_bounds loop on
+        100k seeded random global bounds (widths from 1e-6 to 10 degrees,
+        so rows on both sides of numpy's scientific-notation switch) and on
+        rows at every edge of that switch."""
+        rng = np.random.default_rng(16)
+        n = 100_000
+        lon, lat = rng.uniform(-180, 180, n), rng.uniform(-90, 90, n)
+        w, h = 10 ** rng.uniform(-6, 1, n), 10 ** rng.uniform(-6, 1, n)
+        cols = [np.concatenate([c, e]) for c, e in
+                zip((lon, lat, lon + w, lat + h), zip(*self.EDGE_ROWS))]
+        got = hashing.region_hashes_from_bounds_arrays(*cols)
+        want = [hashing.region_hash_from_bounds(*row) for row in zip(*cols)]
+        assert list(got) == want
+
+
 class TestCRS:
     def test_known_anchor(self):
         # UTM zone 31 at (0E, 0N): published easting 166021.443 m
@@ -73,6 +102,17 @@ class TestGeom:
 
     def test_shoelace(self):
         assert geom.shoelace_area(geom.box_ring(0, 0, 2, 3)) == 6.0
+
+    def test_bulk_ring_codecs_match_per_ring(self):
+        rng = np.random.default_rng(3)
+        rings = [np.vstack([r, r[:1]]) for r in
+                 (rng.uniform(3e5, 7e5, (m, 2)) for m in (3, 4, 4, 6))]
+        xy = np.concatenate(rings)
+        wkbs = geom.rings_to_wkb(xy, [len(r) for r in rings]).to_pylist()
+        assert wkbs == [geom.ring_to_wkb(r) for r in rings]
+        stack = np.stack(rings[1:3])
+        assert geom.shoelace_areas(stack).tolist() == [
+            geom.shoelace_area(r) for r in stack]
 
     def test_pip(self):
         L = np.array([[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3], [0, 0]], float)
@@ -196,6 +236,61 @@ class TestGeom:
         assert geom.ring_centroid(r) == (1.0, 2.0)
         assert geom.envelope_centroid(r) == (0.8, 1.6)  # closing point double-counted,
         # exactly as the reference's envelope-boundary mean (partitions.py:323)
+
+
+class TestCellFilter:
+    """grid._cell_rings keeps exactly the cells of the per-cell clause it
+    replaced: clip area > 0, or the ll corner, ur corner or centre inside
+    the AOI."""
+
+    L_AOI = np.array([[5.8, 49.45], [6.5, 49.45], [6.5, 49.8], [6.2, 49.8],
+                      [6.2, 50.1], [5.8, 50.1], [5.8, 49.45]])
+
+    @staticmethod
+    def _boxes(spec, idx):
+        clon, clat = crs.utm_to_lonlat(idx // spec.gridy * spec.m + spec.minx,
+                                       idx % spec.gridy * spec.m + spec.miny,
+                                       spec.zone, spec.north)
+        mplon, mplat = crs.meters_per_degree(clon, clat, spec.zone, spec.north)
+        dlon, dlat = ((spec.m - 1) / 2.0) / mplon, ((spec.m - 1) / 2.0) / mplat
+        return clon - dlon, clat - dlat, clon + dlon, clat + dlat, clon, clat
+
+    @pytest.mark.parametrize("aoi", ["L", "triangle", "quarter_cell", "touching_cell"])
+    def test_keep_mask_matches_scalar_clause(self, aoi):
+        import copy
+
+        from geetiles_ray.pipelines import grid
+
+        spec = grid.GridSpec(self.L_AOI, 3000.0)
+        idx = np.arange(spec.n_cells)
+        x0, y0, x1, y1, clon, clat = self._boxes(spec, idx)
+        c = spec.n_cells // 2
+        w, h = x1[c] - x0[c], y1[c] - y0[c]
+        ring = {
+            "L": self.L_AOI,
+            "triangle": np.array([[5.8, 49.45], [6.5, 49.6], [6.0, 50.1], [5.8, 49.45]]),
+            # smaller than a cell; two edges on cell c's lower-left edges
+            "quarter_cell": geom.box_ring(x0[c], y0[c], x0[c] + w / 2, y0[c] + h / 2),
+            # left edge on cell c's right edge: c only touches the AOI
+            "touching_cell": geom.box_ring(x1[c], y0[c], x1[c] + 0.4 * w, y0[c] + 0.4 * h),
+        }[aoi]
+        if aoi in ("quarter_cell", "touching_cell"):
+            spec = copy.copy(spec)
+            spec.aoi_ring = ring
+        else:
+            spec = grid.GridSpec(ring, 3000.0)
+            idx = np.arange(spec.n_cells)
+            x0, y0, x1, y1, clon, clat = self._boxes(spec, idx)
+        want = [i for i in range(len(idx))
+                if geom.box_clip_area(ring, x0[i], y0[i], x1[i], y1[i]) > 0
+                or geom.points_in_ring(np.array([x0[i], x1[i], clon[i]]),
+                                       np.array([y0[i], y1[i], clat[i]]), ring).any()]
+        rings, kept = grid._cell_rings(spec, idx)
+        assert kept.tolist() == want and len(want) > 0
+        assert rings.shape == (len(want), 5, 2)
+        for r, i in zip(rings, want):
+            np.testing.assert_array_equal(r, [[x0[i], y0[i]], [x0[i], y1[i]], [x1[i], y1[i]],
+                                              [x1[i], y0[i]], [x0[i], y0[i]]])
 
 
 class TestCells:

@@ -128,6 +128,46 @@ class TestGrid:
                 & (sel.miny <= 49.7) & (sel.maxy >= 49.5)).all()
 
 
+class TestFixtureTilesetGolden:
+    """The fixture tilesets as built before the array-at-a-time grid build:
+    tileset hash and row count, one sha256 over the grid_idx-sorted
+    identifier, wkb, bounds, centre and cell_id columns, and area_km2
+    within rtol=1e-12."""
+
+    GOLDEN = {
+        5000.0: ("07796fdfc6d73", 211,
+                 "44c34a9c1149438a034ab9e486f0651af4801411a2cae1f98986ab2c45ab35c4"),
+        1000.0: ("2fb437ed9af63", 5205,
+                 "2bd5f4260f48b856f0915c9defbaa9c3eac841dab1d254b33c22f01bf62bdd7a"),
+    }
+
+    @pytest.mark.parametrize("chip_m", [5000.0, 1000.0])
+    def test_fixture_tileset_unchanged(self, chip_m):
+        import hashlib
+        import os
+
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import ray
+
+        from geetiles_ray.pipelines import flagship
+
+        ds = flagship.build_fixture_tileset(chip_m)
+        t = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("grid_idx")
+        h = hashlib.sha256()
+        h.update("\n".join(t["identifier"].to_pylist()).encode())
+        h.update(b"".join(t["wkb"].to_pylist()))
+        for c in ["minx", "miny", "maxx", "maxy", "clon", "clat"]:
+            h.update(t[c].to_numpy().astype("<f8").tobytes())
+        h.update(t["cell_id"].to_numpy().astype("<u8").tobytes())
+        assert (tsmod.tileset_hash(ds), t.num_rows, h.hexdigest()) == self.GOLDEN[chip_m]
+        gold = pq.read_table(os.path.join(
+            os.path.dirname(__file__), "golden", "fixture_tileset_area_km2.parquet"))
+        want = gold.filter(pc.equal(gold["chip_m"], chip_m))["area_km2"]
+        np.testing.assert_allclose(t["area_km2"].to_numpy(), want.to_numpy(), rtol=1e-12)
+
+
 class TestAssign:
     @pytest.fixture(scope="class")
     def assigned(self, tiles):

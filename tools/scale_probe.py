@@ -9,10 +9,12 @@ Usage:
         --case grouped_topn --case running_total
     python tools/scale_probe.py --list
 
-With no ``--case`` every case runs. Three tables, built once per run and
-only when a chosen case needs them (two-sided cases derive their sides
-from them; ``snapshot_dedup`` first checkpoints the crawl rows with even
-``n_chars`` as its prior snapshot, in a temporary directory):
+With no ``--case`` every case runs. A case that ends in a row count also
+reports its output rows per second (``<case>_out_rows_per_s``). Three
+tables, built once per run and only when a chosen case needs them
+(two-sided cases derive their sides from them; ``snapshot_dedup`` first
+checkpoints the crawl rows with even ``n_chars`` as its prior snapshot, in
+a temporary directory):
 - events: ``rows`` events (event_id, user_id over rows/400 users, ts_us
   over 30 days, etype of 5, value float, cents int);
 - docs: ``rows`` texts of 24 words from a 1,000-word vocabulary; every
@@ -21,7 +23,10 @@ from them; ``snapshot_dedup`` first checkpoints the crawl rows with even
 - crawl: ``rows`` page visits (url, warc_ts over 30 days, lang, n_chars);
   every 50th row re-crawls another row's url, so about 2% of the urls
   are duplicated.
-The flagship ingest is measured by perfbench, not here.
+``grid_build`` builds the grid tileset over the pages-fixture AOI with
+the chip size at which the AOI's UTM envelope holds about ``rows`` cells;
+its ``_out_rows_per_s`` is tiles/s. The flagship ingest is measured by
+perfbench, not here.
 """
 
 from __future__ import annotations
@@ -148,10 +153,16 @@ def inputs(n: int, nblocks: int) -> dict:
         return left, ray.data.from_arrow(pa.table({"identifier": rkeys,
                                                    "rv": rkeys * 2}))
 
+    def every(ds, col, k):
+        # Ray Data's filter expressions have no `%`
+        return ds.map_batches(
+            lambda t: t.filter(pa.array(t[col].to_numpy() % k == 0)),
+            batch_format="pyarrow")
+
     def patch():
         ev = built["events"]()
         return (ev.select_columns(["event_id", "user_id", "cents"]),
-                ev.filter(expr="event_id % 10 == 0")
+                every(ev, "event_id", 10)
                 .select_columns(["event_id", "ts_us", "cents"]).materialize())
 
     def snapshot():
@@ -160,13 +171,20 @@ def inputs(n: int, nblocks: int) -> dict:
         prior = tempfile.mkdtemp(prefix="scale_probe_prior_")
         atexit.register(shutil.rmtree, prior, True)
         manifest.checkpointed_write(
-            built["crawl"]().filter(expr="n_chars % 2 == 0"), prior,
+            every(built["crawl"](), "n_chars", 2), prior,
             key_col="url", n_partitions=8)
         return built["crawl"](), [prior]
 
+    def grid():
+        from geetiles_ray.pipelines import flagship, grid
+
+        aoi = flagship.fixture_aoi_ring()
+        spec = grid.GridSpec(aoi, 1000.0)
+        return aoi, ((spec.maxx - spec.minx) * (spec.maxy - spec.miny) / n) ** 0.5
+
     built = {f.__name__: functools.cache(f)
              for f in (events, docs, crawl, asof, interval, join, patch,
-                       snapshot)}
+                       snapshot, grid)}
     return built
 
 
@@ -177,7 +195,7 @@ def cases() -> dict:
     from geetiles_ray.functions import pii, url
     from geetiles_ray.pipelines import analytics as an
     from geetiles_ray.pipelines import dedup
-    from geetiles_ray.pipelines import lines, pyramid, snapshots
+    from geetiles_ray.pipelines import grid, lines, pyramid, snapshots
     from geetiles_ray.stages import joins
     from geetiles_ray.stages import temporal as tmp
 
@@ -278,6 +296,7 @@ def cases() -> dict:
         "dedup_exact_broadcast": ("crawl", lambda c:
                                   dedup.dedup_exact_broadcast(
                                       c, "url", "warc_ts").count()),
+        "grid_build": ("grid", lambda ac: grid.build_grid(*ac).count()),
         "redact_pii": ("docs", lambda d: pii.redact_pii(
             d.select_columns(["doc_id", "text"]))
             .aggregate(Sum("n_email"), Sum("n_ipv4"))),
@@ -316,9 +335,12 @@ def main() -> int:
         source, run = registry[name]
         data = built[source]()
         r0, t0 = rss_mb(), time.time()
-        run(data)
-        out[f"{name}_s"] = round(time.time() - t0, 2)
+        res = run(data)
+        dt = time.time() - t0
+        out[f"{name}_s"] = round(dt, 2)
         out[f"{name}_rss_mb"] = round(rss_mb() - r0, 1)
+        if isinstance(res, int):
+            out[f"{name}_out_rows_per_s"] = round(res / dt)
     out["driver_rss_peak_mb"] = round(rss_mb(), 1)
     print(json.dumps(out))
     ray.shutdown()
