@@ -7,7 +7,8 @@ tables, so their blocks need no conversion. Shared here:
 - ``run_starts`` / ``run_rank`` / ``run_cumsum``: group boundaries and
   per-group counters over a table sorted on its group columns — what a
   sorted kernel uses in place of pandas' ``groupby().cumcount()`` and
-  ``groupby().cumsum()``.
+  ``groupby().cumsum()``; ``key_runs`` cuts a bucket into one table per
+  key, for kernels that run once per key.
 - ``pa_type``: normalize whatever ``Dataset.schema().types`` yields
   (Arrow DataType for arrow-block datasets, numpy dtypes / python
   classes for pandas-block ones) to a ``pyarrow.DataType``.
@@ -98,6 +99,15 @@ def run_starts(t: pa.Table, cols: list[str]) -> np.ndarray:
                                 pc.and_(pc.is_null(a), pc.is_null(b)))
             new[1:] |= differ.to_numpy()
     return new
+
+
+def key_runs(t: pa.Table, keys: list[str]) -> list[pa.Table]:
+    """``t`` sorted on ``keys`` (stable) and cut into its runs of equal
+    ``keys`` (``run_starts``), one zero-copy slice per key, in key
+    order."""
+    d = t.sort_by([(k, "ascending") for k in keys])
+    cuts = np.append(np.flatnonzero(run_starts(d, keys)), len(d))
+    return [d.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
 def run_rank(new: np.ndarray) -> np.ndarray:

@@ -123,10 +123,11 @@ def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
 
     Plan: map-side parse + pre-aggregation to (domain, host, lang) partials
     (each batch emits ≤ |domains×hosts×langs| rows, not |pages|), one
-    hash aggregation over the partials, then the distinct-counting final
-    fold on the dimension-sized result (#domains × #langs rows — this is
-    a catalog, not a corpus; at 10⁹ domains swap the driver fold for a
-    second groupby(domain) pass)."""
+    ``dedup.fold_partials`` over the partials, then the distinct-counting
+    final fold on the dimension-sized result (#domains × #langs rows —
+    this is a catalog, not a corpus; at 10⁹ domains swap the driver fold
+    for a second fold by domain)."""
+    from ..pipelines.dedup import fold_partials
 
     def local(batch: pa.Table) -> pa.Table:
         urls = batch[url_col].to_pandas()
@@ -145,13 +146,13 @@ def domain_stats(ds: ray.data.Dataset, url_col: str = "url",
 
     partial = ds.select_columns([url_col, lang_col, size_col]) \
         .map_batches(local, batch_format="pyarrow")
-    agg = partial.groupby(["domain", "host", "lang"]) \
-        .sum(["__n", "__sz"]).to_pandas()
+    agg = fold_partials(partial, ["domain", "host", "lang"],
+                        [("__n", "sum"), ("__sz", "sum")]).to_pandas()
     out = agg.groupby("domain").agg(
-        n_pages=("sum(__n)", "sum"),
+        n_pages=("__n", "sum"),
         n_hosts=("host", "nunique"),
         n_langs=("lang", "nunique"),
-        sum_chars=("sum(__sz)", "sum"),
+        sum_chars=("__sz", "sum"),
     ).reset_index().sort_values("domain").reset_index(drop=True)
     return out.astype({"n_pages": "int64", "n_hosts": "int64",
                        "n_langs": "int64", "sum_chars": "int64"})

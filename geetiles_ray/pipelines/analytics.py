@@ -17,7 +17,7 @@ import ray
 import ray.data
 
 from ..functions import arrowio
-from .dedup import fold_partials
+from .dedup import fold_partials, partial_counts
 
 _MIX = 0x9E3779B97F4A7C15  # odd 64-bit multiplier (splitmix64's golden gamma)
 _MIX2 = 0xC2B2AE3D27D4EB4F  # murmur3 fmix c2 — seeds the CMS row family
@@ -493,17 +493,9 @@ def stratified_take(ds: ray.data.Dataset, key_col: str, strata_col: str,
     slim = ds.select_columns([key_col, strata_col])
     tagged = slim.map_batches(tag, batch_format="pyarrow")
 
-    def count(batch: pa.Table) -> pa.Table:
-        return batch.group_by([strata_col, "__range"], use_threads=False) \
-            .aggregate([([], "count_all")]) \
-            .select([strata_col, "__range", "count_all"]) \
-            .rename_columns([strata_col, "__range", "n"])
-
-    from ray.data.aggregate import Sum
-    cnt = tagged.map_batches(count, batch_format="pyarrow") \
-        .groupby([strata_col, "__range"]).aggregate(Sum("n")) \
-        .to_pandas().sort_values([strata_col, "__range"])
-    cnt["off"] = cnt.groupby(strata_col)["sum(n)"].cumsum() - cnt["sum(n)"]
+    cnt = partial_counts(tagged, [strata_col, "__range"]).to_pandas() \
+        .sort_values([strata_col, "__range"])
+    cnt["off"] = cnt.groupby(strata_col)["n"].cumsum() - cnt["n"]
     offsets = {(s, b): int(o) for s, b, o in
                zip(cnt[strata_col], cnt["__range"], cnt["off"])}
 

@@ -27,11 +27,12 @@ by an order column) and one kernel:
   pipelines/neardup.py.
 
 Every aggregate in the engine (key censuses, counts, sums, vocabularies,
-rollups) has one shape: per-block combiner partials, then
-``fold_partials``. Folds and ``dedup_exact`` share one placement
-(``_fold_placed``), picked by size: at or below ``ONE_TASK_FOLD_ROWS``
-materialized partial rows the kernel runs once, in one task; above, once
-per hash range in its own task.
+rollups) has one shape: per-block combiner partials, then one fold —
+``partial_aggregate`` (count, sum, min, max and mean by key) or, for
+partials a caller builds itself, ``fold_partials``. Folds and
+``dedup_exact`` share one placement (``_fold_placed``), picked by size:
+at or below ``ONE_TASK_FOLD_ROWS`` materialized partial rows the kernel
+runs once, in one task; above, once per hash range in its own task.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..functions import arrowio
 from ..functions.arrowio import key_frame, key_hash
 
 
@@ -337,19 +339,20 @@ def _as_arrow(block) -> pa.Table:
 
 
 def _partial_schema(mat: ray.data.Dataset, cols: list[str] | None,
-                    fallback: pa.Schema | None) -> pa.Schema:
+                    fallback) -> pa.Schema:
     """Arrow types of ``cols`` (None: every column) for a fold with no
     rows: from the dataset's schema; when Ray reports none, from the first
-    block that has the columns, then ``fallback``, then null types."""
-    from ..functions.arrowio import dataset_arrow_schema
-
+    block that has the columns, then ``fallback`` (a schema, or a
+    function returning one, called only here), then null types."""
     sch = mat.schema()
     if sch is not None and set(cols or ()) <= set(sch.names):
-        return dataset_arrow_schema(mat, cols or sch.names)
+        return arrowio.dataset_arrow_schema(mat, cols or sch.names)
     for ref in mat.get_internal_block_refs():
         t = _as_arrow(ray.get(ref))
         if set(cols or ()) <= set(t.column_names):
             return t.select(cols or t.column_names).schema
+    if callable(fallback):
+        fallback = fallback()
     return fallback or pa.schema([(c, pa.null()) for c in cols or ()])
 
 
@@ -384,7 +387,7 @@ def _split_task(cols: list[str] | None, route: list[str], cuts: np.ndarray,
 
 def _fold_placed(ds: ray.data.Dataset, kernel, route: list[str],
                  cols: list[str] | None = None,
-                 fallback: pa.Schema | None = None) -> ray.data.Dataset:
+                 fallback=None) -> ray.data.Dataset:
     """Run the table ``kernel`` over the ``cols`` (None: all) of every
     row of ``ds`` so that all rows of a ``route`` key meet in one call.
     Placement is picked by measured size, never by the caller: ``ds`` is
@@ -421,8 +424,7 @@ def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
                   aggs: list[tuple[str, str]],
                   range_by: list[str] | None = None,
                   out_names: list[str] | None = None,
-                  fallback_schema: pa.Schema | None = None
-                  ) -> ray.data.Dataset:
+                  fallback_schema=None) -> ray.data.Dataset:
     """The engine's one fold of per-block partial aggregates (the
     reference's combiner shape, partitions.py:447-468): sum, min or max
     each ``aggs`` (value_col, op) by ``group_cols``. One Arrow
@@ -437,9 +439,9 @@ def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
     per-tile top-k is the final answer. A skewed ``range_by`` key skews
     the fold tasks.
 
-    ``fallback_schema``: Arrow types for ``group_cols + value_cols``,
-    used only when every block is empty and none carries the partial
-    columns (see ``_partial_schema``)."""
+    ``fallback_schema``: Arrow types for ``group_cols + value_cols``, or
+    a function returning them, used only when every block is empty and
+    none carries the partial columns (see ``_partial_schema``)."""
     group_cols = list(group_cols)
     cols = group_cols + [c for c, _ in aggs]
     names = list(out_names) if out_names else cols
@@ -468,36 +470,75 @@ def frequent_keys(folded: ray.data.Dataset, key_cols: list[str],
                            or [np.empty(0, np.uint64)]) for c in key_cols]
 
 
+def partial_aggregate(ds: ray.data.Dataset, group_cols: list[str],
+                      aggs: list[tuple[str | None, str, str]]
+                      ) -> ray.data.Dataset:
+    """Grouped aggregate in the combiner shape: each batch emits one row
+    per key present (an Arrow ``group_by`` partial), then
+    ``_fold_placed`` merges the partials — only |keys| rows per block
+    leave the map stage (SURVEY.md §4 skew note). ``aggs`` holds
+    ``(value_col, op, out_name)`` with op ``count`` (rows; value_col
+    None), ``sum``, ``min``, ``max`` or ``mean`` (a sum and a count of
+    the non-null values, divided after the fold). Output columns are
+    ``group_cols + out_names``. Null keys form a group; the value ops skip
+    nulls, as SQL does. With no rows the output is empty but typed from
+    ``ds``'s schema."""
+    group_cols = list(group_cols)
+    parts = []      # (value column, per-batch op, fold op)
+    for col, op, _ in aggs:
+        if op == "count":
+            parts.append((None, "count", "sum"))
+        elif op == "mean":
+            parts += [(col, "sum", "sum"), (col, "count", "sum")]
+        else:
+            parts.append((col, op, op))
+    names = [f"__p{i}" for i in range(len(parts))]
+
+    def combine(batch: pa.Table) -> pa.Table:
+        t = pa.table([batch[k] for k in group_cols]
+                     + [batch[c or group_cols[0]] for c, _, _ in parts],
+                     names=group_cols + names)
+        g = t.group_by(group_cols, use_threads=False).aggregate(
+            [(n, op, pc.CountOptions("all")) if c is None else (n, op)
+             for n, (c, op, _) in zip(names, parts)])
+        return g.select(group_cols + [f"{n}_{op}" for n, (_, op, _)
+                                      in zip(names, parts)]) \
+            .rename_columns(group_cols + names)
+
+    def fold(t: pa.Table) -> pa.Table:
+        g = t.group_by(group_cols, use_threads=False).aggregate(
+            [(n, fop) for n, (_, _, fop) in zip(names, parts)])
+        folded = iter(g[f"{n}_{fop}"] for n, (_, _, fop) in zip(names, parts))
+        out = {k: g[k] for k in group_cols}
+        for _, op, name in aggs:
+            out[name] = next(folded)
+            if op == "mean":
+                out[name] = pc.divide(out[name].cast(pa.float64()),
+                                      next(folded).cast(pa.float64()))
+        return pa.table(out)
+
+    src = ds.select_columns(list(dict.fromkeys(
+        group_cols + [c for c, _, _ in aggs if c is not None])))
+
+    def typed_empty():      # the partial types of an input with no rows
+        sch = src.schema()
+        return sch and combine(arrowio.dataset_arrow_schema(
+            src, sch.names).empty_table()).schema
+
+    return _fold_placed(src.map_batches(combine, batch_format="pyarrow"),
+                        fold, group_cols, group_cols + names, typed_empty)
+
+
 def partial_counts(ds: ray.data.Dataset, group_cols: list[str],
                    count_alias: str = "n") -> ray.data.Dataset:
-    """Pre-aggregated count-by-key: each batch emits one row per key present
-    (vectorized Arrow group_by), then ``fold_partials`` merges them. This
-    is the combiner pattern — only |keys| rows per block leave the map
-    stage (SURVEY.md §4 skew note). Null keys count as a group."""
-
-    def local(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(group_cols).aggregate([([], "count_all")])
-        return t.select(group_cols + ["count_all"]) \
-            .rename_columns(group_cols + ["__partial"])
-
-    partial = ds.select_columns(group_cols).map_batches(local, batch_format="pyarrow")
-    return fold_partials(partial, group_cols, [("__partial", "sum")],
-                         out_names=group_cols + [count_alias])
+    """Row count by ``group_cols`` (``partial_aggregate``)."""
+    return partial_aggregate(ds, group_cols, [(None, "count", count_alias)])
 
 
 def partial_sums(ds: ray.data.Dataset, group_cols: list[str], value_col: str,
                  sum_alias: str) -> ray.data.Dataset:
-    """Pre-aggregated sum-by-key (same combiner pattern as partial_counts)."""
-
-    def local(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(group_cols).aggregate([(value_col, "sum")])
-        return t.select(group_cols + [f"{value_col}_sum"]) \
-            .rename_columns(group_cols + ["__partial"])
-
-    partial = ds.select_columns(group_cols + [value_col]) \
-        .map_batches(local, batch_format="pyarrow")
-    return fold_partials(partial, group_cols, [("__partial", "sum")],
-                         out_names=group_cols + [sum_alias])
+    """Sum of ``value_col`` by ``group_cols`` (``partial_aggregate``)."""
+    return partial_aggregate(ds, group_cols, [(value_col, "sum", sum_alias)])
 
 
 def upsert(base: ray.data.Dataset, updates: ray.data.Dataset,

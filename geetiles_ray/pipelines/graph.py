@@ -19,7 +19,7 @@ to graphs):
 
 Physical plan per iteration: ranks ⋈ edges on src (the bucketed hash
 join — at cluster scale pre-partition edges by src once and reuse), a
-map emits (dst, contrib), one hash aggregation sums per dst, and a
+map emits (dst, contrib), one fold sums per dst, and a
 broadcast-free finalize adds the base term. Nodes with no in-edges are
 kept alive by unioning a zero-contribution row per node (no driver-side
 node list, no second join).
@@ -53,12 +53,13 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int, iters: int = 3,
       ~7 sort-exchange coordination rounds ≈ 85 s on a 10k-edge graph;
       this plan runs the same graph in a few map passes.
     - beyond the limit: ``edges ⋈ ranks`` bucketed hash join per
-      iteration + one hash aggregation per dst (set
+      iteration + one ``dedup.partial_sums`` fold per dst (set
       ``broadcast_limit=0`` to force it).
     """
     import ray as _ray
 
     from ..stages.joins import join_on_identifier
+    from .dedup import partial_counts, partial_sums
 
     if 0 < n_nodes <= broadcast_limit:
         # materialize once: the degree pass + every iteration re-scans
@@ -120,10 +121,7 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int, iters: int = 3,
     r_init = scale // n_nodes
     base = (15 * r_init) // 100
 
-    deg = edges.groupby(src).count() \
-        .map_batches(lambda b: pa.table({src: b[src],
-                                         "__deg": b["count()"]}),
-                     batch_format="pyarrow")
+    deg = partial_counts(edges, [src], "__deg")
     edges_deg = join_on_identifier(edges, deg, key=src,
                                    right_cols=["__deg"]).materialize()
 
@@ -155,11 +153,12 @@ def pagerank(edges: ray.data.Dataset, n_nodes: int, iters: int = 3,
                                 "__c": pa.array(np.zeros(len(b),
                                                          dtype=np.int64))}),
             batch_format="pyarrow")
-        summed = contribs.union(keepalive).groupby("node").sum("__c")
+        summed = partial_sums(contribs.union(keepalive), ["node"], "__c",
+                              "__c")
         ranks = summed.map_batches(
             lambda b: pa.table({
                 "node": b["node"],
-                "r": pa.array(base + (85 * b["sum(__c)"].to_numpy()
+                "r": pa.array(base + (85 * b["__c"].to_numpy()
                                       .astype(np.int64)) // 100)}),
             batch_format="pyarrow").materialize()
     return ranks

@@ -29,10 +29,10 @@ _MERSENNE = (1 << 61) - 1
 
 
 # Blocks the pair-sized tables (≪ corpus) are coalesced to before their
-# joins and groupbys. They typically arrive fragmented into hundreds of
-# tiny blocks (filter/map_groups lineage), and a sort-groupby pays
-# per-BLOCK constants — measured 24 s for a 2k-row groupby over ~1k blocks
-# and 400+ s per join iteration at 32 CPUs. Coalescing makes each round
+# joins. They typically arrive fragmented into hundreds of tiny blocks
+# (filter/exchange lineage), and a sort exchange pays per-BLOCK constants —
+# measured 24 s for a 2k-row groupby over ~1k blocks and 400+ s per join
+# iteration at 32 CPUs. Coalescing makes each round
 # O(seconds). Not an exchange width: the joins take bucket_count().
 COALESCE_BLOCKS = 8
 
@@ -306,10 +306,8 @@ def verify_pairs_ds(ds: ray.data.Dataset, pairs: ray.data.Dataset,
     pairs = pairs.repartition(COALESCE_BLOCKS)
     sh_a = _rename(sh_tbl, {"id": "id_a", "sh": "sh_a"})
     sh_b = _rename(sh_tbl, {"id": "id_b", "sh": "sh_b"})
-    # materialized: the second join reads half.schema(), which on an
-    # unexecuted exchange runs the whole first join once more
     half = joinsmod.join_on_identifier(pairs, sh_a, key="id_a",
-                                       right_cols=["sh_a"]).materialize()
+                                       right_cols=["sh_a"])
     joined = joinsmod.join_on_identifier(half, sh_b, key="id_b",
                                          right_cols=["sh_b"])
 
@@ -337,7 +335,7 @@ def connected_components_minlabel(edges: ray.data.Dataset,
     are dense, so typically 2-4). Each round shuffles only the PAIR-sized
     tables (≪ corpus) — the distributed alternative to a driver union-find
     for adversarial corpora whose pair list outgrows one node."""
-    from ray.data.aggregate import Min
+    from . import dedup
 
     def sym(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -349,7 +347,8 @@ def connected_components_minlabel(edges: ray.data.Dataset,
 
     from ..stages import joins as joinsmod
 
-    # every materialized iteration state is coalesced (COALESCE_BLOCKS)
+    # coalesced (COALESCE_BLOCKS); the label folds come out in one block
+    # per fold task
     es = edges.select_columns(["id_a", "id_b"]) \
         .map_batches(sym, batch_format="pyarrow") \
         .repartition(COALESCE_BLOCKS).materialize()
@@ -363,8 +362,7 @@ def connected_components_minlabel(edges: ray.data.Dataset,
 
     cand = es.map_batches(self_edge, batch_format="pyarrow") \
         .union(es.map_batches(neigh, batch_format="pyarrow"))
-    labels = cand.groupby("id").aggregate(Min("label", alias_name="label")) \
-        .repartition(COALESCE_BLOCKS).materialize()
+    labels = dedup.partial_aggregate(cand, ["id"], [("label", "min", "label")])
     n_nodes = labels.count()
 
     for _ in range(max_iter):
@@ -375,13 +373,12 @@ def connected_components_minlabel(edges: ray.data.Dataset,
             es, lbl, key="src", right_cols=["src_label"]) \
             .select_columns(["dst", "src_label"])
         prop = _rename(prop, {"dst": "id", "src_label": "label"})
-        new_labels = labels.union(prop).groupby("id") \
-            .aggregate(Min("label", alias_name="label")) \
-            .repartition(COALESCE_BLOCKS).materialize()
+        new_labels = dedup.partial_aggregate(labels.union(prop), ["id"],
+                                             [("label", "min", "label")])
         # join-free convergence check: labels only ever decrease, so any
         # change strictly grows the distinct-(id, label) count of old ∪ new
-        distinct = labels.union(new_labels).groupby(["id", "label"]).count() \
-            .count()
+        distinct = dedup.partial_counts(labels.union(new_labels),
+                                        ["id", "label"]).count()
         labels = new_labels
         if distinct == n_nodes:
             break
@@ -431,7 +428,7 @@ def dedup_minhash(ds: ray.data.Dataset, id_col: str, text_col: str,
     (semi-join). Connected components run on the driver over the verified
     pair list — valid while |pairs| ≪ |corpus| (the LSH contract); the
     documented alternative for adversarial corpora is iterative min-label
-    propagation via groupby.
+    propagation (``connected_components_minlabel``).
     """
     if bands is None:
         # co-tune banding with the requested threshold (a fixed (b, r) is

@@ -4,9 +4,9 @@ The reference materializes ONE zoom level per tileset; map servers and
 multi-scale training samplers need the whole pyramid — per-cell counts at
 every zoom from the base grid up to the root. The scale-defining property
 here: the corpus is scanned ONCE (a map-side partial count per base
-cell + one hash aggregation); every coarser level is derived from the
-previous level's aggregate by integer parent arithmetic (tx//2, ty//2),
-never by re-scanning points. Level z has ≤ 4^z cells, so the cascade
+cell + one ``dedup.fold_partials`` fold); every coarser level is derived
+from the previous level's aggregate by integer parent arithmetic (tx//2,
+ty//2), never by re-scanning points. Level z has ≤ 4^z cells, so the cascade
 cost is geometric in the base aggregate, independent of corpus size.
 
 Cell scheme: zoom z is a 2^z × 2^z grid; ``cell_key = ty*2^z + tx``
@@ -22,12 +22,14 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from .dedup import fold_partials
+
 
 def cell_counts(points: ray.data.Dataset, tx_col: str, ty_col: str,
                 base_zoom: int) -> ray.data.Dataset:
-    """Corpus scan → base-level (tx, ty, n_pages) aggregate. Map-side
-    partial counting: each batch ships ≤ |distinct cells in batch| rows
-    into the one hash aggregation, not |points| rows."""
+    """Corpus scan → base-level (tx, ty, n) aggregate. Map-side partial
+    counting: each batch ships ≤ |distinct cells in batch| rows into the
+    one fold (``dedup.fold_partials``), not |points| rows."""
     nx = 1 << base_zoom
 
     def local(batch: pa.Table) -> pa.Table:
@@ -41,7 +43,8 @@ def cell_counts(points: ray.data.Dataset, tx_col: str, ty_col: str,
 
     partial = points.select_columns([tx_col, ty_col]) \
         .map_batches(local, batch_format="pyarrow")
-    return partial.groupby(["tx", "ty"]).sum("__n")
+    return fold_partials(partial, ["tx", "ty"], [("__n", "sum")],
+                         out_names=["tx", "ty", "n"])
 
 
 def _roll_driver(base: pd.DataFrame, base_zoom: int,
@@ -74,52 +77,39 @@ def _roll_driver(base: pd.DataFrame, base_zoom: int,
 def rollup_pyramid(base_cells: ray.data.Dataset, base_zoom: int,
                    min_zoom: int = 0,
                    cascade: str = "driver") -> pd.DataFrame:
-    """Base aggregate (from ``cell_counts``: tx, ty, sum(__n)) → pyramid
+    """Base aggregate (from ``cell_counts``: tx, ty, n) → pyramid
     DataFrame (zoom, cell_key, n_pages), ordered by (zoom, cell_key).
 
     ``cascade="driver"`` (default) collects the base aggregate (≤ 4^z
     rows — at base_zoom 14 that is ≤ 268M rows ≈ 6 GB: past ~zoom 12
     use ``cascade="dataset"``, which derives each level with a
-    map_batches parent-shift + groupby over the previous level, keeping
-    every step distributed)."""
+    map_batches parent-shift + fold over the previous level, keeping
+    every step distributed; each fold's output is materialized, so no
+    coarser zoom re-executes the corpus scan)."""
     if cascade == "dataset":
-        # materialize each level: without this every coarser zoom would
-        # re-execute the whole lineage INCLUDING the corpus scan (measured:
-        # 5 scans for a 5-level pyramid), defeating the scan-once contract
-        lvl = base_cells.map_batches(
-            lambda b: pa.table({"tx": b["tx"], "ty": b["ty"],
-                                "__n": b["sum(__n)"]}),
-            batch_format="pyarrow").materialize()
+        lvl = base_cells
         frames = []
         for z in range(base_zoom, min_zoom - 1, -1):
-            t = lvl.map_batches(
+            frames.append(lvl.map_batches(
                 lambda b, z=z: pa.table({
                     "zoom": pa.array(np.full(len(b), z, dtype=np.int64)),
                     "cell_key": pa.array(
                         b["ty"].to_numpy().astype(np.int64) * (1 << z)
                         + b["tx"].to_numpy().astype(np.int64)),
-                    "n_pages": b["__n"]}),
-                batch_format="pyarrow") \
-                .groupby(["zoom", "cell_key"]).sum("n_pages").to_pandas()
-            t = t.rename(columns={"sum(n_pages)": "n_pages"})
-            frames.append(t)
+                    "n_pages": b["n"]}),
+                batch_format="pyarrow").to_pandas())
             if z > min_zoom:
-                lvl = lvl.map_batches(
+                lvl = fold_partials(lvl.map_batches(
                     lambda b: pa.table({
                         "tx": pa.array(b["tx"].to_numpy().astype(np.int64)
                                        // 2),
                         "ty": pa.array(b["ty"].to_numpy().astype(np.int64)
                                        // 2),
-                        "__n": b["__n"]}),
-                    batch_format="pyarrow") \
-                    .groupby(["tx", "ty"]).sum("__n").map_batches(
-                        lambda b: pa.table({"tx": b["tx"], "ty": b["ty"],
-                                            "__n": b["sum(__n)"]}),
-                        batch_format="pyarrow").materialize()
+                        "n": b["n"]}),
+                    batch_format="pyarrow"), ["tx", "ty"], [("n", "sum")])
         out = pd.concat(frames, ignore_index=True)
     else:
-        base = base_cells.to_pandas().rename(columns={"sum(__n)": "n"})
-        out = _roll_driver(base, base_zoom, min_zoom)
+        out = _roll_driver(base_cells.to_pandas(), base_zoom, min_zoom)
     return out.sort_values(["zoom", "cell_key"]).reset_index(drop=True) \
         .astype({"zoom": "int64", "cell_key": "int64", "n_pages": "int64"})
 

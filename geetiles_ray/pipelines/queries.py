@@ -18,7 +18,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Mean, Sum
 
 # golden regression parquets live in the repo's tests/golden — derived
 # from __file__ so any checkout location works (not just /root/repo)
@@ -293,12 +292,12 @@ def q_pricing_summary(sf_dir: str):
                                  pc.subtract(pa.scalar(1.0), batch["l_discount"]))
         return batch.append_column("disc_price", disc_price)
 
-    out = ds.map_batches(prep, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]) \
-        .aggregate(Sum("l_quantity", alias_name="sum_qty"),
-                   Sum("disc_price", alias_name="sum_disc_price"),
-                   Mean("l_discount", alias_name="avg_disc"),
-                   Count(alias_name="count_order")) \
+    out = dedupmod.partial_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        [("l_quantity", "sum", "sum_qty"),
+         ("disc_price", "sum", "sum_disc_price"),
+         ("l_discount", "mean", "avg_disc"), (None, "count", "count_order")]) \
         .to_pandas().sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
     out["sum_qty"] = out.sum_qty.round(2)
     out["sum_disc_price"] = out.sum_disc_price.round(2)
@@ -359,9 +358,10 @@ def q_events_hourly(sf_dir: str):
                          "hour_epoch": pa.array(hour, type=pa.int64()),
                          "value": batch["value"]})
 
-    out = ds.map_batches(prep, batch_format="pyarrow") \
-        .groupby(["event_type", "hour_epoch"]) \
-        .aggregate(Count(alias_name="n"), Sum("value", alias_name="sum_value")) \
+    out = dedupmod.partial_aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["event_type", "hour_epoch"],
+        [(None, "count", "n"), ("value", "sum", "sum_value")]) \
         .to_pandas().sort_values(["event_type", "hour_epoch"]).reset_index(drop=True)
     out["sum_value"] = out.sum_value.round(4)
     return out
@@ -385,11 +385,10 @@ def q_token_stats(sf_dir: str):
         df["n_tokens"] = df.text.str.count(" ").astype("int64") + 1
         return df[["lang", "n_tokens", "n_chars"]]
 
-    out = ds.map_batches(prep, batch_format="pandas") \
-        .groupby("lang") \
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("n_tokens", alias_name="total_tokens"),
-                   Mean("n_chars", alias_name="avg_chars")) \
+    out = dedupmod.partial_aggregate(
+        ds.map_batches(prep, batch_format="pandas"), ["lang"],
+        [(None, "count", "n_docs"), ("n_tokens", "sum", "total_tokens"),
+         ("n_chars", "mean", "avg_chars")]) \
         .to_pandas().sort_values("lang").reset_index(drop=True)
     out["avg_chars"] = out.avg_chars.round(6)
     return out
@@ -504,22 +503,36 @@ FROM documents WHERE doc_id < 100 ORDER BY doc_id
 """
 
 
+def _event_sessions(sf_dir: str) -> ray.data.Dataset:
+    """Events (event_id, user_id, ts_us) with their 0-based session id
+    within the user's timeline (``temporal.session_windows``, 30-minute
+    gap, ties on ts ordered by event_id). Integer µs timestamps, so the
+    gap comparison and the ids are engine-exact."""
+    from ..stages import temporal as tmod
+
+    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
+                               columns=["event_id", "user_id", "ts"])
+
+    def to_us(batch: pa.Table) -> pa.Table:
+        return pa.table({"event_id": batch["event_id"],
+                         "user_id": batch["user_id"],
+                         "ts_us": batch["ts"].cast(pa.int64())})
+
+    return tmod.session_windows(ev.map_batches(to_us, batch_format="pyarrow"),
+                                key="user_id", ts="ts_us",
+                                gap=30 * 60 * 1_000_000,
+                                order_tiebreak="event_id")
+
+
 def q_user_sessions(sf_dir: str):
     """Sessionization (streaming-shaped op): per user, number of sessions
-    with a 30-minute inactivity gap. Ray: groupby(user).map_groups over
-    ts-sorted events (the ordered-log pattern)."""
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["user_id", "ts", "event_id"])
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        gaps = g.ts.diff() > pd.Timedelta(minutes=30)
-        return pd.DataFrame({"user_id": [g.user_id.iloc[0]],
-                             "n_sessions": [int(gaps.sum()) + 1]})
-
-    out = ds.groupby("user_id").map_groups(sessions, batch_format="pandas") \
+    with a 30-minute inactivity gap — the largest session id of
+    ``_event_sessions`` (a max fold) plus one."""
+    out = dedupmod.partial_aggregate(
+        _event_sessions(sf_dir), ["user_id"],
+        [("session_id", "max", "n_sessions")]) \
         .to_pandas().sort_values("user_id").reset_index(drop=True)
-    out["n_sessions"] = out.n_sessions.astype("int64")
+    out["n_sessions"] = (out.n_sessions + 1).astype("int64")
     return out
 
 
@@ -595,18 +608,15 @@ def q_supplier_region(sf_dir: str):
     """Dimension-chain rollup: supplier ⋈ nation ⋈ region (the dims
     merged on the driver, attached by ``broadcast_lookup``) → per-region
     supplier count + avg balance."""
-    from ray.data.aggregate import Count, Mean
-
     nation = pd.read_parquet(f"{sf_dir}/nation.parquet")
     region = pd.read_parquet(f"{sf_dir}/region.parquet")
     dim = nation.merge(region, left_on="n_regionkey", right_on="r_regionkey")
     sup = ray.data.read_parquet(f"{sf_dir}/supplier.parquet",
                                 columns=["s_nationkey", "s_acctbal"])
-    out = joinsmod.broadcast_lookup(sup, dim[["n_nationkey", "r_name"]],
-                                    "s_nationkey", "n_nationkey") \
-        .groupby("r_name") \
-        .aggregate(Count(alias_name="n_suppliers"),
-                   Mean("s_acctbal", alias_name="avg_acctbal")) \
+    out = dedupmod.partial_aggregate(
+        joinsmod.broadcast_lookup(sup, dim[["n_nationkey", "r_name"]],
+                                  "s_nationkey", "n_nationkey"), ["r_name"],
+        [(None, "count", "n_suppliers"), ("s_acctbal", "mean", "avg_acctbal")]) \
         .to_pandas().sort_values("r_name").reset_index(drop=True)
     out["avg_acctbal"] = out.avg_acctbal.round(4)
     return out
@@ -622,15 +632,12 @@ GROUP BY r_name ORDER BY r_name
 
 def q_part_type_stats(sf_dir: str):
     """Wide aggregate breadth over part: count/mean/min/max per p_type."""
-    from ray.data.aggregate import Count, Max, Mean, Min
-
     ds = ray.data.read_parquet(f"{sf_dir}/part.parquet",
                                columns=["p_type", "p_retailprice", "p_size"])
-    out = ds.groupby("p_type") \
-        .aggregate(Count(alias_name="n_parts"),
-                   Mean("p_retailprice", alias_name="avg_price"),
-                   Min("p_size", alias_name="min_size"),
-                   Max("p_size", alias_name="max_size")) \
+    out = dedupmod.partial_aggregate(
+        ds, ["p_type"],
+        [(None, "count", "n_parts"), ("p_retailprice", "mean", "avg_price"),
+         ("p_size", "min", "min_size"), ("p_size", "max", "max_size")]) \
         .to_pandas().sort_values("p_type").reset_index(drop=True)
     out["avg_price"] = out.avg_price.round(4)
     return out
@@ -1016,8 +1023,9 @@ def q_tilevalues_mosaic(sf_dir: str):
     """mosaic.fromvals (reference cmds.py:784-865) over the fixture
     tileset: per-tile value = grid_idx % 7 (zeros exercise the
     nothing-overwrites-with-zero rule), rendered distributed via the
-    block-grid path (stages/raster.py:mosaic_fromvals — groupby canvas
-    block → per-block compose; never driver-resident). Output: one digest
+    block-grid path (stages/raster.py:mosaic_fromvals — canvas blocks
+    co-located by ``grouped_apply``, one compose per block; never
+    driver-resident). Output: one digest
     row per canvas block (dims, nonzero count, value sum, pixel CRC).
     Pinned against a committed golden parquet; the compose math itself is
     independently brute-force-verified in pytest
@@ -3252,25 +3260,11 @@ FROM events GROUP BY event_type ORDER BY event_type
 
 
 def q_event_sessions(sf_dir: str):
-    """Per-event session ids (temporal.session_windows, 30-min gap): the
-    sessionization operator promoted from the user_sessions aggregate to
-    row-level output — every event labeled with its 0-based session index
-    within its user timeline. Integer µs timestamps → the gap comparison
-    and ids are engine-exact."""
-    from ..stages import temporal as tmod
-
-    ev = ray.data.read_parquet(f"{sf_dir}/events.parquet",
-                               columns=["event_id", "user_id", "ts"])
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        return pa.table({"event_id": batch["event_id"],
-                         "user_id": batch["user_id"],
-                         "ts_us": batch["ts"].cast(pa.int64())})
-
-    out = tmod.session_windows(ev.map_batches(to_us, batch_format="pyarrow"),
-                               key="user_id", ts="ts_us",
-                               gap=30 * 60 * 1_000_000,
-                               order_tiebreak="event_id") \
+    """Per-event session ids (``_event_sessions``): the sessionization
+    operator promoted from the user_sessions aggregate to row-level
+    output — every event labeled with its 0-based session index within
+    its user timeline."""
+    out = _event_sessions(sf_dir) \
         .to_pandas().sort_values("event_id").reset_index(drop=True)
     return out[["event_id", "user_id", "ts_us", "session_id"]] \
         .astype({"session_id": "int64"})
@@ -3561,16 +3555,30 @@ FROM fin GROUP BY host ORDER BY host
 """
 
 
+def _pack_bin_stats(planned: ray.data.Dataset) -> pd.DataFrame:
+    """Docs, tokens, first and last doc per (lang, shard, bin) of an
+    ``analytics.pack_plan`` output, in key order."""
+    agg = dedupmod.partial_aggregate(
+        planned, ["lang", "shard", "bin"],
+        [(None, "count", "n_docs"), ("n_tokens", "sum", "sum_tokens"),
+         ("doc_id", "min", "first_doc"), ("doc_id", "max", "last_doc")]) \
+        .to_pandas().sort_values(["lang", "shard", "bin"]) \
+        .reset_index(drop=True)
+    return agg.astype({"shard": "int64", "bin": "int64", "n_docs": "int64",
+                       "sum_tokens": "int64", "first_doc": "int64",
+                       "last_doc": "int64"})
+
+
 def q_pack_bins(sf_dir: str):
     """Sequence-packing planner (analytics.pack_plan): docs laid end-to-end
     per (lang, 10k-doc shard) stream and chunked into 2048-token training
     sequences; each doc binned by where its first token lands. Aggregated
     per (lang, shard, bin). Token count = whitespace splits (engine
     count(' ')+1 ≡ DuckDB array_length(string_split(text,' ')) including
-    empty fields). Distributed end to end: the bin aggregate is a Ray
-    groupby, not a driver fold (bins scale with corpus/2048)."""
+    empty fields). Distributed end to end: the bin aggregate is a
+    ``partial_aggregate`` fold, placed by size (bins scale with
+    corpus/2048)."""
     from . import analytics as anmod
-    from ray.data.aggregate import Max, Min
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "lang", "text"])
@@ -3587,16 +3595,7 @@ def q_pack_bins(sf_dir: str):
                               stream_cols=["lang", "shard"],
                               order_col="doc_id", tokens_col="n_tokens",
                               budget=2048)
-    agg = planned.groupby(["lang", "shard", "bin"]).aggregate(
-        Count(), Sum("n_tokens"), Min("doc_id"), Max("doc_id")).to_pandas()
-    agg = agg.rename(columns={"count()": "n_docs",
-                              "sum(n_tokens)": "sum_tokens",
-                              "min(doc_id)": "first_doc",
-                              "max(doc_id)": "last_doc"})
-    agg = agg.sort_values(["lang", "shard", "bin"]).reset_index(drop=True)
-    return agg.astype({"shard": "int64", "bin": "int64", "n_docs": "int64",
-                       "sum_tokens": "int64", "first_doc": "int64",
-                       "last_doc": "int64"})
+    return _pack_bin_stats(planned)
 
 
 SQL_PACK_BINS = """
@@ -3776,8 +3775,6 @@ def q_bpe_pack_bins(sf_dir: str):
     sequences per (lang, 10k-doc shard) stream with analytics.pack_plan.
     The SQL twin chains the recursive-CTE encode into the windowed-SUM
     binning, so the value hash proves encode AND packing end-to-end."""
-    from ray.data.aggregate import Max, Min
-
     from . import analytics as anmod
     from . import bpe as bpemod
 
@@ -3795,16 +3792,7 @@ def q_bpe_pack_bins(sf_dir: str):
         counted.map_batches(shardify, batch_format="pyarrow"),
         stream_cols=["lang", "shard"], order_col="doc_id",
         tokens_col="n_tokens", budget=512)
-    agg = planned.groupby(["lang", "shard", "bin"]).aggregate(
-        Count(), Sum("n_tokens"), Min("doc_id"), Max("doc_id")).to_pandas()
-    agg = agg.rename(columns={"count()": "n_docs",
-                              "sum(n_tokens)": "sum_tokens",
-                              "min(doc_id)": "first_doc",
-                              "max(doc_id)": "last_doc"})
-    agg = agg.sort_values(["lang", "shard", "bin"]).reset_index(drop=True)
-    return agg.astype({"shard": "int64", "bin": "int64", "n_docs": "int64",
-                       "sum_tokens": "int64", "first_doc": "int64",
-                       "last_doc": "int64"})
+    return _pack_bin_stats(planned)
 
 
 SQL_BPE_PACK_BINS = _sql_bpe_prefix() + """
@@ -4080,13 +4068,8 @@ def q_crawl_budget(sf_dir: str):
                  for lg, i in zip(langs, d)]
         return pa.table({"host": pa.array(hosts, type=pa.string())})
 
-    weights = docs.map_batches(synth, batch_format="pyarrow") \
-        .groupby("host").count()
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(["host", "n_pages"])
-
-    weights = weights.map_batches(rename, batch_format="pyarrow")
+    weights = dedupmod.partial_counts(
+        docs.map_batches(synth, batch_format="pyarrow"), ["host"], "n_pages")
     out = anmod.apportion_budget(weights, key_col="host",
                                  weight_col="n_pages", budget=997) \
         .to_pandas().sort_values("host").reset_index(drop=True)
@@ -4562,8 +4545,8 @@ def q_mixture_take(sf_dir: str):
 
     docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "lang"])
-    cnt = docs.groupby("lang").count().to_pandas()
-    n_of = dict(zip(cnt["lang"], cnt["count()"]))
+    cnt = dedupmod.partial_counts(docs, ["lang"]).to_pandas()
+    n_of = dict(zip(cnt["lang"], cnt["n"]))
     q = min(int(n_of[s]) // w for s, w in _MIX_WEIGHTS.items()
             if s in n_of)
     k = {s: w * q for s, w in _MIX_WEIGHTS.items()}

@@ -8,7 +8,8 @@ retrieval). Two paths:
   |queries|·k rows per block, never the corpus.
 - ``ivf_topk``: IVF-style scale path — embeddings bucketed to their nearest
   coarse centroid (deterministic k-means-lite), queries probe the nprobe
-  nearest buckets; groupby(bucket) co-locates. Same output contract.
+  nearest buckets (a map-side filter ahead of the brute-force kernel).
+  Same output contract.
 """
 
 from __future__ import annotations
@@ -107,13 +108,16 @@ def cosine_neardup_pairs(ds: ray.data.Dataset, tau: float,
       matrix fits a worker heap.
     - n > broadcast_limit: IVF-bucketed — vectors are assigned to their
       ``assign_probes`` nearest coarse centroids (multi-assign catches
-      boundary pairs), co-located per bucket via groupby, and each bucket
-      runs the same vectorized pair kernel on its members only. Precision
+      boundary pairs), co-located by centroid (``grouped_apply``), and
+      each centroid runs the same vectorized pair kernel on its members
+      only. Precision
       stays exact (every emitted cos is computed); recall < 1.0 by design
       for pairs whose members share no probed bucket. Never materializes
       the corpus on the driver: only centroids (sampled) and the final
       pair list cross it.
     """
+    from ..stages.temporal import grouped_apply
+
     n = ds.count()
     if n <= broadcast_limit:
         full = ds.select_columns([id_col, vec_col]).to_pandas()
@@ -154,23 +158,25 @@ def cosine_neardup_pairs(ds: ray.data.Dataset, tau: float,
                               type=pa.list_(pa.float64())),
         })
 
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(id_col).sort_values(id_col)
+    def centroid_pairs(g: pa.Table) -> pa.Table:
+        g = g.sort_by(id_col)
+        g = g.filter(arrowio.run_starts(g, [id_col]))
         ids = g[id_col].to_numpy()
-        if len(ids) < 2:
-            return pd.DataFrame({"id_a": ids[:0], "id_b": ids[:0],
-                                 "cos_sim": np.array([], dtype=np.float64)})
-        m = _normalize(np.asarray(g[vec_col].tolist(), dtype=np.float64))
+        m = _normalize(_to_matrix(g[vec_col]))
         cos = m @ m.T
         row, col = np.nonzero((cos >= tau) & (ids[:, None] < ids[None, :]))
-        return pd.DataFrame({"id_a": ids[row], "id_b": ids[col],
-                             "cos_sim": np.round(cos[row, col], 6)})
+        return pa.table({"id_a": pa.array(ids[row], type=pa.int64()),
+                         "id_b": pa.array(ids[col], type=pa.int64()),
+                         "cos_sim": pa.array(np.round(cos[row, col], 6))})
 
-    out = ds.select_columns([id_col, vec_col]) \
-        .map_batches(explode, batch_format="pyarrow", batch_size=4096) \
-        .groupby("__centroid").map_groups(bucket_pairs,
-                                          batch_format="pandas") \
-        .to_pandas()
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([centroid_pairs(g) for g in
+                                 arrowio.key_runs(t, ["__centroid"])])
+
+    out = grouped_apply(
+        ds.select_columns([id_col, vec_col]).map_batches(
+            explode, batch_format="pyarrow", batch_size=4096),
+        "__centroid", bucket_pairs).to_pandas()
     if len(out) == 0:
         return out
     return out.drop_duplicates(["id_a", "id_b"]) \

@@ -14,9 +14,9 @@ with two Ray-Data-native paths:
 
 2. **Cell-equi-join path** (``assign_by_cell_join``; both sides large):
    tiles are exploded to their covering index cells, pages keyed by their
-   cell, and a ``groupby(cell)`` co-locates them — with optional salting of
-   hot cells (dense crawl regions) so no single group dominates
-   (north_rule skew requirement).
+   cell, and a two-sided ``grouped_apply`` on (cell, salt) co-locates them
+   — with optional salting of hot cells (dense crawl regions) so no single
+   key dominates (north_rule skew requirement).
 
 Assignment semantics (deterministic, FIXTURES.md invariant 1 — every page
 gets exactly one tile): containing tile wins; among several containing
@@ -484,6 +484,9 @@ def assign_by_cell_join(pages: ray.data.Dataset, tiles: ray.data.Dataset,
     Output schema: url, lon, lat, tile_id (subset of input cols preserved:
     url/lon/lat only — wide payloads should be joined back by url after, or
     use the broadcast path which appends in place)."""
+    from .temporal import grouped_apply
+
+    keys = ["join_cell", "salt"]
     tile_cells = explode_tiles_to_cells(tiles, res)
 
     def page_key(batch: pa.Table) -> pa.Table:
@@ -495,55 +498,39 @@ def assign_by_cell_join(pages: ray.data.Dataset, tiles: ray.data.Dataset,
             "join_cell": pa.array(cell, type=pa.uint64()),
             "salt": pa.array(s.astype(np.uint64), type=pa.uint64()),
             "url": batch["url"], "lon": batch["lon"], "lat": batch["lat"],
-            "kind": pa.array(np.ones(len(batch), dtype=np.int8)),
-            "identifier": pa.nulls(len(batch), pa.string()),
-            "minx": pa.nulls(len(batch), pa.float64()),
-            "miny": pa.nulls(len(batch), pa.float64()),
-            "maxx": pa.nulls(len(batch), pa.float64()),
-            "maxy": pa.nulls(len(batch), pa.float64()),
-            "clon": pa.nulls(len(batch), pa.float64()),
-            "clat": pa.nulls(len(batch), pa.float64()),
         })
 
     def tile_rows(batch: pa.Table) -> pa.Table:
-        n = len(batch)
         reps = salt if salt > 1 else 1
-        batch = batch.take(pa.array(np.repeat(np.arange(n), reps)))
-        s = np.tile(np.arange(reps, dtype=np.uint64), n)
-        return pa.table({
-            "join_cell": batch["join_cell"],
-            "salt": pa.array(s, type=pa.uint64()),
-            "url": pa.nulls(len(batch), pa.string()),
-            "lon": pa.nulls(len(batch), pa.float64()),
-            "lat": pa.nulls(len(batch), pa.float64()),
-            "kind": pa.array(np.zeros(len(batch), dtype=np.int8)),
-            "identifier": batch["identifier"],
-            "minx": batch["minx"], "miny": batch["miny"],
-            "maxx": batch["maxx"], "maxy": batch["maxy"],
-            "clon": batch["clon"], "clat": batch["clat"],
-        })
+        batch = batch.take(pa.array(np.repeat(np.arange(len(batch)), reps)))
+        return batch.append_column("salt", pa.array(
+            np.tile(np.arange(reps, dtype=np.uint64), len(batch) // reps)))
 
-    tagged = pages.map_batches(page_key, batch_format="pyarrow").union(
-        tile_cells.map_batches(tile_rows, batch_format="pyarrow"))
+    def cell_join(p: pa.Table, t: pa.Table | None) -> pa.Table:
+        tile_id = pa.array([""] * len(p), type=pa.string())
+        if t is not None:
+            idx = TileIndex(*(t[c].to_numpy(zero_copy_only=False) for c in
+                              ("minx", "miny", "maxx", "maxy", "identifier",
+                               "clon", "clat")))
+            ti, _cont = idx.assign(p["lon"].to_numpy(), p["lat"].to_numpy())
+            tile_id = pa.array(np.where(
+                ti >= 0, idx.identifier[np.maximum(ti, 0)], ""),
+                type=pa.string())
+        return p.select(["url", "lon", "lat"]).append_column("tile_id",
+                                                             tile_id)
 
-    def local_join(group: pd.DataFrame) -> pd.DataFrame:
-        t = group[group["kind"] == 0]
-        p = group[group["kind"] == 1]
-        if len(p) == 0:
-            return pd.DataFrame({"url": [], "lon": [], "lat": [], "tile_id": []})
-        if len(t) == 0:
-            return pd.DataFrame({"url": p["url"], "lon": p["lon"], "lat": p["lat"],
-                                 "tile_id": [""] * len(p)})
-        idx = TileIndex(t["minx"].to_numpy(), t["miny"].to_numpy(),
-                        t["maxx"].to_numpy(), t["maxy"].to_numpy(),
-                        t["identifier"].to_numpy(), t["clon"].to_numpy(),
-                        t["clat"].to_numpy())
-        ti, _cont = idx.assign(p["lon"].to_numpy(), p["lat"].to_numpy())
-        return pd.DataFrame({
-            "url": p["url"].to_numpy(),
-            "lon": p["lon"].to_numpy(), "lat": p["lat"].to_numpy(),
-            "tile_id": np.where(ti >= 0, idx.identifier[np.maximum(ti, 0)], ""),
-        })
+    def key(run: pa.Table) -> tuple:
+        return run["join_cell"][0].as_py(), run["salt"][0].as_py()
 
-    return tagged.groupby(["join_cell", "salt"]).map_groups(
-        local_join, batch_format="pandas")
+    def kernel(p: pa.Table, t: pa.Table) -> pa.Table:
+        # one local join per (cell, salt) key: a page sees only its
+        # cell's tiles
+        cells = {key(r): r for r in arrowio.key_runs(t, keys)}
+        return pa.concat_tables([cell_join(r, cells.get(key(r)))
+                                 for r in arrowio.key_runs(p, keys)]
+                                or [cell_join(p, None)])
+
+    return grouped_apply((pages.map_batches(page_key, batch_format="pyarrow"),
+                          tile_cells.map_batches(tile_rows,
+                                                 batch_format="pyarrow")),
+                         keys, kernel)

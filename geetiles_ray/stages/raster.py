@@ -440,17 +440,19 @@ def mosaic_blocks(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
                   block_px: int = 1024) -> tuple[ray.data.Dataset, dict]:
     """S11 at scale: the canvas is a grid of ``block_px``² blocks; each
     raster tile emits its per-block sub-patches (map), each block composes
-    its patches in identifier order (groupby block → map_groups). Because
-    the overwrite rule is per-PIXEL, per-block identifier order reproduces
-    the global identifier order exactly — the result is pixel-identical to
-    :func:`mosaic` (pytest-asserted) but no stage ever holds more than one
-    block: a continent at 1 m/px streams through as ~block-count rows.
+    its patches in identifier order (``grouped_apply`` on the block id,
+    then one compose per block of the bucket). Because the overwrite rule
+    is per-PIXEL, per-block identifier order reproduces the global
+    identifier order exactly — the result is pixel-identical to
+    :func:`mosaic` (pytest-asserted) but no task holds more than one
+    bucket's blocks (about 1/64 of them): a continent at 1 m/px streams
+    through as ~block-count rows.
 
     Returns (blocks Dataset [by, bx, h, w, c, dtype, pixels], frame).
     Consume with :func:`write_blockgrid` (resumable one-tif-per-block sink)
     or :func:`assemble_blocks` (small canvases / tests).
 
-    Shuffle cost: ONE groupby over patch rows whose total bytes ≈ canvas
+    Shuffle cost: ONE exchange of patch rows whose total bytes ≈ canvas
     nonzero bytes; the key is the block id, dense and skew-free for grid
     tilesets. Nothing is driver-resident but the bounds broadcast (16 B ×
     tiles, ray.put once)."""
@@ -508,9 +510,16 @@ def mosaic_blocks(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
         return pa.table(cols)
 
     patches = rasters.map_batches(emit, batch_format="pyarrow", batch_size=64)
-    blocks = patches.groupby("block").map_groups(_compose_block,
-                                                batch_format="pyarrow")
-    return blocks, frame
+    return _per_block(patches, _compose_block), frame
+
+
+def _per_block(patches: ray.data.Dataset, compose) -> ray.data.Dataset:
+    """``compose`` once per canvas block of the patch rows, the blocks
+    co-located by ``grouped_apply``."""
+    from .temporal import grouped_apply
+
+    return grouped_apply(patches, "block", lambda t: pa.concat_tables(
+        [compose(g) for g in arrowio.key_runs(t, ["block"])]))
 
 
 def _compose_block(group: pa.Table) -> pa.Table:
@@ -560,7 +569,7 @@ def mosaic_fromvals(tiles: ray.data.Dataset, pixels_per_degree: float,
 
     Distributed like :func:`mosaic_blocks`, but patches are (rect, value)
     rows — 4 ints + 1 scalar per block-intersection, NOT pixels — so the
-    groupby moves O(tiles × blocks-touched) tiny rows; pixels only
+    exchange moves O(tiles × blocks-touched) tiny rows; pixels only
     materialize inside each block's compose."""
     frame, bmap = _mosaic_frame(tiles, pixels_per_degree)
     H, W, B = frame["H"], frame["W"], int(block_px)
@@ -636,9 +645,7 @@ def mosaic_fromvals(tiles: ray.data.Dataset, pixels_per_degree: float,
     cols = ["identifier", "minx", "miny", "maxx", "maxy", value_col]
     patches = tiles.select_columns(cols).map_batches(
         emit, batch_format="pyarrow", batch_size=4096)
-    blocks = patches.groupby("block").map_groups(compose,
-                                                batch_format="pyarrow")
-    return blocks, frame
+    return _per_block(patches, compose), frame
 
 
 def assemble_blocks(blocks: ray.data.Dataset, frame: dict,

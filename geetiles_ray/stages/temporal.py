@@ -3,14 +3,18 @@ interval (range) join, hopping-window expansion, and the per-key window
 operators (sessions, lags, funnels, cohorts, rolling actives, transitions).
 
 This module also holds the engine's one co-location step,
-``grouped_apply``: rows are tagged with a hash of their key
+``grouped_apply``, one of its two group-by operators (the other is the
+aggregate fold, ``pipelines/dedup.partial_aggregate`` and
+``fold_partials``). Rows are tagged with a hash of their key
 (``functions/arrowio.key_hash``) modulo ``bucket_count()`` and exchanged
-by one Ray ``groupby``/``map_groups`` on that tag (ONE exchange whose
-traffic is the pruned columns, never the payload), then a vectorized
-kernel runs per bucket. Every kernel returns an Arrow table. A one-sided
-kernel gets the bucket as one Arrow table and works with ``sort_by``,
-``group_by`` and numpy over columns (group boundaries from
-``arrowio.run_starts``); a two-sided one gets a (left, right) pair of
+by one Ray ``groupby``/``map_groups`` on that tag: ONE exchange whose
+traffic is the pruned columns, never the payload, and the package's only
+Ray grouped call (``tests/test_stateful_stages.py`` lints for others).
+A vectorized kernel then runs per bucket. Every kernel returns an Arrow
+table. A one-sided kernel gets the bucket as one Arrow table and works
+with ``sort_by``, ``group_by`` and numpy over columns (group boundaries
+from ``arrowio.run_starts``; a kernel that must run once per key loops
+over ``arrowio.key_runs``); a two-sided one gets a (left, right) pair of
 Arrow tables, each in its side's own schema (equi-joins match through
 ``joins._index_join``). No global sort, no driver-side row loops;
 a bucket holds about 1/64 of the keys or less, and the interval join also
@@ -30,6 +34,8 @@ Partitioning assumptions (documented per the custom-operator contract):
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pandas as pd
@@ -110,7 +116,17 @@ def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
     type, so an int32 key meets an int64 one), tag each row with
     ``__side`` (0 left, 1 right) and its ``__bucket``, and union. Right
     rows with a null key are dropped — no join matches a null key.
-    Returns the union and the two sides' own Arrow schemas."""
+    Returns the union and the two sides' own Arrow schemas.
+
+    A side whose schema Ray cannot tell without running it (a plan
+    ending in a map or an exchange) is materialized first and that copy
+    is unioned: ``Dataset.schema()`` would otherwise run its plan once
+    for the schema and the union would run it again. Two such sides run
+    at once, so their fixed start-up costs overlap."""
+    with ThreadPoolExecutor(2) as pool:
+        left, right = pool.map(
+            lambda d: d if d.schema(fetch_if_missing=False) is not None
+            else d.materialize(), (left, right))
     sides = [arrowio.dataset_arrow_schema(d, d.schema().names)
              for d in (left, right)]
     target = pa.unify_schemas(sides, promote_options="permissive") \
@@ -422,7 +438,10 @@ def cohort_retention(ds: ray.data.Dataset, anchor_type: str = "signup",
                             kernel)
     return fold_partials(partial, ["cohort_week", "week_offset"],
                          [("__n", "sum")],
-                         out_names=["cohort_week", "week_offset", "n_users"])
+                         out_names=["cohort_week", "week_offset", "n_users"],
+                         fallback_schema=pa.schema([
+                             (c, pa.int64()) for c in
+                             ("cohort_week", "week_offset", "__n")]))
 
 
 def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
@@ -458,7 +477,10 @@ def rolling_active(ds: ray.data.Dataset, key: str = "user_id",
 
     partial = grouped_apply(ds.select_columns([key, ts]), key, kernel)
     return fold_partials(partial, ["window_end_day"], [("__n", "sum")],
-                         out_names=["window_end_day", "n_active"])
+                         out_names=["window_end_day", "n_active"],
+                         fallback_schema=pa.schema([
+                             ("window_end_day", pa.int64()),
+                             ("__n", pa.int64())]))
 
 
 def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
@@ -487,8 +509,14 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
             .select(["cur_type", "next_type", "count_all"]) \
             .rename_columns(["cur_type", "next_type", "__n"])
 
+    def types() -> pa.Schema:     # an empty input's fold: input types
+        t = arrowio.dataset_arrow_schema(ds, [type_col]).field(0).type
+        return pa.schema([("cur_type", t), ("next_type", t),
+                          ("__n", pa.int64())])
+
     partial = grouped_apply(
         ds.select_columns([key, ts, type_col, order_col]), key, kernel)
     return fold_partials(partial, ["cur_type", "next_type"],
                          [("__n", "sum")],
-                         out_names=["cur_type", "next_type", "n"])
+                         out_names=["cur_type", "next_type", "n"],
+                         fallback_schema=types)

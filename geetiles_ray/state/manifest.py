@@ -32,17 +32,20 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..functions import arrowio
+
 ENGINE_VERSION = "0.1.0"
 
-# each partition arrives at its writer as ONE in-memory table (map_groups),
-# so partition size is the memory contract of this sink
+# each partition arrives at its writer whole, inside one in-memory
+# ``grouped_apply`` bucket, so partition size is the memory contract of
+# this sink
 TARGET_PARTITION_BYTES = 1 << 30
 
 
 def derive_n_partitions(est_bytes: int, target_bytes: int = TARGET_PARTITION_BYTES,
                         min_parts: int = 1) -> int:
     """Partition count so each partition lands ≤ ``target_bytes`` (the
-    map_groups writer holds one full partition in heap), floored at
+    bucket writer holds whole partitions in heap), floored at
     ``min_parts`` (usually cluster CPUs, for write parallelism)."""
     return max(int(min_parts), 1, -(-int(est_bytes) // max(int(target_bytes), 1)))
 
@@ -92,14 +95,15 @@ def checkpointed_write(
     SKIPPING partitions whose manifest already matches the current input
     fingerprint. Returns {"written": [...], "skipped": [...]}.
 
-    Partitioning is a groupby on the stable key hash — each group is one
-    partition, processed and persisted independently, so a killed run
-    resumes at partition granularity (FIXTURES.md invariant 5).
+    Partitioning is a ``grouped_apply`` on the partition id (a stable key
+    hash): each bucket writes each of its partitions as one Arrow table,
+    processed and persisted independently, so a killed run resumes at
+    partition granularity (FIXTURES.md invariant 5).
 
     ``n_partitions=None`` derives the count from the input's in-memory
-    size so each partition (held whole by its map_groups writer) stays
+    size so each partition (held whole by its bucket writer) stays
     ≤ ``target_partition_bytes``; sizing materializes the input first (the
-    blocks feed the groupby, nothing recomputes — but they become
+    blocks feed the exchange, nothing recomputes — but they become
     object-store-resident, so for inputs far beyond cluster memory pass an
     explicit ``n_partitions`` and keep the pipeline streaming). RESUME
     CONTRACT: pass the same explicit n_partitions as the original run —
@@ -107,6 +111,8 @@ def checkpointed_write(
     input would remap keys and rewrite everything.
     Any partition arriving >2× the target raises a skew warning with the
     offending pid (hot-key diagnosis, not silent OOM)."""
+    from ..stages.temporal import grouped_apply
+
     os.makedirs(out_dir, exist_ok=True)
     existing = load_manifests(out_dir)
     if n_partitions is None:
@@ -124,9 +130,7 @@ def checkpointed_write(
             pid = partition_of_key(batch[key_col].to_pylist(), n_partitions)
         return batch.append_column("__pid", pa.array(np.asarray(pid, dtype=np.int64)))
 
-    def write_partition(group) -> pa.Table:
-        table = pa.Table.from_pandas(group, preserve_index=False) \
-            .replace_schema_metadata(None)
+    def write_partition(table: pa.Table) -> pa.Table:
         pid = int(table["__pid"][0].as_py())
         table = table.drop_columns(["__pid"])
         fp = _fingerprint(table, key_col)
@@ -164,9 +168,12 @@ def checkpointed_write(
                          "bytes": pa.array([table.nbytes]),
                          "skipped": pa.array([False])})
 
-    res = ds.map_batches(add_pid, batch_format="pyarrow") \
-        .groupby("__pid").map_groups(write_partition, batch_format="pandas") \
-        .to_pandas()
+    def write_bucket(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([write_partition(run) for run in
+                                 arrowio.key_runs(t, ["__pid"])])
+
+    res = grouped_apply(ds.map_batches(add_pid, batch_format="pyarrow"),
+                        "__pid", write_bucket).to_pandas()
     if res.empty:   # no rows in: no group ran, so nothing was written
         return {"written": [], "skipped": [], "total_rows": 0,
                 "n_partitions": n_partitions, "max_partition_bytes": 0}

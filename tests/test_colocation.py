@@ -337,6 +337,48 @@ def test_one_sided_blocks_typed(run):
                 assert f.type == pa.int64(), f
 
 
+_TYPED_EVENTS = pa.table({
+    "event_id": pa.array([1], pa.int64()),
+    "user_id": pa.array([7], pa.int64()),
+    "ts": pa.array([0], pa.timestamp("us")),
+    "event_type": pa.array(["signup"], pa.string())})
+
+
+@pytest.mark.parametrize("run", [
+    temporal.event_transitions, temporal.cohort_retention,
+    temporal.rolling_active,
+], ids=["event_transitions", "cohort_retention", "rolling_active"])
+def test_no_rows_fold_typed_like_one_row(run):
+    """With no rows no kernel runs; the fold still types its key and
+    count columns from the input, as it does for one row."""
+    def schema(table: pa.Table) -> pa.Schema:
+        out = run(ray.data.from_arrow(table))
+        return pa.concat_tables(ray.get(out.to_arrow_refs())).schema
+
+    assert schema(_TYPED_EVENTS.slice(0, 0)) == schema(_TYPED_EVENTS)
+
+
+def test_two_sided_side_ending_in_an_exchange_runs_once(tmp_path):
+    """A side whose plan ends in an unexecuted exchange runs once: its
+    schema is not fetched by running it before the join runs it."""
+    log = tmp_path / "rows_seen"
+
+    def logged(t: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{len(t)}\n")
+        return t
+
+    keyed = ray.data.range(200, override_num_blocks=4).map_batches(
+        lambda b: pa.table({"k": pc.divide(b["id"], 4), "v": b["id"]}),
+        batch_format="pyarrow")
+    left = temporal.grouped_apply(keyed, "k", logged)
+    right = ray.data.from_arrow(pa.table({"k": np.arange(50),
+                                          "w": np.arange(50) * 2}))
+    out = joins.join_on_identifier(left, right, key="k", right_cols=["w"])
+    assert out.count() == 200
+    assert sum(map(int, log.read_text().split())) == 200
+
+
 def _public_functions():
     for info in pkgutil.walk_packages(geetiles_ray.__path__,
                                       geetiles_ray.__name__ + "."):

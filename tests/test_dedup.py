@@ -4,6 +4,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
 from geetiles_ray.pipelines import dedup as dedupmod
@@ -184,6 +185,47 @@ class TestPartialCombiners:
         got = dedupmod.partial_sums(ds, ["url"], "payload", "s") \
             .to_pandas().sort_values("url").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_aggregate_ops_match_pandas(self, fold_placement):
+        # count/sum/min/max/mean by two keys, null keys and null values
+        rng = np.random.default_rng(5)
+        n = 900
+        df = pd.DataFrame({
+            "k": pd.array(rng.choice([1, 2, 3, None], n), dtype="Int64"),
+            "s": rng.choice(["a", "b", None], n),
+            "v": pd.array(np.where(rng.random(n) < 0.1, None,
+                                   rng.integers(-50, 50, n)), dtype="Int64"),
+            "x": np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n))})
+        got = dedupmod.partial_aggregate(
+            ray.data.from_pandas(df, override_num_blocks=6), ["k", "s"],
+            [(None, "count", "n"), ("v", "sum", "v_sum"),
+             ("v", "min", "v_min"), ("v", "max", "v_max"),
+             ("x", "mean", "x_mean"), ("x", "sum", "x_sum")]).to_pandas()
+        want = df.groupby(["k", "s"], dropna=False).agg(
+            n=("v", "size"), v_sum=("v", "sum"), v_min=("v", "min"),
+            v_max=("v", "max"), x_mean=("x", "mean"), x_sum=("x", "sum")) \
+            .reset_index()
+
+        def canon(d):
+            return d.astype({"k": "float64"}).fillna({"k": -1.0, "s": "-"}) \
+                .sort_values(["k", "s"]).reset_index(drop=True)
+
+        assert len(got) == 12
+        pd.testing.assert_frame_equal(canon(got), canon(want),
+                                      check_dtype=False)
+
+    def test_aggregate_of_no_rows_is_typed(self):
+        t = pa.table({"k": pa.array(["a"]), "v": pa.array([1], pa.int32())})
+        aggs = [(None, "count", "n"), ("v", "sum", "s"), ("v", "min", "lo"),
+                ("v", "mean", "m")]
+
+        def schema(table):
+            out = dedupmod.partial_aggregate(ray.data.from_arrow(table),
+                                             ["k"], aggs)
+            return pa.concat_tables(ray.get(out.to_arrow_refs())).schema
+
+        assert schema(t.slice(0, 0)) == schema(t)
+        assert schema(t).field("lo").type == pa.int32()
 
     def test_null_typed_first_block(self, fold_placement):
         # Ray reports the first block's schema, here ``lang: null``; the

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from geetiles_ray.pipelines import graph
+from geetiles_ray.pipelines import dedup, graph
 
 
 class TestPageRank:
@@ -47,6 +47,10 @@ class TestPageRank:
                            broadcast_limit=0) \
             .to_pandas().sort_values("node").reset_index(drop=True)
         np.testing.assert_array_equal(a.r.to_numpy(), b.r.to_numpy())
+
+    def test_join_plan_parity_over_hash_range_folds(self, monkeypatch):
+        monkeypatch.setattr(dedup, "ONE_TASK_FOLD_ROWS", 0)
+        self.test_join_plan_parity()
 
     def test_blocking_invariance(self):
         rng = np.random.default_rng(8)

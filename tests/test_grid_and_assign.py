@@ -4,7 +4,10 @@ import random
 import re
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import pytest
+import ray.data
 
 from geetiles_ray.functions import geocode as geo
 from geetiles_ray.pipelines import grid
@@ -74,6 +77,28 @@ class TestGrid:
         a = sorted(tiles.to_pandas().identifier)
         b = sorted(back.to_pandas().identifier)
         assert a == b  # identifiers re-derived from geometry → bit-stable round trip
+
+    def test_expand_map_columns_matches_pandas(self):
+        # the reference's dict-column expansion: one {col}__{key} column
+        # per key seen anywhere, in sorted key order, a missing key 0.0
+        maps = [{"water": 0.25, "crop": 0.75}, None, {"urban": 1.0}, {}]
+        t = pa.table({
+            "identifier": ["a", "b", "c", "d"],
+            "lc_proportions": pa.array(
+                [list(m.items()) if m is not None else None for m in maps],
+                type=pa.map_(pa.string(), pa.float64())),
+            "n": [1, 2, 3, 4]})
+        got = tsmod.expand_map_columns(ray.data.from_arrow(
+            [t.slice(0, 2), t.slice(2)])).to_pandas()
+        df = t.to_pandas()
+        wide = pd.DataFrame([m or {} for m in maps])
+        wide = wide[sorted(wide.columns)].fillna(0.0) \
+            .add_prefix("lc_proportions__")
+        want = pd.concat([df, wide], axis=1)
+        pd.testing.assert_frame_equal(
+            got.drop(columns=["lc_proportions"]),
+            want.drop(columns=["lc_proportions"]))
+        assert got.columns.tolist() == want.columns.tolist()
 
     def test_geojson_multipolygon_flattened(self, tmp_path):
         # MultiPolygon features explode into one row per part (reference

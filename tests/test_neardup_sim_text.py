@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from geetiles_ray.pipelines import neardup, sim, text as textmod
+from geetiles_ray.pipelines import dedup, neardup, sim, text as textmod
 from geetiles_ray.stages import multimodal
 
 
@@ -125,6 +125,10 @@ class TestMinHashLSH:
             .sort_values("id").reset_index(drop=True)
         assert dict(zip(out.id, out.label)) == {
             10: 10, 20: 10, 30: 10, 40: 10, 100: 100, 200: 100}
+
+    def test_minlabel_components_over_hash_range_folds(self, monkeypatch):
+        monkeypatch.setattr(dedup, "ONE_TASK_FOLD_ROWS", 0)
+        self.test_minlabel_components_chain()
 
 
 class TestSimHash:

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-from geetiles_ray.pipelines import pyramid
+from geetiles_ray.pipelines import dedup, pyramid
 
 
 def _points(n=3000, zoom=4, seed=7):
@@ -43,6 +43,11 @@ class TestPyramid:
         a = pyramid.pyramid_counts(ds, "tx", "ty", 4, cascade="driver")
         b = pyramid.pyramid_counts(ds, "tx", "ty", 4, cascade="dataset")
         pd.testing.assert_frame_equal(a, b)
+
+    def test_both_cascades_over_hash_range_folds(self, monkeypatch):
+        monkeypatch.setattr(dedup, "ONE_TASK_FOLD_ROWS", 0)
+        self.test_driver_cascade_matches_brute()
+        self.test_dataset_cascade_parity()
 
     def test_min_zoom_and_sparse(self):
         df = pd.DataFrame({"tx": [0, 15, 15], "ty": [0, 15, 15]})

@@ -1,5 +1,7 @@
 """One stateful-stage shape: plain-task ``map_batches`` over a per-worker
-broadcast cache (``arrowio.worker_cached``), and no actor-pool knobs."""
+broadcast cache (``arrowio.worker_cached``), and no actor-pool knobs. One
+group-by layer: Ray's grouped API is called only inside
+``temporal.grouped_apply``; every aggregate is a fold."""
 
 import ast
 import os
@@ -120,6 +122,26 @@ def test_stateful_stages_finish_at_one_cpu():
 # download cap)
 _CONCURRENCY_FUNCS = {"assign_pages", "render_tiles", "flagship.run"}
 
+# Ray's grouped aggregates that name a column; pandas' groupby().sum() takes
+# none, and its column-wise form is groupby()[col].sum()
+_RAY_GROUPED_AGGS = {"sum", "min", "max", "mean", "std"}
+
+
+def _ray_grouped_call(node: ast.Call) -> bool:
+    """A ``.groupby(...)`` call chained straight into Ray's grouped API:
+    ``.aggregate(...)``, ``.map_groups(...)``, ``.count()`` or
+    ``.sum/.min/.max/.mean/.std(<column>)``."""
+    f = node.func
+    if not (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Call)
+            and isinstance(f.value.func, ast.Attribute)
+            and f.value.func.attr == "groupby"):
+        return False
+    if f.attr in ("aggregate", "map_groups"):
+        return True
+    if f.attr == "count":
+        return not node.args and not node.keywords
+    return f.attr in _RAY_GROUPED_AGGS and bool(node.args)
+
 
 class _ShapeGuard(ast.NodeVisitor):
     def __init__(self, module: str, classes: set[str]):
@@ -159,6 +181,12 @@ class _ShapeGuard(ast.NodeVisitor):
         else:
             dotted = callee
         in_actor_path = "assign_pages" in self.stack
+        if not (self.module == "temporal" and "grouped_apply" in self.stack):
+            if _ray_grouped_call(node):
+                self._fail(node, f"Ray groupby().{callee} outside "
+                                 "grouped_apply")
+            elif callee == "map_groups":
+                self._fail(node, "map_groups outside grouped_apply")
         for kw in node.keywords:
             if kw.arg in ("fn_constructor_kwargs", "fn_constructor_args") \
                     and not in_actor_path:
@@ -178,11 +206,8 @@ class _ShapeGuard(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_one_stateful_stage_shape():
-    """Lint over geetiles_ray/: no actor-pool constructor arguments, no
-    class object handed to ``map_batches`` and no ``concurrency=``
-    outside ``assign_pages``, ``flagship.run`` and ``render_tiles``."""
-    pkg = os.path.join(ROOT, "geetiles_ray")
+def shape_errors(pkg: str) -> list[str]:
+    """The guard's findings over every module of the package at ``pkg``."""
     trees = {}
     for d, _, files in os.walk(pkg):
         for f in files:
@@ -198,4 +223,45 @@ def test_one_stateful_stage_shape():
         guard = _ShapeGuard(mod.rsplit(".", 1)[-1], classes)
         guard.visit(tree)
         errors += guard.errors
+    return errors
+
+
+def test_one_stateful_stage_shape():
+    """Lint over geetiles_ray/: no actor-pool constructor arguments, no
+    class object handed to ``map_batches`` and no ``concurrency=``
+    outside ``assign_pages``, ``flagship.run`` and ``render_tiles``; no
+    Ray grouped call (``map_groups``, ``groupby().aggregate``/``count``/
+    ``sum``…) outside ``temporal.grouped_apply``."""
+    errors = shape_errors(os.path.join(ROOT, "geetiles_ray"))
     assert not errors, "\n".join(errors)
+
+
+def test_group_by_guard_flags_ray_calls_not_pandas():
+    src = textwrap.dedent("""
+        def f(ds, df):
+            ds.groupby("k").aggregate(Sum("v"))          # 3
+            ds.groupby(["k", "j"]).count()               # 4
+            ds.groupby("k").sum("v")                     # 5
+            ds.groupby("k").max(["v", "w"])              # 6
+            ds.groupby("k").map_groups(fn)               # 7
+            ds.map_groups(fn)                            # 8
+            df.groupby("k").sum()
+            df.groupby("k")["v"].sum()
+            df.groupby("k")[["v", "w"]].max()
+            df.groupby("k").agg(n=("v", "size"))
+            df.groupby("k").cumcount()
+            df.groupby(level=0).size()
+            df.groupby("k").count(numeric_only=True)
+            ds.aggregate(Sum("v"))
+
+        def grouped_apply(ds):
+            ds.groupby("k").map_groups(fn)
+    """)
+    def flagged(module: str) -> list[int]:
+        guard = _ShapeGuard(module, set())
+        guard.visit(ast.parse(src))
+        return [int(e.split(":")[1].split()[0]) for e in guard.errors]
+
+    # grouped_apply's own call is allowed in temporal.py only
+    assert flagged("temporal") == [3, 4, 5, 6, 7, 8]
+    assert flagged("joins") == [3, 4, 5, 6, 7, 8, 19]

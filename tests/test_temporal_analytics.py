@@ -8,7 +8,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from geetiles_ray.pipelines import analytics as an
+from geetiles_ray.pipelines import analytics as an, dedup
 from geetiles_ray.stages import temporal as tmp
 
 
@@ -724,6 +724,10 @@ class TestStratifiedTake:
         # over-quota stratum keeps everything; zero-quota drops all
         assert sizes.get("de", 0) == (df.lang == "de").sum()
         assert "zh" not in sizes.index
+
+    def test_exact_quotas_over_hash_range_fold(self, monkeypatch):
+        monkeypatch.setattr(dedup, "ONE_TASK_FOLD_ROWS", 0)
+        self.test_exact_quotas_match_brute()
 
     def test_missing_stratum_dropped(self):
         df = pd.DataFrame({"doc_id": np.arange(100, dtype=np.int64),

@@ -4,6 +4,7 @@ import pandas as pd
 import ray.data
 
 from geetiles_ray.functions import url as urlmod
+from geetiles_ray.pipelines import dedup
 
 
 class TestParseUrls:
@@ -65,6 +66,10 @@ class TestParseUrls:
         pd.testing.assert_frame_equal(got, b.astype({
             "n_pages": "int64", "n_hosts": "int64",
             "n_langs": "int64", "sum_chars": "int64"}))
+
+    def test_domain_stats_over_hash_range_fold(self, monkeypatch):
+        monkeypatch.setattr(dedup, "ONE_TASK_FOLD_ROWS", 0)
+        self.test_domain_stats_brute()
 
 
 class TestCanonicalize:

@@ -25,8 +25,12 @@ a temporary directory):
   are duplicated.
 ``grid_build`` builds the grid tileset over the pages-fixture AOI with
 the chip size at which the AOI's UTM envelope holds about ``rows`` cells;
-its ``_out_rows_per_s`` is tiles/s. The flagship ingest is measured by
-perfbench, not here.
+its ``_out_rows_per_s`` is tiles/s. ``cell_join_assign`` places the crawl
+rows at deterministic points of that AOI and joins them to its 1 km
+fixture tileset (5,205 tiles) through level-12 cells with salt 2;
+``checkpointed_write`` writes the crawl rows, partitioned by url, into a
+fresh temporary directory. The flagship ingest is measured by perfbench,
+not here.
 """
 
 from __future__ import annotations
@@ -175,6 +179,21 @@ def inputs(n: int, nblocks: int) -> dict:
             key_col="url", n_partitions=8)
         return built["crawl"](), [prior]
 
+    def geo_crawl():
+        from geetiles_ray.functions import geocode as geo
+        from geetiles_ray.pipelines import flagship
+
+        def place(t: pa.Table) -> pa.Table:
+            ts = t["warc_ts"].to_numpy()
+            fx = (ts % 1_000_003) / 1_000_003
+            fy = (ts // 1_000_003 % 1_000_003) / 1_000_003
+            return pa.table({"url": t["url"],
+                             "lon": geo.AOI_W + fx * (geo.AOI_E - geo.AOI_W),
+                             "lat": geo.AOI_S + fy * (geo.AOI_N - geo.AOI_S)})
+
+        return (built["crawl"]().map_batches(place, batch_format="pyarrow")
+                .materialize(), flagship.build_fixture_tileset(1000.0))
+
     def grid():
         from geetiles_ray.pipelines import flagship, grid
 
@@ -184,7 +203,7 @@ def inputs(n: int, nblocks: int) -> dict:
 
     built = {f.__name__: functools.cache(f)
              for f in (events, docs, crawl, asof, interval, join, patch,
-                       snapshot, grid)}
+                       snapshot, geo_crawl, grid)}
     return built
 
 
@@ -196,8 +215,9 @@ def cases() -> dict:
     from geetiles_ray.pipelines import analytics as an
     from geetiles_ray.pipelines import dedup
     from geetiles_ray.pipelines import grid, lines, pyramid, snapshots
-    from geetiles_ray.stages import joins
+    from geetiles_ray.stages import assign, joins
     from geetiles_ray.stages import temporal as tmp
+    from geetiles_ray.state import manifest
 
     asof = dict(key="user_id", on="ts_us", right_on="click_ts",
                 tiebreak="click_id")
@@ -219,6 +239,12 @@ def cases() -> dict:
         return pa.table({"region": pc.bit_wise_and(b["user_id"], 3),
                          "nation": pc.bit_wise_and(b["user_id"], 15),
                          "cents": b["cents"]})
+
+    def checkpoint(crawl) -> int:
+        out = tempfile.mkdtemp(prefix="scale_probe_ckpt_")
+        atexit.register(shutil.rmtree, out, True)
+        return manifest.checkpointed_write(crawl, out, key_col="url")[
+            "total_rows"]
 
     def tiles(b: pa.Table) -> pa.Table:
         return pa.table({"tx": pc.bit_wise_and(b["event_id"], 1023),
@@ -297,6 +323,10 @@ def cases() -> dict:
                                   dedup.dedup_exact_broadcast(
                                       c, "url", "warc_ts").count()),
         "grid_build": ("grid", lambda ac: grid.build_grid(*ac).count()),
+        "cell_join_assign": ("geo_crawl", lambda pt: assign
+                             .assign_by_cell_join(*pt, res=12, salt=2)
+                             .count()),
+        "checkpointed_write": ("crawl", checkpoint),
         "redact_pii": ("docs", lambda d: pii.redact_pii(
             d.select_columns(["doc_id", "text"]))
             .aggregate(Sum("n_email"), Sum("n_ipv4"))),
