@@ -101,13 +101,16 @@ def run_starts(t: pa.Table, cols: list[str]) -> np.ndarray:
     return new
 
 
-def key_runs(t: pa.Table, keys: list[str]) -> list[pa.Table]:
-    """``t`` sorted on ``keys`` (stable) and cut into its runs of equal
-    ``keys`` (``run_starts``), one zero-copy slice per key, in key
-    order."""
-    d = t.sort_by([(k, "ascending") for k in keys])
-    cuts = np.append(np.flatnonzero(run_starts(d, keys)), len(d))
-    return [d.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+def key_runs(t: pa.Table, keys: list[str]):
+    """The rows of ``t`` cut into its runs of equal ``keys``
+    (``run_starts``), yielded one table per key in key order, each key's
+    rows in their order in ``t``. Only the key columns are sorted, and
+    each run is taken on its own, so ``t`` is never copied whole."""
+    k = t.select(keys)
+    idx = pc.sort_indices(k, [(c, "ascending") for c in keys])
+    cuts = np.append(np.flatnonzero(run_starts(k.take(idx), keys)), len(t))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        yield t.take(idx[lo:hi])
 
 
 def run_rank(new: np.ndarray) -> np.ndarray:

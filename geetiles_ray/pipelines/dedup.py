@@ -373,16 +373,18 @@ def _fold_task(kernel, cols: list[str] | None, *blocks) -> pa.Table:
 
 
 @ray.remote(num_cpus=0.5)
-def _split_task(cols: list[str] | None, route: list[str], cuts: np.ndarray,
+def _split_task(cols: list[str] | None, where, cuts: np.ndarray,
                 block) -> tuple:
+    """The ``cols`` of ``block`` split into the ranges of ``where(t)``
+    between ``cuts``: the row count of each range, then one table each."""
     t = _select(block, cols)
-    h = key_hash(t, route)
+    h = where(t)
     order = np.argsort(h, kind="stable")
     bounds = np.concatenate([[0], np.searchsorted(h[order], cuts), [len(h)]])
     # take, not slice: each range ships its own rows, never a view pinning
     # the whole block
-    return tuple(t.take(order[lo:hi])
-                 for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return (np.diff(bounds), *(t.take(order[lo:hi])
+                               for lo, hi in zip(bounds[:-1], bounds[1:])))
 
 
 def _fold_placed(ds: ray.data.Dataset, kernel, route: list[str],
@@ -413,18 +415,54 @@ def _fold_placed(ds: ray.data.Dataset, kernel, route: list[str],
     nranges = max(4, min(64, int(ray.cluster_resources().get("CPU", 8))))
     cuts = np.arange(1, nranges, dtype=np.uint64) \
         * np.uint64((1 << 64) // nranges)
-    srefs = [_split_task.options(num_returns=nranges)
-             .remote(cols, route, cuts, r) for r in refs]
+    srefs = [_split_task.options(num_returns=nranges + 1)
+             .remote(cols, lambda t: key_hash(t, route), cuts, r)
+             for r in refs]
     return ray.data.from_arrow_refs(
-        [_fold_task.remote(kernel, cols, *[s[r] for s in srefs])
+        [_fold_task.remote(kernel, cols, *[s[r + 1] for s in srefs])
          for r in range(nranges)])
+
+
+def per_value_apply(ds: ray.data.Dataset, col: str, n: int,
+                    kernel) -> list:
+    """Run the table ``kernel`` once per value of the int column ``col``
+    (in ``[0, n)``) that has rows, on every row with that value as one
+    table; returns the result refs, one table per task. The placement of
+    a sink whose rows carry their payload (a checkpoint partition, a
+    canvas block). The values are cut into as many contiguous ranges as
+    ``ds`` has blocks (at most ``n``), each block is split by range
+    (``_split_task``), and each range runs in its own task on the slices
+    that hold it, so a task holds about one input block's rows, or one
+    value's if that is more, however large the input or ``n`` is."""
+    refs = [r for b in ds.iter_internal_ref_bundles()
+            for r, meta in b.blocks if meta.num_rows != 0]
+    nr = min(n, len(refs))
+    cuts = np.arange(1, nr, dtype=np.int64) * n // max(nr, 1)
+    # a whole CPU per split: at half a CPU twice as many run at once, and
+    # the worker processes they start cost more than the splits (the
+    # first checkpointed_write of 100k rows, 4 Ray CPUs on one core:
+    # 1.0 s against 0.27 s)
+    srefs = [_split_task.options(num_cpus=1, num_returns=nr + 1)
+             .remote(None, lambda t: t[col].to_numpy(), cuts, r)
+             for r in refs]
+    counts = ray.get([s[0] for s in srefs])
+
+    def per_value(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([kernel(v)
+                                 for v in arrowio.key_runs(t, [col])])
+
+    return [_fold_task.remote(per_value, None,
+                              *[s[i + 1] for s, c in zip(srefs, counts)
+                                if c[i]])
+            for i in range(nr) if any(c[i] for c in counts)]
 
 
 def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
                   aggs: list[tuple[str, str]],
                   range_by: list[str] | None = None,
                   out_names: list[str] | None = None,
-                  fallback_schema=None) -> ray.data.Dataset:
+                  fallback_schema: pa.Schema | None = None
+                  ) -> ray.data.Dataset:
     """The engine's one fold of per-block partial aggregates (the
     reference's combiner shape, partitions.py:447-468): sum, min or max
     each ``aggs`` (value_col, op) by ``group_cols``. One Arrow
@@ -439,20 +477,26 @@ def fold_partials(partial: ray.data.Dataset, group_cols: list[str],
     per-tile top-k is the final answer. A skewed ``range_by`` key skews
     the fold tasks.
 
-    ``fallback_schema``: Arrow types for ``group_cols + value_cols``, or
-    a function returning them, used only when every block is empty and
-    none carries the partial columns (see ``_partial_schema``)."""
+    ``fallback_schema``: Arrow types for ``group_cols + value_cols``,
+    used only when every block is empty and none carries the partial
+    columns (see ``_partial_schema``)."""
     group_cols = list(group_cols)
     cols = group_cols + [c for c, _ in aggs]
     names = list(out_names) if out_names else cols
+    return _fold_placed(
+        partial, lambda t: _group_fold(t, group_cols, aggs)
+        .rename_columns(names), list(range_by or group_cols), cols,
+        fallback_schema)
 
-    def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by(group_cols, use_threads=False).aggregate(list(aggs))
-        return g.select(group_cols + [f"{c}_{op}" for c, op in aggs]) \
-            .rename_columns(names)
 
-    return _fold_placed(partial, fold, list(range_by or group_cols), cols,
-                        fallback_schema)
+def _group_fold(t: pa.Table, group_cols: list[str],
+                aggs: list[tuple]) -> pa.Table:
+    """The one Arrow group-by kernel of the combiners and folds: ``t``
+    grouped by ``group_cols``, each ``aggs`` (value_col, op[, options])
+    into a column named value_col, after the keys."""
+    g = t.group_by(group_cols, use_threads=False).aggregate(list(aggs))
+    return g.select(group_cols + [f"{a[0]}_{a[1]}" for a in aggs]) \
+        .rename_columns(group_cols + [a[0] for a in aggs])
 
 
 def frequent_keys(folded: ray.data.Dataset, key_cols: list[str],
@@ -476,7 +520,8 @@ def partial_aggregate(ds: ray.data.Dataset, group_cols: list[str],
     """Grouped aggregate in the combiner shape: each batch emits one row
     per key present (an Arrow ``group_by`` partial), then
     ``_fold_placed`` merges the partials — only |keys| rows per block
-    leave the map stage (SURVEY.md §4 skew note). ``aggs`` holds
+    leave the map stage (SURVEY.md §4 skew note); the fold is
+    ``fold_partials``' kernel. ``aggs`` holds
     ``(value_col, op, out_name)`` with op ``count`` (rows; value_col
     None), ``sum``, ``min``, ``max`` or ``mean`` (a sum and a count of
     the non-null values, divided after the fold). Output columns are
@@ -498,18 +543,16 @@ def partial_aggregate(ds: ray.data.Dataset, group_cols: list[str],
         t = pa.table([batch[k] for k in group_cols]
                      + [batch[c or group_cols[0]] for c, _, _ in parts],
                      names=group_cols + names)
-        g = t.group_by(group_cols, use_threads=False).aggregate(
-            [(n, op, pc.CountOptions("all")) if c is None else (n, op)
-             for n, (c, op, _) in zip(names, parts)])
-        return g.select(group_cols + [f"{n}_{op}" for n, (_, op, _)
-                                      in zip(names, parts)]) \
-            .rename_columns(group_cols + names)
+        return _group_fold(t, group_cols, [
+            (n, op, pc.CountOptions("all")) if c is None else (n, op)
+            for n, (c, op, _) in zip(names, parts)])
 
-    def fold(t: pa.Table) -> pa.Table:
-        g = t.group_by(group_cols, use_threads=False).aggregate(
-            [(n, fop) for n, (_, _, fop) in zip(names, parts)])
-        folded = iter(g[f"{n}_{fop}"] for n, (_, _, fop) in zip(names, parts))
-        out = {k: g[k] for k in group_cols}
+    folds = [(n, fop) for n, (_, _, fop) in zip(names, parts)]
+
+    def fold(t: pa.Table) -> pa.Table:     # then means divide sum by count
+        t = _group_fold(t, group_cols, folds)
+        folded = iter(t[n] for n in names)
+        out = {k: t[k] for k in group_cols}
         for _, op, name in aggs:
             out[name] = next(folded)
             if op == "mean":

@@ -62,7 +62,7 @@ SLIM_BYTES_FRACTION = 0.25
 def derive_dedup_buckets(pages: ray.data.Dataset) -> int:
     """Cluster-mode bucket count from INPUT SCALE, not a constant: the
     manifest sizing rule (state/manifest.derive_n_partitions — ≤1 GiB of
-    slim rows per partition, the bucket writer's heap contract),
+    slim rows per partition, the writer's heap contract),
     floored at the cluster CPU count for write parallelism. Falls back to
     the CPU floor when the input is too lazy to report bytes."""
     import ray as _ray

@@ -1023,10 +1023,10 @@ def q_tilevalues_mosaic(sf_dir: str):
     """mosaic.fromvals (reference cmds.py:784-865) over the fixture
     tileset: per-tile value = grid_idx % 7 (zeros exercise the
     nothing-overwrites-with-zero rule), rendered distributed via the
-    block-grid path (stages/raster.py:mosaic_fromvals — canvas blocks
-    co-located by ``grouped_apply``, one compose per block; never
-    driver-resident). Output: one digest
-    row per canvas block (dims, nonzero count, value sum, pixel CRC).
+    block-grid path (stages/raster.py:mosaic_fromvals — one compose per
+    canvas block, placed by ``dedup.per_value_apply``; never
+    driver-resident). Output: one digest row per canvas block (dims,
+    nonzero count, value sum, pixel CRC).
     Pinned against a committed golden parquet; the compose math itself is
     independently brute-force-verified in pytest
     (tests/test_mosaic_blocks.py)."""

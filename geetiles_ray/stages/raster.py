@@ -440,19 +440,18 @@ def mosaic_blocks(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
                   block_px: int = 1024) -> tuple[ray.data.Dataset, dict]:
     """S11 at scale: the canvas is a grid of ``block_px``² blocks; each
     raster tile emits its per-block sub-patches (map), each block composes
-    its patches in identifier order (``grouped_apply`` on the block id,
-    then one compose per block of the bucket). Because the overwrite rule
-    is per-PIXEL, per-block identifier order reproduces the global
-    identifier order exactly — the result is pixel-identical to
-    :func:`mosaic` (pytest-asserted) but no task holds more than one
-    bucket's blocks (about 1/64 of them): a continent at 1 m/px streams
-    through as ~block-count rows.
+    its patches in identifier order (one compose per block id, placed by
+    ``dedup.per_value_apply``). Because the overwrite rule is per-PIXEL,
+    per-block identifier order reproduces the global identifier order
+    exactly — the result is pixel-identical to :func:`mosaic`
+    (pytest-asserted) but no task holds much more than one input block of
+    patches: a continent at 1 m/px streams through as ~block-count rows.
 
     Returns (blocks Dataset [by, bx, h, w, c, dtype, pixels], frame).
     Consume with :func:`write_blockgrid` (resumable one-tif-per-block sink)
     or :func:`assemble_blocks` (small canvases / tests).
 
-    Shuffle cost: ONE exchange of patch rows whose total bytes ≈ canvas
+    Shuffle cost: ONE split of patch rows whose total bytes ≈ canvas
     nonzero bytes; the key is the block id, dense and skew-free for grid
     tilesets. Nothing is driver-resident but the bounds broadcast (16 B ×
     tiles, ray.put once)."""
@@ -510,16 +509,20 @@ def mosaic_blocks(rasters: ray.data.Dataset, tiles: ray.data.Dataset,
         return pa.table(cols)
 
     patches = rasters.map_batches(emit, batch_format="pyarrow", batch_size=64)
-    return _per_block(patches, _compose_block), frame
+    return _per_block(patches, _compose_block, frame, B), frame
 
 
-def _per_block(patches: ray.data.Dataset, compose) -> ray.data.Dataset:
-    """``compose`` once per canvas block of the patch rows, the blocks
-    co-located by ``grouped_apply``."""
-    from .temporal import grouped_apply
+def _per_block(patches: ray.data.Dataset, compose, frame: dict,
+               block_px: int) -> ray.data.Dataset:
+    """``compose`` once per canvas block that has patch rows
+    (``dedup.per_value_apply`` on the block id)."""
+    from ..pipelines.dedup import per_value_apply
 
-    return grouped_apply(patches, "block", lambda t: pa.concat_tables(
-        [compose(g) for g in arrowio.key_runs(t, ["block"])]))
+    n = max(1, -(-frame["H"] // block_px)) \
+        * max(1, -(-frame["W"] // block_px))
+    refs = per_value_apply(patches, "block", n, compose)
+    return ray.data.from_arrow_refs(refs) if refs else \
+        ray.data.from_items([])
 
 
 def _compose_block(group: pa.Table) -> pa.Table:
@@ -527,32 +530,28 @@ def _compose_block(group: pa.Table) -> pa.Table:
     nonzero pixels overwriting — per-pixel semantics identical to the
     global driver loop restricted to this block."""
     order = np.argsort(np.asarray(group["identifier"]), kind="stable")
-    by = group["by"][0].as_py()
-    bx = group["bx"][0].as_py()
-    bh = int(max(group["y0"][i].as_py() + group["h"][i].as_py()
-                 for i in range(len(group))))
-    bw = int(max(group["x0"][i].as_py() + group["w"][i].as_py()
-                 for i in range(len(group))))
-    c = group["c"][0].as_py()
-    dt = group["dtype"][0].as_py()
-    canvas = np.zeros((bh, bw, c), dtype=dt)
+    y0s, x0s, hs, ws, cs = (np.asarray(group[k])
+                            for k in ("y0", "x0", "h", "w", "c"))
+    dts = group["dtype"].to_pylist()
+    canvas = np.zeros((int((y0s + hs).max()), int((x0s + ws).max()),
+                       int(cs[0])), dtype=dts[0])
     for i in order:
-        i = int(i)
-        y0, x0 = group["y0"][i].as_py(), group["x0"][i].as_py()
-        h, w = group["h"][i].as_py(), group["w"][i].as_py()
-        sub = np.frombuffer(group["pixels"][i].as_py(),
-                            dtype=group["dtype"][i].as_py()).reshape(
-            (h, w, group["c"][i].as_py()))
-        region = canvas[y0:y0 + h, x0:x0 + w]
+        sub = np.frombuffer(group["pixels"][i].as_py(), dtype=dts[i]) \
+            .reshape((hs[i], ws[i], cs[i]))
+        region = canvas[y0s[i]:y0s[i] + hs[i], x0s[i]:x0s[i] + ws[i]]
         nz = sub != 0
         region[nz] = sub[nz]
+    return _block_row(group, canvas, dts[0])
+
+
+def _block_row(group: pa.Table, canvas: np.ndarray, dtype: str) -> pa.Table:
+    """The one output row of a composed canvas block."""
     return pa.table({
-        "by": pa.array([by], type=pa.int32()),
-        "bx": pa.array([bx], type=pa.int32()),
-        "h": pa.array([bh], type=pa.int32()),
-        "w": pa.array([bw], type=pa.int32()),
-        "c": pa.array([c], type=pa.int32()),
-        "dtype": pa.array([dt], type=pa.string()),
+        "by": group["by"].slice(0, 1).cast(pa.int32()),
+        "bx": group["bx"].slice(0, 1).cast(pa.int32()),
+        **{k: pa.array([n], type=pa.int32())
+           for k, n in zip(("h", "w", "c"), canvas.shape)},
+        "dtype": pa.array([dtype], type=pa.string()),
         "pixels": pa.array([canvas.tobytes()], type=pa.binary()),
     })
 
@@ -569,7 +568,7 @@ def mosaic_fromvals(tiles: ray.data.Dataset, pixels_per_degree: float,
 
     Distributed like :func:`mosaic_blocks`, but patches are (rect, value)
     rows — 4 ints + 1 scalar per block-intersection, NOT pixels — so the
-    exchange moves O(tiles × blocks-touched) tiny rows; pixels only
+    split moves O(tiles × blocks-touched) tiny rows; pixels only
     materialize inside each block's compose."""
     frame, bmap = _mosaic_frame(tiles, pixels_per_degree)
     H, W, B = frame["H"], frame["W"], int(block_px)
@@ -620,32 +619,18 @@ def mosaic_fromvals(tiles: ray.data.Dataset, pixels_per_degree: float,
 
     def compose(group: pa.Table) -> pa.Table:
         order = np.argsort(np.asarray(group["identifier"]), kind="stable")
-        by = group["by"][0].as_py()
-        bx = group["bx"][0].as_py()
-        y0s = np.asarray(group["y0"])
-        x0s = np.asarray(group["x0"])
-        hs = np.asarray(group["h"])
-        ws = np.asarray(group["w"])
-        vs = np.asarray(group["value"])
-        bh = int((y0s + hs).max())
-        bw = int((x0s + ws).max())
-        canvas = np.zeros((bh, bw, 1), dtype=dtype)
+        y0s, x0s, hs, ws, vs = (np.asarray(group[k]) for k in
+                                ("y0", "x0", "h", "w", "value"))
+        canvas = np.zeros((int((y0s + hs).max()), int((x0s + ws).max()), 1),
+                          dtype=dtype)
         for i in order:
             canvas[y0s[i]:y0s[i] + hs[i], x0s[i]:x0s[i] + ws[i], 0] = vs[i]
-        return pa.table({
-            "by": pa.array([by], type=pa.int32()),
-            "bx": pa.array([bx], type=pa.int32()),
-            "h": pa.array([bh], type=pa.int32()),
-            "w": pa.array([bw], type=pa.int32()),
-            "c": pa.array([1], type=pa.int32()),
-            "dtype": pa.array([dtype], type=pa.string()),
-            "pixels": pa.array([canvas.tobytes()], type=pa.binary()),
-        })
+        return _block_row(group, canvas, dtype)
 
     cols = ["identifier", "minx", "miny", "maxx", "maxy", value_col]
     patches = tiles.select_columns(cols).map_batches(
         emit, batch_format="pyarrow", batch_size=4096)
-    return _per_block(patches, compose), frame
+    return _per_block(patches, compose, frame, B), frame
 
 
 def assemble_blocks(blocks: ray.data.Dataset, frame: dict,

@@ -35,8 +35,6 @@ Partitioning assumptions (documented per the custom-operator contract):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -118,15 +116,14 @@ def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
     rows with a null key are dropped — no join matches a null key.
     Returns the union and the two sides' own Arrow schemas.
 
-    A side whose schema Ray cannot tell without running it (a plan
-    ending in a map or an exchange) is materialized first and that copy
-    is unioned: ``Dataset.schema()`` would otherwise run its plan once
-    for the schema and the union would run it again. Two such sides run
-    at once, so their fixed start-up costs overlap."""
-    with ThreadPoolExecutor(2) as pool:
-        left, right = pool.map(
-            lambda d: d if d.schema(fetch_if_missing=False) is not None
-            else d.materialize(), (left, right))
+    A side whose unexecuted plan runs an all-to-all exchange is
+    materialized first and that copy is unioned: ``Dataset.schema()``
+    runs a plan up to its first block, which for an exchange is all of
+    it, and the union would run it again. Other sides stay lazy, so a
+    map-only side still fuses with the pad map."""
+    left, right = (d.materialize() if d.schema(fetch_if_missing=False)
+                   is None and _runs_exchange(d) else d
+                   for d in (left, right))
     sides = [arrowio.dataset_arrow_schema(d, d.schema().names)
              for d in (left, right)]
     target = pa.unify_schemas(sides, promote_options="permissive") \
@@ -147,6 +144,17 @@ def _union_bucketed(left: ray.data.Dataset, right: ray.data.Dataset,
 
     return left.map_batches(pad(0), batch_format="pyarrow").union(
         right.map_batches(pad(1), batch_format="pyarrow")), sides
+
+
+def _runs_exchange(d: ray.data.Dataset) -> bool:
+    """Whether ``d``'s logical plan, which for a materialized dataset
+    starts at its blocks, holds an all-to-all operator (a sort, shuffle,
+    repartition or aggregate)."""
+    from ray.data._internal.logical.operators.all_to_all_operator import \
+        AbstractAllToAll
+
+    return any(isinstance(op, AbstractAllToAll)
+               for op in d._logical_plan.dag.post_order_iter())
 
 
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
@@ -509,14 +517,12 @@ def event_transitions(ds: ray.data.Dataset, key: str = "user_id",
             .select(["cur_type", "next_type", "count_all"]) \
             .rename_columns(["cur_type", "next_type", "__n"])
 
-    def types() -> pa.Schema:     # an empty input's fold: input types
-        t = arrowio.dataset_arrow_schema(ds, [type_col]).field(0).type
-        return pa.schema([("cur_type", t), ("next_type", t),
-                          ("__n", pa.int64())])
-
+    typ = arrowio.dataset_arrow_schema(ds, [type_col]).field(0).type
     partial = grouped_apply(
         ds.select_columns([key, ts, type_col, order_col]), key, kernel)
     return fold_partials(partial, ["cur_type", "next_type"],
                          [("__n", "sum")],
                          out_names=["cur_type", "next_type", "n"],
-                         fallback_schema=types)
+                         fallback_schema=pa.schema([
+                             ("cur_type", typ), ("next_type", typ),
+                             ("__n", pa.int64())]))

@@ -32,20 +32,18 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..functions import arrowio
-
 ENGINE_VERSION = "0.1.0"
 
-# each partition arrives at its writer whole, inside one in-memory
-# ``grouped_apply`` bucket, so partition size is the memory contract of
-# this sink
+# each partition arrives at its writer as ONE in-memory table, in a task
+# that holds about one input block besides (``dedup.per_value_apply``),
+# so partition size is the memory contract of this sink
 TARGET_PARTITION_BYTES = 1 << 30
 
 
 def derive_n_partitions(est_bytes: int, target_bytes: int = TARGET_PARTITION_BYTES,
                         min_parts: int = 1) -> int:
     """Partition count so each partition lands ≤ ``target_bytes`` (the
-    bucket writer holds whole partitions in heap), floored at
+    writer holds one full partition in heap), floored at
     ``min_parts`` (usually cluster CPUs, for write parallelism)."""
     return max(int(min_parts), 1, -(-int(est_bytes) // max(int(target_bytes), 1)))
 
@@ -95,15 +93,15 @@ def checkpointed_write(
     SKIPPING partitions whose manifest already matches the current input
     fingerprint. Returns {"written": [...], "skipped": [...]}.
 
-    Partitioning is a ``grouped_apply`` on the partition id (a stable key
-    hash): each bucket writes each of its partitions as one Arrow table,
+    Partitioning is on the partition id (a stable key hash):
+    ``dedup.per_value_apply`` writes each partition as one Arrow table,
     processed and persisted independently, so a killed run resumes at
     partition granularity (FIXTURES.md invariant 5).
 
     ``n_partitions=None`` derives the count from the input's in-memory
-    size so each partition (held whole by its bucket writer) stays
+    size so each partition (held whole by its writer) stays
     ≤ ``target_partition_bytes``; sizing materializes the input first (the
-    blocks feed the exchange, nothing recomputes — but they become
+    blocks feed the split, nothing recomputes — but they become
     object-store-resident, so for inputs far beyond cluster memory pass an
     explicit ``n_partitions`` and keep the pipeline streaming). RESUME
     CONTRACT: pass the same explicit n_partitions as the original run —
@@ -111,7 +109,7 @@ def checkpointed_write(
     input would remap keys and rewrite everything.
     Any partition arriving >2× the target raises a skew warning with the
     offending pid (hot-key diagnosis, not silent OOM)."""
-    from ..stages.temporal import grouped_apply
+    from ..pipelines.dedup import per_value_apply
 
     os.makedirs(out_dir, exist_ok=True)
     existing = load_manifests(out_dir)
@@ -130,6 +128,10 @@ def checkpointed_write(
             pid = partition_of_key(batch[key_col].to_pylist(), n_partitions)
         return batch.append_column("__pid", pa.array(np.asarray(pid, dtype=np.int64)))
 
+    def report(pid: int, rows: int, nbytes: int, skipped: bool) -> pa.Table:
+        return pa.table({"partition": [pid], "rows": [rows],
+                         "bytes": [nbytes], "skipped": [skipped]})
+
     def write_partition(table: pa.Table) -> pa.Table:
         pid = int(table["__pid"][0].as_py())
         table = table.drop_columns(["__pid"])
@@ -137,10 +139,7 @@ def checkpointed_write(
         prev = existing.get(pid)
         if prev is not None and prev.get("input_fingerprint") == fp \
                 and prev.get("status") == "done":
-            return pa.table({"partition": pa.array([pid]),
-                             "rows": pa.array([prev["rows"]]),
-                             "bytes": pa.array([int(prev.get("bytes", 0))]),
-                             "skipped": pa.array([True])})
+            return report(pid, prev["rows"], int(prev.get("bytes", 0)), True)
         t0 = time.time()
         if transform is not None:
             table = transform(table)
@@ -163,20 +162,14 @@ def checkpointed_write(
         with open(mtmp, "w") as f:
             json.dump(manifest, f)
         os.replace(mtmp, manifest_path(out_dir, pid))
-        return pa.table({"partition": pa.array([pid]),
-                         "rows": pa.array([table.num_rows]),
-                         "bytes": pa.array([table.nbytes]),
-                         "skipped": pa.array([False])})
+        return report(pid, table.num_rows, table.nbytes, False)
 
-    def write_bucket(t: pa.Table) -> pa.Table:
-        return pa.concat_tables([write_partition(run) for run in
-                                 arrowio.key_runs(t, ["__pid"])])
-
-    res = grouped_apply(ds.map_batches(add_pid, batch_format="pyarrow"),
-                        "__pid", write_bucket).to_pandas()
-    if res.empty:   # no rows in: no group ran, so nothing was written
+    refs = per_value_apply(ds.map_batches(add_pid, batch_format="pyarrow"),
+                           "__pid", n_partitions, write_partition)
+    if not refs:    # no rows in: no writer ran, so nothing was written
         return {"written": [], "skipped": [], "total_rows": 0,
                 "n_partitions": n_partitions, "max_partition_bytes": 0}
+    res = pa.concat_tables(ray.get(refs)).to_pandas()
     fat = res[res.bytes > 2 * target_partition_bytes]
     if len(fat):
         warnings.warn(

@@ -379,6 +379,21 @@ def test_two_sided_side_ending_in_an_exchange_runs_once(tmp_path):
     assert sum(map(int, log.read_text().split())) == 200
 
 
+def test_only_exchange_sides_count_as_exchanges():
+    """_union_bucketed materializes a side only when its plan runs an
+    all-to-all exchange; a map-only side, or one already run, stays
+    lazy."""
+    base = ray.data.range(20, override_num_blocks=2)
+    mapped = base.map_batches(lambda b: b, batch_format="pyarrow")
+    assert not temporal._runs_exchange(mapped)
+    assert temporal._runs_exchange(base.repartition(3))
+    assert temporal._runs_exchange(
+        temporal.grouped_apply(mapped, "id", lambda t: t))
+    done = base.random_shuffle().materialize()
+    assert not temporal._runs_exchange(
+        done.map_batches(lambda b: b, batch_format="pyarrow"))
+
+
 def _public_functions():
     for info in pkgutil.walk_packages(geetiles_ray.__path__,
                                       geetiles_ray.__name__ + "."):

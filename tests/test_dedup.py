@@ -263,6 +263,34 @@ class TestPartialCombiners:
                                       check_dtype=False)
 
 
+def test_per_value_apply_calls_kernel_once_per_value(tmp_path):
+    """Each kernel call gets every row of one value and no other, with
+    many more values than co-location buckets; values with no rows get
+    no call. The values run in one task per input block."""
+    from geetiles_ray.stages.temporal import bucket_count
+
+    n = 3 * bucket_count()
+    v = np.arange(2000) % (n - 5)
+    ds = ray.data.from_arrow(pa.table({"v": v, "x": np.arange(2000)}),
+                             override_num_blocks=5)
+    log = tmp_path / "calls"
+
+    def kernel(t: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{len(set(t['v'].to_pylist()))} {len(t)}\n")
+        return pa.table({"v": t["v"].slice(0, 1), "n": [len(t)]})
+
+    refs = dedupmod.per_value_apply(ds, "v", n, kernel)
+    assert len(refs) == 5
+    got = pa.concat_tables(ray.get(refs))
+    want = np.bincount(v)
+    assert sorted(got["v"].to_pylist()) == list(range(n - 5))
+    assert all(want[k] == c for k, c in zip(got["v"].to_pylist(),
+                                            got["n"].to_pylist()))
+    assert {line.split()[0] for line in log.read_text().split("\n")
+            if line} == {"1"}
+
+
 class TestDedupBroadcastProperties:
     def test_random_corpora_match_pandas(self):
         """Property check: random key/order corpora (dup rates 0-60%, ties

@@ -126,6 +126,21 @@ class TestCheckpointedWrite:
         pids = mf.partition_of_key(remaining.url.to_numpy(), 8)
         assert set(pids) == {3}
 
+    def test_more_partitions_than_buckets(self, corpus, tmp_path):
+        """Each partition is written whole and alone, however many
+        partitions there are against the co-location bucket count."""
+        from geetiles_ray.stages.temporal import bucket_count
+
+        n = 2 * bucket_count()
+        out = str(tmp_path / "out")
+        r = mf.checkpointed_write(ray.data.from_pandas(corpus), out, "url",
+                                  n_partitions=n)
+        pids = mf.partition_of_key(corpus.url.to_numpy(), n)
+        assert r["written"] == sorted(set(pids)) and r["total_rows"] == 500
+        for pid in r["written"]:
+            part = pd.read_parquet(os.path.join(out, f"part={pid:05d}"))
+            assert sorted(part.val) == sorted(corpus.val[pids == pid])
+
     def test_partition_assignment_stable(self, corpus):
         a = mf.partition_of_key(corpus.url.to_numpy(), 16)
         b = mf.partition_of_key(corpus.url.to_numpy(), 16)
