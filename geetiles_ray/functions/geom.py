@@ -79,22 +79,24 @@ def bounds(coords: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def shoelace_area(coords: np.ndarray) -> float:
-    """Unsigned area of a closed ring (shoelace formula)."""
-    c = np.asarray(coords, dtype=np.float64)
-    x, y = c[:, 0], c[:, 1]
-    return 0.5 * abs(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1]))
+    """Unsigned area of a closed ring: ``shoelace_areas`` of a one-ring
+    stack."""
+    return shoelace_areas(np.asarray(coords)[None])[0]
 
 
 def shoelace_areas(rings: np.ndarray) -> np.ndarray:
-    """``shoelace_area`` of each ring of a C-ordered (n, m, 2) stack, bit
-    for bit: each (1, m-1) @ (m-1, 1) product runs the dot kernel
-    ``np.dot`` runs on a C-ordered ring. On 1 km cells in UTM metres the
-    two sums lose about nine of their sixteen digits to cancellation, so
-    summing in another order would move the area far past its last ulp."""
-    x, y = rings[..., 0], rings[..., 1]
-    d1 = np.matmul(x[:, None, :-1], y[:, 1:, None])
-    d2 = np.matmul(x[:, None, 1:], y[:, :-1, None])
-    return 0.5 * np.abs(d1 - d2).reshape(-1)
+    """Unsigned area of each closed ring of an (n, m, 2) stack, with x taken
+    relative to the ring's first vertex as GEOS ``Area::ofRingSigned`` does:
+    0.5·|Σ_{i=1}^{m-2} (x_i − x_0)(y_{i−1} − y_{i+1})|. Products of absolute
+    UTM metres (~3e12) would cancel down to 1 km areas (~1e6 m²) and lose
+    about nine digits; the shifted terms are of the area's own size, so the
+    sum stays within a few ulps of the exact area. Elementwise ops and one
+    ``np.sum`` per ring, no BLAS kernel, so the bits do not depend on the
+    host's CPU."""
+    r = np.asarray(rings, dtype=np.float64)
+    x, y = r[..., 0], r[..., 1]
+    terms = (x[:, 1:-1] - x[:, :1]) * (y[:, :-2] - y[:, 2:])
+    return 0.5 * np.abs(np.sum(terms, axis=-1))
 
 
 def envelope_centroid(coords: np.ndarray) -> tuple[float, float]:

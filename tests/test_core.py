@@ -114,6 +114,33 @@ class TestGeom:
         assert geom.shoelace_areas(stack).tolist() == [
             geom.shoelace_area(r) for r in stack]
 
+    def test_shoelace_exact_at_utm_offsets(self):
+        """1 km rings at UTM-sized coordinates: the area agrees with the
+        exact shoelace of the same float64 vertices to a few ulps, whichever
+        BLAS kernel the host has (absolute x·y products of ~3e12 would
+        cancel away about nine digits)."""
+        from fractions import Fraction
+
+        def exact(r):
+            x = [Fraction(v) for v in r[:, 0].tolist()]
+            y = [Fraction(v) for v in r[:, 1].tolist()]
+            return float(abs(sum(x[i] * y[i + 1] - x[i + 1] * y[i]
+                                 for i in range(len(x) - 1))) / 2)
+
+        rng = np.random.default_rng(11)
+
+        def ring():
+            jitter = rng.uniform(-50, 50, (4, 2))
+            return (geom.box_ring(0.0, 0.0, 1000.0, 1000.0)
+                    + rng.uniform((4e5, 5.4e6), (6e5, 5.6e6))
+                    + np.vstack([jitter, jitter[:1]]))
+
+        stack = np.stack([ring() for _ in range(8)])
+        want = [exact(r) for r in stack]
+        np.testing.assert_allclose(geom.shoelace_areas(stack), want, rtol=1e-14)
+        np.testing.assert_allclose([geom.shoelace_area(r) for r in stack], want,
+                                   rtol=1e-14)
+
     def test_pip(self):
         L = np.array([[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3], [0, 0]], float)
         px = np.array([0.5, 2.0, 2.0, 0.5])

@@ -154,10 +154,11 @@ class TestGrid:
 
 
 class TestFixtureTilesetGolden:
-    """The fixture tilesets as built before the array-at-a-time grid build:
-    tileset hash and row count, one sha256 over the grid_idx-sorted
-    identifier, wkb, bounds, centre and cell_id columns, and area_km2
-    within rtol=1e-12."""
+    """The fixture tilesets: tileset hash and row count, and one sha256 over
+    the grid_idx-sorted identifier, wkb, bounds, centre and cell_id columns,
+    as built before the array-at-a-time grid build; area_km2 within
+    rtol=1e-12 of the exact area of the projected rings
+    (tools/exact_fixture_areas.py)."""
 
     GOLDEN = {
         5000.0: ("07796fdfc6d73", 211,
